@@ -218,9 +218,13 @@ def _validate_learner(spec: dict) -> None:
         _check_keys(alpha, {"kind", "base", "decay_games", "floor"}, "learner.alpha")
         if alpha.get("kind", "constant") not in ("constant", "inverse"):
             raise ConfigError("learner.alpha.kind must be 'constant' or 'inverse'")
-        _typed(alpha.get("base", 1.0), (int, float), "base", "learner.alpha")
-    else:
-        _typed(alpha, (int, float), "alpha", "learner")
+        for key in ("base", "decay_games"):
+            value = _typed(alpha.get(key, 1.0), (int, float), key, "learner.alpha")
+            if not value > 0:
+                raise ConfigError(f"learner.alpha.{key} must be > 0")
+        _typed(alpha.get("floor", 0.0), (int, float), "floor", "learner.alpha")
+    elif not _typed(alpha, (int, float), "alpha", "learner") > 0:
+        raise ConfigError("learner.alpha must be > 0")
     _typed(spec.get("squash", True), bool, "squash", "learner")
     clip = spec.get("clipping", "none")
     if clip not in tuple(p.value for p in ClipPolicy):
@@ -351,8 +355,9 @@ def _run_head_to_head(cfg: dict, quiet: bool) -> int:
     (out_dir / "result.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"{a.id} vs {b.id}: score {score:.4f} over {cfg['games']} games "
-          f"(+{tally['wins']} ={tally['draws']} -{tally['losses']})")
+    if not quiet:
+        print(f"{a.id} vs {b.id}: score {score:.4f} over {cfg['games']} games "
+              f"(+{tally['wins']} ={tally['draws']} -{tally['losses']})")
     return 0
 
 

@@ -102,6 +102,12 @@ class ConnectFour(Game):
             raise IllegalMoveError(f"column {action} is full")
         return ConnectFourState(state.opponent_stones, state.filled | cell)
 
+    def apply_trusted(self, state: ConnectFourState, action: int) -> ConnectFourState:
+        # Fast path for callers holding an action from legal_actions().
+        filled = state.filled
+        cell = (filled + BOTTOM_BIT[action]) & COLUMN_MASK[action]
+        return ConnectFourState(filled ^ state.mover, filled | cell)
+
     def is_terminal(self, state: ConnectFourState) -> bool:
         return has_alignment(state.opponent_stones) or state.filled == FULL_MASK
 

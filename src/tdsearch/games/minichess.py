@@ -182,12 +182,54 @@ def _edit(board: str, move) -> str:
     return "".join(cells)
 
 
+ALL_SQUARES = frozenset(range(NSQUARES))
+
+
+def _unsafe_origins(board: str, side: Side):
+    """Squares whose pseudo-moves may leave side's king attacked.
+
+    In check, that is every square.  Otherwise it is the king's square plus
+    each own piece pinned to the king: the first own piece on a rook or
+    bishop ray from the king, with an enemy rook/queen (resp. bishop/queen)
+    as the next piece behind it.  Moving any other piece cannot expose the
+    king: only sliders attack along lines, a move only vacates its origin,
+    and there is no en passant to vacate a second square.
+    """
+    if in_check(board, side):
+        return ALL_SQUARES
+    if side is Side.WHITE:
+        ksq, own, rook, bishop, queen = board.index("K"), WHITE_PIECES, "r", "b", "q"
+    else:
+        ksq, own, rook, bishop, queen = board.index("k"), BLACK_PIECES, "R", "B", "Q"
+    unsafe = {ksq}
+    for rays, slider in ((ROOK_RAYS[ksq], rook), (BISHOP_RAYS[ksq], bishop)):
+        for ray in rays:
+            shield = None
+            for t in ray:
+                ch = board[t]
+                if ch == ".":
+                    continue
+                if shield is None and ch in own:
+                    shield = t
+                    continue
+                if shield is not None and (ch == slider or ch == queen):
+                    unsafe.add(shield)
+                break
+    return unsafe
+
+
 def legal_moves(board: str, side: Side):
-    out = []
-    for move in pseudo_moves(board, side):
-        if not in_check(_edit(board, move), side):
-            out.append(move)
-    return out
+    """Legal (from, to) pairs, in pseudo_moves order.
+
+    Pin rule: a pseudo-move is tested with _edit + in_check only if it
+    starts on a square from _unsafe_origins (the king, a pinned piece, or
+    any piece while in check); every other pseudo-move is legal as it is.
+    """
+    unsafe = _unsafe_origins(board, side)
+    return [
+        move for move in pseudo_moves(board, side)
+        if move[0] not in unsafe or not in_check(_edit(board, move), side)
+    ]
 
 
 def has_any_legal(board: str, side: Side) -> bool:

@@ -67,6 +67,8 @@ class AlphaSchedule:
             raise ValueError(f"bad schedule kind {self.kind!r}")
         if self.base <= 0:
             raise ValueError("alpha base must be positive")
+        if self.decay_games <= 0:
+            raise ValueError("alpha decay_games must be positive")
 
     def at(self, game_index: int) -> float:
         if self.kind == "constant":

@@ -6,11 +6,13 @@ between levels.  The returned root value therefore relates to the stored
 leaf by value == (-1)**len(pv) * leaf_score(leaf), with exact float
 equality, since negation is exact.
 
-Terminal positions inside the tree score +/-(MATE_SCORE - ply) from the
-winner's perspective, so forced wins dominate any static evaluation and
-faster wins are preferred.  The evaluator is only ever invoked on
-non-terminal leaves.  A non-terminal node with no legal actions (possible
-only in synthetic trees) is scored as a leaf.
+Each node is handled in a fixed order: the terminal test first, then the
+depth test, and only then move generation, so no moves are generated at
+depth-0 leaves.  Terminal positions inside the tree score
++/-(MATE_SCORE - ply) from the winner's perspective, so forced wins dominate
+any static evaluation and faster wins are preferred.  The evaluator is only
+ever invoked on non-terminal leaves.  A non-terminal node with no legal
+actions (possible only in synthetic trees) is scored as a leaf at any depth.
 
 No iterative deepening, transposition tables, or quiescence extensions:
 searches are plain fixed-depth.
@@ -100,8 +102,7 @@ def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND
         if is_terminal(state):
             nodes += 1
             return terminal_score(game, state, ply), (), state
-        actions = legal(state)
-        if d == 0 or not actions:
+        if d == 0 or not (actions := legal(state)):
             nodes += 1
             return evaluator(state), (), state
         results = []
@@ -141,8 +142,7 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
         if is_terminal(state):
             nodes += 1
             return terminal_score(game, state, ply), (), state
-        actions = legal(state)
-        if d == 0 or not actions:
+        if d == 0 or not (actions := legal(state)):
             nodes += 1
             return evaluator(state), (), state
         if rng is not None and len(actions) > 1:

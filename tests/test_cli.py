@@ -81,6 +81,23 @@ def test_bad_lambda_rejected(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, key", [
+    (dict(kind="inverse", base=0.2, decay_games=0), "decay_games"),
+    (dict(kind="inverse", base=0.2, decay_games=-5), "decay_games"),
+    (dict(kind="inverse", base=0.2, decay_games="x"), "decay_games"),
+    (dict(kind="constant", base=-1), "base"),
+    (-0.5, "alpha"),
+    (0, "alpha"),
+])
+def test_bad_alpha_rejected_before_running(tmp_path, capsys, alpha, key):
+    cfg = json.loads(Path(online_cfg(tmp_path)).read_text())
+    cfg["learner"]["alpha"] = alpha
+    p = write_cfg(tmp_path / "c4.json", **cfg)
+    assert main(["--config", p]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_weight_file_rejected_before_running(tmp_path, capsys):
     p = write_cfg(
         tmp_path / "h.json", mode="head-to-head", game="tictactoe",
@@ -213,6 +230,18 @@ def test_head_to_head_writes_result(tmp_path, capsys):
     assert report["score_a"] == (report["wins"] + 0.5 * report["draws"]) / 8
     out = capsys.readouterr().out
     assert "a vs b" in out
+
+
+def test_head_to_head_quiet_prints_nothing(tmp_path, capsys):
+    p = write_cfg(
+        tmp_path / "h.json", mode="head-to-head", game="tictactoe",
+        seed=2, games=2, out_dir=str(tmp_path / "h2h"),
+        agents=[dict(id="a", depth=1, weights="zero"),
+                dict(id="b", depth=1, weights="zero")],
+    )
+    assert main(["--config", p, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "h2h" / "result.json").is_file()
 
 
 def test_train_selfplay_mode(tmp_path):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import mc_in_check_oracle, mc_legal_moves_oracle
+from oracles import mc_in_check_oracle, mc_legal_moves_oracle, random_position
 from tdsearch.games import GAMES
 from tdsearch.games.base import IllegalMoveError, Side
-from tdsearch.games.minichess import PLY_CAP, in_check, legal_moves
+from tdsearch.games.minichess import PLY_CAP, _edit, in_check, legal_moves, pseudo_moves
 
 MC = GAMES["minichess"]
 
@@ -69,6 +69,48 @@ def test_movegen_matches_oracle_on_random_positions():
         want = mc_legal_moves_oracle(s.board, white)
         assert got == want, MC.to_text(s)
         assert in_check(s.board, s.side_to_move) == mc_in_check_oracle(s.board, white)
+
+
+def _full_filter(board, side):
+    return [m for m in pseudo_moves(board, side) if not in_check(_edit(board, m), side)]
+
+
+def test_pin_aware_movegen_equals_full_filter_on_random_walks():
+    rng = np.random.default_rng(29)
+    for _ in range(1500):
+        s = random_position(MC, rng, 60)
+        for side in (Side.WHITE, Side.BLACK):
+            assert legal_moves(s.board, side) == _full_filter(s.board, side), MC.to_text(s)
+
+
+@pytest.mark.parametrize("text, square, expected", [
+    # rook pin on a file: knight a2 cannot move at all
+    ("r3k/5/5/N4/K4 w 0", "a2", set()),
+    # bishop pin on a diagonal: rook b2 cannot move at all
+    ("4k/3b1/5/1R3/K4 w 0", "b2", set()),
+    # queen pins on a file and on a diagonal
+    ("2q1k/5/5/2B2/2K2 w 0", "c2", set()),
+    ("4k/3q1/5/1N3/K4 w 0", "b2", set()),
+    # pinned pieces slide along the pin line, up to capturing the pinner
+    ("r3k/5/R4/5/K4 w 0", "a3", {"a3a2", "a3a4", "a3a5"}),
+    ("4k/3b1/5/1B3/K4 w 0", "b2", {"b2c3", "b2d4"}),
+    # pinned pawn: the capture of the pinner stays on the line, the push does not
+    ("4k/5/2b2/1P3/K4 w 0", "b2", {"b2c3"}),
+    # pinned pawn promotes by capturing the pinner, but may not promote by pushing
+    ("k3b/3P1/2K2/5/5 w 0", "d4", {"d4e5"}),
+    # black pins, mirrored
+    ("k4/n4/5/5/R3K b 0", "a4", set()),
+    # in check from c3 with knight a2 pinned and rook e1 unable to help:
+    # only the king moves
+    ("r3k/5/2b2/N4/K3R w 0", "", {"a1b1"}),
+])
+def test_pin_aware_movegen_hand_built(text, square, expected):
+    s = MC.from_text(text)
+    got = legal_moves(s.board, s.side_to_move)
+    assert got == _full_filter(s.board, s.side_to_move)
+    assert sorted(got) == mc_legal_moves_oracle(s.board, s.side_to_move is Side.WHITE)
+    strs = {MC.action_to_str(m) for m in got}
+    assert {m for m in strs if m.startswith(square)} == expected
 
 
 def test_queen_mate_in_corner():

@@ -1,0 +1,67 @@
+"""Byte-level lock on the artifacts of every checked-in training config.
+
+Each config under configs/ that trains is run at a small game count with its
+own recorded seed, and the sha256 of ratings.csv, traces.log and
+weights_final.snapshot must equal the values below.  A change that is meant
+to keep behaviour (a faster search, a refactor) must leave these unchanged;
+a change that alters the artifacts on purpose updates them and says why.
+
+The values are machine-specific in one respect (ROADMAP 4c): search, the
+learner and replay use np.dot, which numpy hands to a CPU-dispatched BLAS
+kernel, so the last bit of a weight may differ on another CPU model.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from tdsearch.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+ARTIFACTS = ("ratings.csv", "traces.log", "weights_final.snapshot")
+
+# config file -> (games, {artifact: sha256})
+GOLDEN = {
+    "c4_pool_train.json": (12, {
+        "ratings.csv": "498122bafb2f6244a4f90ea7ee633ab5e8fd8b45c35d71c2797bf988d0ece3c1",
+        "traces.log": "4ac8904fafa6abb9607f302be11b1392238787a0894765a9c1b5650b976ce4d8",
+        "weights_final.snapshot": "375b4d795f2ac2bf81f2056891de61800bdaac5bb3c3a8a96662e110a4151310",
+    }),
+    "c4_selfplay_train.json": (8, {
+        "ratings.csv": "89a2c151e2d3d14ca6e44ad7b5cb02e5da4dc7f27b8a5401eca5a764931625ea",
+        "traces.log": "00347af4c34d8127e9246d9ce83c7ba4b116092a7a1c87592793712de804e2e9",
+        "weights_final.snapshot": "f9e73470e5e9b20bb364ec4b1066243da991fbefdd40c29312885811a5661ffd",
+    }),
+    "mc_material_selfplay.json": (12, {
+        "ratings.csv": "f5d583419a8858153bab896298ded64ec907fa0aa9f44bcaba7970cba7b84cf5",
+        "traces.log": "bd0433a59d469735e13686195c68bc53edadd04e9f62617bbcf3ca760d640135",
+        "weights_final.snapshot": "66b9258a4e36d29d3d300427d18cfbf8665d4f996fc371be78434a63d803cccb",
+    }),
+}
+
+
+def test_every_training_config_is_covered():
+    training = sorted(
+        p.name for p in CONFIGS.glob("*.json")
+        if json.loads(p.read_text())["mode"].startswith("train-")
+    )
+    assert training == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_digests_unchanged(name, tmp_path):
+    games, expected = GOLDEN[name]
+    cfg = json.loads((CONFIGS / name).read_text())
+    cfg["games"] = games
+    cfg["out_dir"] = str(tmp_path / "run")
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--quiet"]) == 0
+    got = {
+        art: hashlib.sha256((tmp_path / "run" / art).read_bytes()).hexdigest()
+        for art in ARTIFACTS
+    }
+    assert got == expected

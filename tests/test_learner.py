@@ -276,6 +276,9 @@ def test_schedule_validation():
         AlphaSchedule(kind="warmup")
     with pytest.raises(ValueError):
         AlphaSchedule(base=0.0)
+    for decay in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            AlphaSchedule(kind="inverse", decay_games=decay)
 
 
 # ---------------------------------------------------------------------------

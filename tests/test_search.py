@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_tree, text_eval, white_minimax
+from oracles import random_position, random_tree, text_eval, white_minimax
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.games.base import Side
 from tdsearch.search import (
@@ -239,3 +239,45 @@ def test_search_result_is_plain_data():
     assert isinstance(res, SearchResult)
     assert res.depth == 3
     assert isinstance(res.pv, tuple)
+
+
+# ---------------------------------------------------------------------------
+# Node order: no move generation at depth-0 leaves
+# ---------------------------------------------------------------------------
+
+
+class CountingGame:
+    """Delegates to a game and records the ply of every legal_actions call."""
+
+    def __init__(self, game):
+        self._game = game
+        self.legal_plies = []
+
+    def __getattr__(self, name):
+        return getattr(self._game, name)
+
+    def legal_actions(self, state):
+        self.legal_plies.append(state.ply)
+        return self._game.legal_actions(state)
+
+
+@pytest.mark.parametrize("search", [minimax, alphabeta])
+@pytest.mark.parametrize("game_id, depth", [("connect4", 3), ("minichess", 2), ("tictactoe", 3)])
+def test_no_move_generation_at_depth_zero_leaves(game_id, depth, search):
+    game = GAMES[game_id]
+    evaluator = text_eval(game)
+    white_eval = lambda st: st.side_to_move.sign * evaluator(st)
+    rng = np.random.default_rng(31)
+    searched = 0
+    while searched < 12:
+        s = random_position(game, rng, 12)
+        if game.is_terminal(s):
+            continue
+        searched += 1
+        counting = CountingGame(game)
+        assert search(counting, s, 0, evaluator).value == evaluator(s)
+        assert counting.legal_plies == []
+        res = search(counting, s, depth, evaluator)
+        assert counting.legal_plies[0] == s.ply
+        assert max(counting.legal_plies) < s.ply + depth
+        assert res.value == white_minimax(game, s, depth, white_eval) * s.side_to_move.sign
