@@ -7,7 +7,7 @@ rated training runs against graded opponent pools.
 """
 
 from tdsearch.games import GAMES, Side
-from tdsearch.search import SearchResult, TieBreakPolicy, alphabeta, minimax, pv_leaf
+from tdsearch.search import SearchResult, TieBreakPolicy, alphabeta, minimax
 from tdsearch.evaluation import (
     FeatureSet,
     SquashConfig,

@@ -73,6 +73,8 @@ class WeightVector:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"weights must be finite, got {arr.tolist()}")
         for i, v in self.anchors:
             if not 0 <= i < arr.shape[0]:
                 raise ValueError(f"anchor index {i} out of range")
@@ -101,16 +103,19 @@ def raw_eval(features: np.ndarray, weights: WeightVector) -> float:
     return float(np.dot(weights.values, features))
 
 
-def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig | None) -> np.ndarray:
+def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig | None,
+                  value: float | None = None) -> np.ndarray:
     """Gradient of squash(raw_eval) wrt the weights: beta*(1-v^2)*phi.
 
+    v is the squashed value of the features under the weights; a caller
+    that already holds it (a trace's stored leaf value) passes it as value.
     Entries at anchored indices are zeroed, which is what keeps anchors
     fixed under updates (no post-hoc clamping).
     """
     if cfg is None or not cfg.enabled:
         g = np.array(features, dtype=np.float64)
     else:
-        v = squash(raw_eval(features, weights), cfg)
+        v = squash(raw_eval(features, weights), cfg) if value is None else value
         g = (cfg.beta * (1.0 - v * v)) * features
     for i in weights.anchor_indices():
         g[i] = 0.0

@@ -39,6 +39,7 @@ from tdsearch.evaluation import (
     SquashConfig,
     WeightVector,
     features_white,
+    grad_squashed,
     raw_eval,
     squash,
 )
@@ -83,20 +84,12 @@ class LearnerConfig:
     squash: SquashConfig = field(default_factory=SquashConfig)
     clipping: ClipPolicy = ClipPolicy.NONE
     update_every_n_games: int = 1
-    # Optional per-game lambda hook; overrides lambda_ when set.  Not
-    # expressible in run configs, so file-driven runs always use lambda_.
-    lambda_schedule: object = None
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
         if self.update_every_n_games < 1:
             raise ValueError("update_every_n_games must be >= 1")
-
-    def lambda_at(self, game_index: int) -> float:
-        if self.lambda_schedule is not None:
-            return float(self.lambda_schedule(game_index))
-        return self.lambda_
 
 
 @dataclass(frozen=True)
@@ -173,18 +166,6 @@ def discounted_difference_sums(diffs, lam: float):
     return out
 
 
-def _step_gradient(step: StepRecord, weights: WeightVector, cfg: SquashConfig) -> np.ndarray:
-    """White-perspective gradient at the recorded leaf, using the stored value."""
-    if cfg is None or not cfg.enabled:
-        g = np.array(step.leaf_features, dtype=np.float64)
-    else:
-        v = step.value
-        g = (cfg.beta * (1.0 - v * v)) * step.leaf_features
-    for i in weights.anchor_indices():
-        g[i] = 0.0
-    return g
-
-
 def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
                  game_index: int = 0) -> np.ndarray:
     """Weight change for one trace under the leaf-based update rule."""
@@ -192,11 +173,12 @@ def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
     delta = np.zeros(len(weights))
     if not diffs:
         return delta
-    sums = discounted_difference_sums(diffs, cfg.lambda_at(game_index))
+    sums = discounted_difference_sums(diffs, cfg.lambda_)
     c = trace.agent_side.sign
     for step, s in zip(trace.steps, sums):
         if s != 0.0:
-            delta += (c * s) * _step_gradient(step, weights, cfg.squash)
+            # White-perspective gradient at the recorded leaf, at its stored value.
+            delta += (c * s) * grad_squashed(step.leaf_features, weights, cfg.squash, step.value)
     return cfg.alpha.at(game_index) * delta
 
 

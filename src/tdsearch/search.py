@@ -65,11 +65,6 @@ class SearchResult:
     nodes: int    # number of leaf scorings
 
 
-def pv_leaf(result: SearchResult):
-    """State at the end of the principal variation."""
-    return result.leaf
-
-
 def terminal_score(game, state, ply: int) -> float:
     """Side-to-move score of a terminal state ply levels below the root."""
     r = game.outcome(state).for_side(state.side_to_move)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tdsearch.cli import load_config, main
+from tdsearch.evaluation import feature_set, weights_to_text
 
 
 def write_cfg(path, **kw):
@@ -96,6 +97,74 @@ def test_bad_alpha_rejected_before_running(tmp_path, capsys, alpha, key):
     assert main(["--config", p]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _online(tmp_path, **top):
+    return {**json.loads(Path(online_cfg(tmp_path)).read_text()), **top}
+
+
+def _selfplay(tmp_path, **selfplay):
+    cfg = _online(tmp_path, mode="train-selfplay", selfplay=selfplay)
+    del cfg["pool"]
+    return cfg
+
+
+def _fixed_opponent(tmp_path, weights):
+    cfg = _online(tmp_path)
+    cfg["pool"]["opponents"].append(dict(type="fixed", id="f", depth=1, weights=weights))
+    return cfg
+
+
+def _nan_snapshot(tmp_path):
+    fs = feature_set("tictactoe")
+    text = weights_to_text(fs, fs.zero_weights()).replace("cell_3,0", "cell_3,nan")
+    (tmp_path / "nan.snapshot").write_text(text)
+    return _fixed_opponent(tmp_path, {"path": "nan.snapshot"})
+
+
+def _replay_of_head_to_head(tmp_path):
+    # a match run into an old training run's directory: every replay file is there
+    assert main(["--config", online_cfg(tmp_path), "--out", str(tmp_path / "h2h"), "--quiet"]) == 0
+    h2h = write_cfg(
+        tmp_path / "h.json", mode="head-to-head", game="tictactoe", games=2,
+        out_dir=str(tmp_path / "h2h"), agents=[dict(depth=1), dict(depth=1)])
+    assert main(["--config", h2h, "--quiet"]) == 0
+    return dict(mode="replay", run_dir=str(tmp_path / "h2h"), out_dir=str(tmp_path / "run"))
+
+
+# hole -> (config maker, text stderr must contain)
+HOLES = {
+    "seed": (lambda t: _online(t, seed=-1), "seed"),
+    "snapshot_every": (lambda t: _online(t, snapshot_every=-1), "snapshot_every"),
+    "opening_plies": (lambda t: _selfplay(t, opening_plies=-3), "opening_plies"),
+    "opening_epsilon": (lambda t: _selfplay(t, opening_epsilon=5.0), "opening_epsilon"),
+    "other-game-features": (lambda t: _online(t, features="connect4"), "connect4"),
+    "unknown-features": (lambda t: _online(t, features="no-such-set"), "no-such-set"),
+    "unknown-preset": (lambda t: _fixed_opponent(t, "basline"), "basline"),
+    "nan-snapshot": (_nan_snapshot, "finite"),
+    "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
+}
+
+
+@pytest.mark.parametrize("hole", HOLES)
+def test_config_hole_rejected_before_running(tmp_path, capsys, hole):
+    make, needle = HOLES[hole]
+    p = write_cfg(tmp_path / "c5.json", **make(tmp_path))
+    capsys.readouterr()
+    assert main(["--config", p]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_weights_fail_the_run(tmp_path, capsys):
+    # alpha 1e308 without squashing overflows the weights within a few games
+    cfg = _online(tmp_path, seed=1)
+    cfg["learner"].update(alpha=1e308, squash=False)
+    p = write_cfg(tmp_path / "c6.json", **cfg)
+    assert main(["--config", p, "--quiet"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "weights_final.snapshot").exists()
 
 
 def test_missing_weight_file_rejected_before_running(tmp_path, capsys):

@@ -130,6 +130,19 @@ def test_anchor_value_enforced():
         w.with_values(np.array([0.9, 2.0]))  # update moved the anchor
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weights_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector(np.array([1.0, bad]))
+    w = WeightVector(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        w.with_values(w.values + np.array([0.0, bad]))  # an update that overflowed
+    fs = feature_set("tictactoe")
+    text = weights_to_text(fs, fs.zero_weights())
+    with pytest.raises(ValueError, match="finite"):
+        weights_from_text(text.replace("cell_3,0", f"cell_3,{bad}"))
+
+
 def test_raw_eval_is_dot_product():
     w = WeightVector(np.array([2.0, -1.0, 0.5]))
     phi = np.array([1.0, 3.0, 4.0])

@@ -243,16 +243,6 @@ def test_anchored_weight_never_moves():
     assert w2.values[1] > 0.0
 
 
-def test_lambda_schedule_hook():
-    steps = (mkstep([1.0, 0.0], 0.0), mkstep([0.0, 1.0], 0.0))
-    tr = GameTrace(Side.WHITE, steps, WIN)
-    cfg = cfg_of(lambda_schedule=lambda i: 0.0 if i >= 10 else 1.0)
-    d_early = tdleaf_delta(tr, cfg, WeightVector(np.zeros(2)), game_index=0)
-    d_late = tdleaf_delta(tr, cfg, WeightVector(np.zeros(2)), game_index=10)
-    assert d_early[0] == 1.0  # lambda 1: the win reaches the first step whole
-    assert d_late[0] == 0.0   # lambda 0: only the final step moves
-
-
 # ---------------------------------------------------------------------------
 # Alpha schedules
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from tdsearch.search import (
     TieBreakPolicy,
     alphabeta,
     minimax,
-    pv_leaf,
 )
 
 
@@ -147,7 +146,6 @@ def test_pv_reaches_reported_leaf(game):
             continue
         res = alphabeta(game, s, 3, evaluator)
         assert replay_pv(game, s, res.pv) == res.leaf
-        assert pv_leaf(res) == res.leaf
         assert len(res.pv) <= 3
 
 
