@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -303,11 +303,19 @@ class RunResult:
 
 
 class _RunWriter:
-    """Streams ratings.csv, traces.log and snapshots for a training run."""
+    """Streams ratings.csv, traces.log and snapshots for a training run.
+
+    A context manager: leaving it closes both streams, also when the run
+    raises, so every finished game's row reaches disk.  weights_final.snapshot
+    is written last and renamed into place whole, so it exists only once a
+    run has completed.
+    """
 
     def __init__(self, out_dir, fs: FeatureSet, weights: WeightVector, snapshot_every: int):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._final = self.out_dir / "weights_final.snapshot"
+        self._final.unlink(missing_ok=True)  # left by an earlier run in this directory
         self.fs = fs
         self.snapshot_every = snapshot_every
         self._csv_fh = open(self.out_dir / "ratings.csv", "w", newline="", encoding="ascii")
@@ -343,12 +351,19 @@ class _RunWriter:
         if self.snapshot_every and games_done % self.snapshot_every == 0:
             self.snapshot(weights, games_done)
 
-    def finish(self, weights: WeightVector) -> None:
-        (self.out_dir / "weights_final.snapshot").write_text(
-            weights_to_text(self.fs, weights), encoding="ascii"
-        )
+    def __enter__(self) -> "_RunWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
         self._csv_fh.close()
         self._log_fh.close()
+
+    def finish(self, weights: WeightVector) -> None:
+        self._csv_fh.flush()
+        self._log_fh.flush()
+        tmp = self._final.with_name(self._final.name + ".tmp")
+        tmp.write_text(weights_to_text(self.fs, weights), encoding="ascii")
+        os.replace(tmp, self._final)
 
 
 def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfig,
@@ -363,35 +378,35 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
     table.register(agent.id)
     for opp in pool.opponents:
         table.register(opp.id)
-    writer = _RunWriter(out_dir, agent.fs, agent.weights, snapshot_every)
-    acc = np.zeros(agent.fs.k)
-    for i in range(n_games):
-        rng = game_rng(seed, i)
-        opp = pool.pick(table, agent.id, rng)
-        agent_side = Side.WHITE if i % 2 == 0 else Side.BLACK
-        white, black = (agent, opp) if agent_side is Side.WHITE else (opp, agent)
-        lower = table.rating(opp.id) < table.rating(agent.id)
-        rec = play_game(
-            game, white, black,
-            record_sides=(agent_side,), squash_cfg=cfg.squash, rng=rng,
-            rating_lower={agent_side: lower},
-        )
-        trace = rec.traces[agent_side]
-        acc += tdleaf_delta(trace, cfg, agent.weights, game_index=i)
-        if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
-            agent.weights = agent.weights.with_values(agent.weights.values + acc)
-            acc = np.zeros(agent.fs.k)
-        score_white = (rec.outcome.reward + 1.0) / 2.0
-        elo_update(table, rec.white_id, rec.black_id, score_white)
-        writer.row(
-            i, opp.id, "white" if agent_side is Side.WHITE else "black",
-            rec.outcome.for_side(agent_side),
-            table.rating(agent.id), table.rating(opp.id),
-            rec.moves, rec.nodes[agent_side], agent.weights,
-        )
-        writer.trace(game, trace, i, opp.id)
-        writer.maybe_periodic(agent.weights, i + 1)
-    writer.finish(agent.weights)
+    with _RunWriter(out_dir, agent.fs, agent.weights, snapshot_every) as writer:
+        acc = np.zeros(agent.fs.k)
+        for i in range(n_games):
+            rng = game_rng(seed, i)
+            opp = pool.pick(table, agent.id, rng)
+            agent_side = Side.WHITE if i % 2 == 0 else Side.BLACK
+            white, black = (agent, opp) if agent_side is Side.WHITE else (opp, agent)
+            lower = table.rating(opp.id) < table.rating(agent.id)
+            rec = play_game(
+                game, white, black,
+                record_sides=(agent_side,), squash_cfg=cfg.squash, rng=rng,
+                rating_lower={agent_side: lower},
+            )
+            trace = rec.traces[agent_side]
+            acc += tdleaf_delta(trace, cfg, agent.weights, game_index=i)
+            if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
+                agent.weights = agent.weights.with_values(agent.weights.values + acc)
+                acc = np.zeros(agent.fs.k)
+            score_white = (rec.outcome.reward + 1.0) / 2.0
+            elo_update(table, rec.white_id, rec.black_id, score_white)
+            writer.row(
+                i, opp.id, "white" if agent_side is Side.WHITE else "black",
+                rec.outcome.for_side(agent_side),
+                table.rating(agent.id), table.rating(opp.id),
+                rec.moves, rec.nodes[agent_side], agent.weights,
+            )
+            writer.trace(game, trace, i, opp.id)
+            writer.maybe_periodic(agent.weights, i + 1)
+        writer.finish(agent.weights)
     return RunResult(Path(out_dir), agent.weights, table, n_games)
 
 
@@ -411,29 +426,29 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
     table = RatingTable()
     table.register(agent.id)
     sides = (Side.WHITE, Side.BLACK) if record_both else (Side.WHITE,)
-    writer = _RunWriter(out_dir, agent.fs, agent.weights, snapshot_every)
-    acc = np.zeros(agent.fs.k)
-    for i in range(n_games):
-        rng = game_rng(seed, i)
-        rec = play_game(
-            game, agent, agent,
-            record_sides=sides, squash_cfg=cfg.squash, rng=rng,
-            opening_plies=opening_plies, opening_epsilon=opening_epsilon,
-        )
-        for side in sides:
-            acc += tdleaf_delta(rec.traces[side], cfg, agent.weights, game_index=i)
-        if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
-            agent.weights = agent.weights.with_values(agent.weights.values + acc)
-            acc = np.zeros(agent.fs.k)
-        writer.row(
-            i, agent.id, "white", rec.outcome.reward,
-            table.rating(agent.id), table.rating(agent.id),
-            rec.moves, rec.nodes[Side.WHITE] + rec.nodes[Side.BLACK], agent.weights,
-        )
-        for side in sides:
-            writer.trace(game, rec.traces[side], i, agent.id)
-        writer.maybe_periodic(agent.weights, i + 1)
-    writer.finish(agent.weights)
+    with _RunWriter(out_dir, agent.fs, agent.weights, snapshot_every) as writer:
+        acc = np.zeros(agent.fs.k)
+        for i in range(n_games):
+            rng = game_rng(seed, i)
+            rec = play_game(
+                game, agent, agent,
+                record_sides=sides, squash_cfg=cfg.squash, rng=rng,
+                opening_plies=opening_plies, opening_epsilon=opening_epsilon,
+            )
+            for side in sides:
+                acc += tdleaf_delta(rec.traces[side], cfg, agent.weights, game_index=i)
+            if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
+                agent.weights = agent.weights.with_values(agent.weights.values + acc)
+                acc = np.zeros(agent.fs.k)
+            writer.row(
+                i, agent.id, "white", rec.outcome.reward,
+                table.rating(agent.id), table.rating(agent.id),
+                rec.moves, rec.nodes[Side.WHITE] + rec.nodes[Side.BLACK], agent.weights,
+            )
+            for side in sides:
+                writer.trace(game, rec.traces[side], i, agent.id)
+            writer.maybe_periodic(agent.weights, i + 1)
+        writer.finish(agent.weights)
     return RunResult(Path(out_dir), agent.weights, table, n_games)
 
 

@@ -156,6 +156,10 @@ def parse(cfg: dict, config_dir: Path):
     top = _Section(cfg)
     mode = top.choice("mode", MODES)
     out_dir = Path(top.get("out_dir", str))
+    existing = next(filter(Path.exists, (out_dir, *out_dir.parents)), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"config: out_dir {str(out_dir)!r}: "
+                          f"{str(existing)!r} is not a directory")
     seed = top.get("seed", int, 0, lo=0)
     if mode == "replay":
         run = _parse_replay(top.path("run_dir", config_dir), out_dir)

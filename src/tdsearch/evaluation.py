@@ -149,6 +149,19 @@ _C4_NAMES = (
 )
 
 
+# Both colours packed into one int: the mover's stones in bits 0..48, the
+# opponent's in bits 80..128, so each shift, AND and OR below acts on both
+# at once.  No shift exceeds 3 * (STRIDE + 1) = 24 bits, so a stone shifted
+# off its own colour's squares lands in the free bits 49..79 (the mover's
+# reach bit 72 at most, the opponent's bit 56 at least), which every count
+# masks away: one colour never reaches the other's squares.
+_C4_GAP = 80
+_C4_LO = (1 << _C4_GAP) - 1
+_C4_CENTER, _C4_LOW, _C4_EVEN, _C4_ODD, _C4_BOTTOM, _C4_FULL = (
+    m | m << _C4_GAP for m in (c4.CENTER_MASK, c4.LOW_HALF_MASK, c4.EVEN_ROW_MASK,
+                               c4.ODD_ROW_MASK, c4.BOTTOM_MASK, c4.FULL_MASK))
+
+
 def _connect4_features(state) -> np.ndarray:
     """Bit-parallel Connect-4 features, mover minus opponent throughout.
 
@@ -157,37 +170,36 @@ def _connect4_features(state) -> np.ndarray:
     squares are empty cells completing a four, split by row parity;
     playable winning squares are those available this instant.
     """
-    mine = state.mover
-    theirs = state.opponent_stones
-    filled = state.filled
-    h, d1, d2 = c4.STRIDE, c4.STRIDE - 1, c4.STRIDE + 1
-
-    def runs(m, s, k):
-        r = m & (m >> s)
-        if k == 3:
-            r &= m >> (2 * s)
-        return r.bit_count()
-
-    mw = c4.winning_squares(mine, filled)
-    tw = c4.winning_squares(theirs, filled)
-    playable = (filled + c4.BOTTOM_MASK) & c4.FULL_MASK
-    return np.array(
-        [
-            1.0,
-            ((mine & c4.CENTER_MASK).bit_count() - (theirs & c4.CENTER_MASK).bit_count()),
-            runs(mine, h, 2) - runs(theirs, h, 2),
-            runs(mine, 1, 2) - runs(theirs, 1, 2),
-            (runs(mine, d1, 2) + runs(mine, d2, 2)) - (runs(theirs, d1, 2) + runs(theirs, d2, 2)),
-            runs(mine, h, 3) - runs(theirs, h, 3),
-            runs(mine, 1, 3) - runs(theirs, 1, 3),
-            (runs(mine, d1, 3) + runs(mine, d2, 3)) - (runs(theirs, d1, 3) + runs(theirs, d2, 3)),
-            ((mw & c4.EVEN_ROW_MASK).bit_count() - (tw & c4.EVEN_ROW_MASK).bit_count()),
-            ((mw & c4.ODD_ROW_MASK).bit_count() - (tw & c4.ODD_ROW_MASK).bit_count()),
-            ((mw & playable).bit_count() - (tw & playable).bit_count()),
-            ((mine & c4.LOW_HALF_MASK).bit_count() - (theirs & c4.LOW_HALF_MASK).bit_count()),
-        ],
-        dtype=np.float64,
-    )
+    G, LO = _C4_GAP, _C4_LO
+    mine, filled = state.mover, state.filled
+    b = mine | (filled ^ mine) << G
+    filled |= filled << G
+    # Shift 1 is vertical, STRIDE = 7 horizontal, 6 and 8 the two diagonals.
+    v1, h1, a1, c1 = b >> 1, b >> 7, b >> 6, b >> 8
+    v2, h2, a2, c2 = b >> 2, b >> 14, b >> 12, b >> 16
+    H1, A1, C1 = b << 7, b << 6, b << 8
+    win = ((b << 1) & (b << 2) & (b << 3)  # c4.winning_squares of both colours
+           | H1 & (b << 14) & (b << 21 | h1) | h1 & h2 & (b >> 21 | H1)
+           | A1 & (b << 12) & (b << 18 | a1) | a1 & a2 & (b >> 18 | A1)
+           | C1 & (b << 16) & (b << 24 | c1) | c1 & c2 & (b >> 24 | C1)) & ~filled
+    ph, pv, pa, pc = b & h1, b & v1, b & a1, b & c1
+    th, tv, ta, tc = ph & h2, pv & v2, pa & a2, pc & c2
+    ce, lw, ev, od = b & _C4_CENTER, b & _C4_LOW, win & _C4_EVEN, win & _C4_ODD
+    pl = win & (filled + _C4_BOTTOM) & _C4_FULL
+    return np.array([
+        1.0,
+        (ce & LO).bit_count() - (ce >> G).bit_count(),
+        (ph & LO).bit_count() - (ph >> G).bit_count(),
+        (pv & LO).bit_count() - (pv >> G).bit_count(),
+        (pa & LO).bit_count() + (pc & LO).bit_count() - (pa >> G).bit_count() - (pc >> G).bit_count(),
+        (th & LO).bit_count() - (th >> G).bit_count(),
+        (tv & LO).bit_count() - (tv >> G).bit_count(),
+        (ta & LO).bit_count() + (tc & LO).bit_count() - (ta >> G).bit_count() - (tc >> G).bit_count(),
+        (ev & LO).bit_count() - (ev >> G).bit_count(),
+        (od & LO).bit_count() - (od >> G).bit_count(),
+        (pl & LO).bit_count() - (pl >> G).bit_count(),
+        (lw & LO).bit_count() - (lw >> G).bit_count(),
+    ], dtype=np.float64)
 
 
 _PIECE_PAIRS = (("P", "p"), ("N", "n"), ("B", "b"), ("R", "r"), ("Q", "q"))

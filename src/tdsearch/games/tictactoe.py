@@ -84,7 +84,10 @@ class TicTacToe(Game):
         rows = text.strip().split("/")
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError(f"bad tictactoe text: {text!r}")
-        board = tuple(_MARKS[ch] for row in rows for ch in row)
+        try:
+            board = tuple(_MARKS[ch] for row in rows for ch in row)
+        except KeyError as e:
+            raise ValueError(f"bad cell char {e.args[0]!r}") from None
         xs = sum(1 for v in board if v == 1)
         os = sum(1 for v in board if v == -1)
         if os not in (xs, xs - 1):

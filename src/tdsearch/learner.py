@@ -277,10 +277,13 @@ def traces_from_log(text: str, game, fs: FeatureSet):
             if header is not None:
                 raise ValueError(f"line {line_no}: previous game missing outcome")
             idx_txt, agent_txt, opp_txt = rest.split(" ")
+            if (agent_txt not in ("agent=white", "agent=black")
+                    or not opp_txt.startswith("opponent=")):
+                raise ValueError(f"line {line_no}: bad game header")
             header = (
                 int(idx_txt),
                 Side.WHITE if agent_txt == "agent=white" else Side.BLACK,
-                opp_txt.split("=", 1)[1],
+                opp_txt.removeprefix("opponent="),
             )
             steps = []
         elif kind == "step":

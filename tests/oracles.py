@@ -113,7 +113,7 @@ def t3_solve(board):
 
 
 # ---------------------------------------------------------------------------
-# Connect four alignment oracle (text grid scan)
+# Connect four oracles (text grid scans)
 # ---------------------------------------------------------------------------
 
 
@@ -130,6 +130,65 @@ def c4_wins_from_text(text, symbol):
                     if all(grid[r + k * dr][c + k * dc] for k in range(4)):
                         return True
     return False
+
+
+@lru_cache(maxsize=None)
+def _c4_windows(length):
+    """Every line of `length` on-board (row, col) cells, by direction class."""
+    out = {"h": [], "v": [], "diag": []}
+    for cls, dr, dc in (("h", 0, 1), ("v", 1, 0), ("diag", 1, 1), ("diag", -1, 1)):
+        for r in range(6):
+            for c in range(7):
+                cells = [(r + k * dr, c + k * dc) for k in range(length)]
+                if all(0 <= rr < 6 and 0 <= cc < 7 for rr, cc in cells):
+                    out[cls].append(cells)
+    return out
+
+
+def c4_features_oracle(game, state):
+    """The 12 connect4 features, mover minus opponent, by walking cells.
+
+    Reads the text grid, so it shares no bit layout with the library:
+    runs are counted line by line, winning squares are the empty cells of
+    four-cell lines whose other three cells belong to one side.
+    """
+    rows = game.to_text(state).split("/")[::-1]  # row 0 at the bottom
+    mine = "X" if state.side_to_move.sign > 0 else "O"
+    owner = {(r, c): 0 if ch == "." else 1 if ch == mine else -1
+             for r, row in enumerate(rows) for c, ch in enumerate(row)}
+
+    def runs(length, cls):
+        total = 0
+        for cells in _c4_windows(length)[cls]:
+            who = {owner[p] for p in cells}
+            if len(who) == 1:
+                total += who.pop()
+        return total
+
+    wins = {1: set(), -1: set()}
+    for lines in _c4_windows(4).values():
+        for cells in lines:
+            empty = [p for p in cells if owner[p] == 0]
+            who = sum(owner[p] for p in cells)
+            if len(empty) == 1 and abs(who) == 3:
+                wins[who // 3].add(empty[0])
+
+    def win_count(keep):
+        return sum(side * sum(1 for p in wins[side] if keep(*p)) for side in (1, -1))
+
+    def playable(r, c):
+        return r == 0 or owner[(r - 1, c)] != 0
+
+    return [
+        1.0,
+        sum(owner[(r, 3)] for r in range(6)),
+        runs(2, "h"), runs(2, "v"), runs(2, "diag"),
+        runs(3, "h"), runs(3, "v"), runs(3, "diag"),
+        win_count(lambda r, c: r % 2 == 0),
+        win_count(lambda r, c: r % 2 == 1),
+        win_count(playable),
+        sum(owner[(r, c)] for r in range(3) for c in range(7)),
+    ]
 
 
 # ---------------------------------------------------------------------------

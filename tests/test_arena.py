@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdsearch import arena
 from tdsearch.arena import (
     INITIAL_RATING,
     K_FACTOR,
@@ -33,7 +34,7 @@ from tdsearch.evaluation import (
 )
 from tdsearch.games import GAMES
 from tdsearch.games.base import IllegalMoveError, Side
-from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
+from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig, traces_from_log
 
 T3 = GAMES["tictactoe"]
 FS3 = feature_set("tictactoe")
@@ -324,6 +325,40 @@ def test_train_selfplay_records_and_replays(tmp_path):
     # selfplay has no meaningful ratings
     rows = (tmp_path / "ratings.csv").read_text().strip().split("\n")[1:]
     assert all(float(r.split(",")[4]) == INITIAL_RATING for r in rows)
+
+
+def _overflowing_run(mode, out_dir):
+    # alpha 1e308 without squashing: the weights stop being finite after a game or two
+    cfg = small_cfg(alpha=AlphaSchedule(base=1e308), squash=SquashConfig.disabled())
+    if mode == "online":
+        pool = OpponentPool([RandomAgent("rnd")], "uniform")
+        return train_online(T3, fresh_agent(), pool, cfg, 6, 4, out_dir)
+    return train_selfplay(T3, fresh_agent(), cfg, 6, 4, out_dir)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["online", "selfplay"])
+def test_failed_run_keeps_finished_games_and_no_final_snapshot(tmp_path, mode):
+    (tmp_path / "weights_final.snapshot").write_text("left by an earlier run\n")
+    with pytest.raises(ValueError, match="finite") as failure:
+        _overflowing_run(mode, tmp_path)
+    # `failure` still holds the run's frames, so only closing can have flushed the files
+    rows = (tmp_path / "ratings.csv").read_text().splitlines()
+    assert rows[0].startswith("game_index,") and len(rows) > 1
+    games = [idx for idx, _, _ in traces_from_log((tmp_path / "traces.log").read_text(), T3, FS3)]
+    assert sorted(set(games)) == list(range(len(rows) - 1))
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "ratings.csv", "traces.log", "weights_000000.snapshot"}
+
+
+def test_final_snapshot_is_renamed_into_place(tmp_path, monkeypatch):
+    replaced = []
+    monkeypatch.setattr(arena.os, "replace", lambda src, dst: replaced.append((src, dst)))
+    train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                 small_cfg(), 2, 5, tmp_path)
+    final = tmp_path / "weights_final.snapshot"
+    assert replaced == [(tmp_path / "weights_final.snapshot.tmp", final)]
+    assert not final.exists()  # nothing but the rename writes the final name
 
 
 def test_head_to_head_alternates_and_scores():

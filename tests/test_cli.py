@@ -167,6 +167,17 @@ def test_non_finite_weights_fail_the_run(tmp_path, capsys):
     assert not (tmp_path / "run" / "weights_final.snapshot").exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/run"])
+def test_out_dir_blocked_by_a_file_is_a_config_error(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("kept\n")
+    p = write_cfg(tmp_path / "v.json", mode="verify-figures", game="synthetic-tree",
+                  trials=1, out_dir=str(tmp_path / out))
+    assert main(["--config", p, "--quiet"]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["afile", "v.json"]
+
+
 def test_missing_weight_file_rejected_before_running(tmp_path, capsys):
     p = write_cfg(
         tmp_path / "h.json", mode="head-to-head", game="tictactoe",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient
+from oracles import c4_features_oracle, fd_gradient, random_position
 from tdsearch.evaluation import (
     ATANH_QUARTER,
     FEATURE_SETS,
@@ -21,6 +21,7 @@ from tdsearch.evaluation import (
     weights_to_text,
 )
 from tdsearch.games import GAMES
+from tdsearch.games import connect4 as c4
 from tdsearch.games.base import Side
 
 T3 = GAMES["tictactoe"]
@@ -209,6 +210,75 @@ def test_connect4_features_mirror_invariant():
             acts = C4.legal_actions(s)
             s = C4.apply(s, acts[int(rng.integers(len(acts)))])
         assert np.array_equal(fs.extract(s), fs.extract(C4.mirror_lr(s)))
+
+
+def _c4_features_per_colour(state):
+    """The per-colour formula the packed extraction replaced: the byte reference."""
+    mine, theirs, filled = state.mover, state.opponent_stones, state.filled
+    h, d1, d2 = c4.STRIDE, c4.STRIDE - 1, c4.STRIDE + 1
+
+    def runs(m, s, k):
+        r = m & (m >> s)
+        if k == 3:
+            r &= m >> (2 * s)
+        return r.bit_count()
+
+    def diff(mask, a=mine, b=theirs):
+        return (a & mask).bit_count() - (b & mask).bit_count()
+
+    mw = c4.winning_squares(mine, filled)
+    tw = c4.winning_squares(theirs, filled)
+    playable = (filled + c4.BOTTOM_MASK) & c4.FULL_MASK
+    return np.array([
+        1.0, diff(c4.CENTER_MASK),
+        runs(mine, h, 2) - runs(theirs, h, 2),
+        runs(mine, 1, 2) - runs(theirs, 1, 2),
+        (runs(mine, d1, 2) + runs(mine, d2, 2)) - (runs(theirs, d1, 2) + runs(theirs, d2, 2)),
+        runs(mine, h, 3) - runs(theirs, h, 3),
+        runs(mine, 1, 3) - runs(theirs, 1, 3),
+        (runs(mine, d1, 3) + runs(mine, d2, 3)) - (runs(theirs, d1, 3) + runs(theirs, d2, 3)),
+        diff(c4.EVEN_ROW_MASK, mw, tw), diff(c4.ODD_ROW_MASK, mw, tw), diff(playable, mw, tw),
+        diff(c4.LOW_HALF_MASK),
+    ], dtype=np.float64)
+
+
+def _assert_c4_features_exact(states):
+    fs = feature_set("connect4")
+    for s in states:
+        phi = fs.extract(s)
+        assert np.array_equal(phi, _c4_features_per_colour(s)), C4.to_text(s)
+        assert phi.tolist() == c4_features_oracle(C4, s), C4.to_text(s)
+
+
+def test_connect4_features_equal_references_on_random_walks():
+    rng = np.random.default_rng(20)
+    _assert_c4_features_exact(random_position(C4, rng, 42) for _ in range(5000))
+
+
+def test_connect4_features_equal_references_at_the_bit_range_edges():
+    # Both colours share one packed int; stones in the top row, in the edge
+    # columns and on near-full boards sit at the ends of each colour's bits.
+    texts = (
+        "X.....O/O.....X/X.....O/O.....X/X.....O/O.....X",   # full columns 0 and 6
+        "O.....X/X.....O/O.....X/X.....O/O.....X/X.....O",
+        ".OXOXOX/XOXOXOX/OXOXOXO/OXOXOXO/XOXOXOX/XOXOXOX",   # 41 plies
+        ".O.OXOX/XOXOXOX/OXOXOXO/OXOXOXO/XOXOXOX/XOXOXOX",   # 40 plies
+        "XO...OX/OX...XO/XO...OX/OX...XO/XO...OX/OX...XO",   # top row, four columns
+    )
+    states = [C4.from_text(t) for t in texts]
+    rng = np.random.default_rng(23)
+    for _ in range(40):  # random play that never ends the game: near-full boards
+        s = C4.initial_state()
+        while True:
+            if s.ply >= 30:
+                states.append(s)
+            quiet = [a for a in C4.legal_actions(s) if not C4.is_terminal(C4.apply(s, a))]
+            if not quiet:
+                break
+            s = C4.apply(s, quiet[int(rng.integers(len(quiet)))])
+        states += [C4.apply(s, a) for a in C4.legal_actions(s)]  # the game-ending moves
+    assert max(s.ply for s in states) >= 41
+    _assert_c4_features_exact(states)
 
 
 def test_tictactoe_features_color_mirror_invariant():

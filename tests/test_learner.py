@@ -372,6 +372,24 @@ def test_trace_log_detects_corruption():
         list(traces_from_log("\n".join(lines) + "\n", T3, fs))
 
 
+# line index -> edit of its space-separated tokens
+MALFORMED_FIELDS = {
+    "opponent-without-key": (0, lambda t: t[:3] + ["r"]),
+    "agent-neither-white-nor-black": (0, lambda t: t[:2] + ["white"] + t[3:]),
+    "root-cell-not-a-mark": (1, lambda t: t[:3] + ["=" + t[3][1:]] + t[4:]),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_FIELDS)
+def test_trace_log_malformed_field_raises_value_error(field):
+    line, edit = MALFORMED_FIELDS[field]
+    fs, trace = _played_trace()
+    lines = trace_to_log(T3, trace, 0, "r").splitlines()
+    lines[line] = " ".join(edit(lines[line].split(" ")))
+    with pytest.raises(ValueError):
+        list(traces_from_log("\n".join(lines) + "\n", T3, fs))
+
+
 def test_trace_log_rejects_truncated_block():
     fs, trace = _played_trace()
     text = trace_to_log(T3, trace, 0, "r")
