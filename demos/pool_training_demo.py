@@ -11,7 +11,6 @@ import tempfile
 from pathlib import Path
 
 from tdsearch.arena import (
-    FixedAgent,
     OpponentPool,
     RandomAgent,
     SearchAgent,
@@ -28,8 +27,8 @@ fs = feature_set("connect4")
 
 pool = OpponentPool(opponents=(
     RandomAgent("rnd"),
-    FixedAgent("base-d1", fs, preset_weights(fs, "baseline"), 1),
-    FixedAgent("base-d2", fs, preset_weights(fs, "baseline"), 2),
+    SearchAgent("base-d1", fs, preset_weights(fs, "baseline"), 1),
+    SearchAgent("base-d2", fs, preset_weights(fs, "baseline"), 2),
 ), matching="uniform")
 
 agent = SearchAgent("learner", fs, fs.zero_weights(), 2, tie_mode="random")
@@ -47,7 +46,7 @@ for name, value in zip(fs.names, result.weights.values):
 # the run directory holds everything needed to reproduce or replay the run
 print("artifacts:", sorted(p.name for p in out.iterdir()))
 
-trained = FixedAgent("trained", fs, result.weights, 2, tie_mode="random")
-fresh = FixedAgent("fresh", fs, fs.zero_weights(), 2, tie_mode="random")
+trained = SearchAgent("trained", fs, result.weights, 2, tie_mode="random")
+fresh = SearchAgent("fresh", fs, fs.zero_weights(), 2, tie_mode="random")
 score, tally = head_to_head(game, trained, fresh, 100, seed=5)
 print(f"trained vs untrained over 100 games: {score:.2f} ({tally})")

@@ -6,6 +6,12 @@ per-move tie-break seeds from that stream, and artifacts are written with
 fixed formatting, so repeating a run reproduces ratings.csv and every
 weight snapshot byte for byte.
 
+Online training, self-play training and replay share one learning loop,
+_learn, which holds the weights and applies the batched TDLeaf(lambda)
+update; replay feeds it the logged games, so it matches training by
+construction.  Agents are immutable: games are played by copies carrying
+the current weights, and RunResult.weights holds the learned weights.
+
 A run directory contains config.json (written by the CLI), ratings.csv,
 traces.log, weights_000000.snapshot (the starting weights), periodic
 weights_NNNNNN.snapshot files, and weights_final.snapshot.
@@ -16,7 +22,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +32,6 @@ from tdsearch.evaluation import (
     FeatureSet,
     SquashConfig,
     WeightVector,
-    features_white,
     linear_evaluator,
     raw_eval,
     squash,
@@ -36,6 +42,7 @@ from tdsearch.learner import (
     GameTrace,
     LearnerConfig,
     StepRecord,
+    leaf_features_white,
     tdleaf_delta,
     trace_to_log,
     traces_from_log,
@@ -78,41 +85,47 @@ def elo_update(table: RatingTable, white_id: str, black_id: str, score_white: fl
 # ---------------------------------------------------------------------------
 
 
-def _check_id(agent_id: str) -> str:
+def _check_id(agent_id: str) -> None:
     if not agent_id or any(ch.isspace() for ch in agent_id):
         raise ValueError(f"agent id must be non-empty without spaces: {agent_id!r}")
-    return agent_id
 
 
+@dataclass(frozen=True, eq=False)
 class RandomAgent:
     """Plays uniformly random legal moves."""
 
-    def __init__(self, agent_id: str = "random"):
-        self.id = _check_id(agent_id)
+    id: str = "random"
+
+    def __post_init__(self):
+        _check_id(self.id)
 
     def select_move(self, game, state, rng):
         actions = game.legal_actions(state)
         return actions[int(rng.integers(len(actions)))], None
 
 
+@dataclass(frozen=True, eq=False)
 class SearchAgent:
     """Plays the first move of a fixed-depth alpha-beta principal variation.
 
     tie_mode "random" draws a fresh tie-break seed per move from the game's
     generator, so tied PVs vary between games while staying reproducible.
+    Agents are immutable: training plays each game with a copy carrying the
+    current weights and leaves the agent it was given as it was.
     """
 
-    def __init__(self, agent_id: str, fs: FeatureSet, weights: WeightVector,
-                 depth: int, tie_mode: str = "first"):
-        if depth < 1:
+    id: str
+    fs: FeatureSet
+    weights: WeightVector
+    depth: int
+    tie_mode: str = "first"
+
+    def __post_init__(self):
+        if self.depth < 1:
             raise ValueError("a playing agent needs depth >= 1")
-        if tie_mode not in ("first", "random"):
-            raise ValueError(f"bad tie_mode {tie_mode!r}")
-        self.id = _check_id(agent_id)
-        self.fs = fs
-        self.weights = weights
-        self.depth = depth
-        self.tie_mode = tie_mode
+        if self.tie_mode not in ("first", "random"):
+            raise ValueError(f"bad tie_mode {self.tie_mode!r}")
+        _check_id(self.id)
 
     def select_move(self, game, state, rng):
         if self.tie_mode == "random":
@@ -123,20 +136,6 @@ class SearchAgent:
             game, state, self.depth, linear_evaluator(self.fs, self.weights), tie
         )
         return result.pv[0], result
-
-
-class FixedAgent(SearchAgent):
-    """A SearchAgent whose weights are frozen copies; training never touches them."""
-
-    def __init__(self, agent_id, fs, weights, depth, tie_mode="first"):
-        frozen = WeightVector(weights.values.copy(), weights.anchors)
-        super().__init__(agent_id, fs, frozen, depth, tie_mode)
-        object.__setattr__(self, "_sealed", True)
-
-    def __setattr__(self, name, value):
-        if getattr(self, "_sealed", False) and name == "weights":
-            raise AttributeError("FixedAgent weights are frozen")
-        super().__setattr__(name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig |
         if opp in expected_reply and steps[opp]:
             pred = expected_reply[opp]
             if pred is not None:
-                steps[opp][-1] = _set_predicted(steps[opp][-1], action == pred)
+                steps[opp][-1] = replace(steps[opp][-1], opponent_move_predicted=action == pred)
                 expected_reply[opp] = None
         if result is not None:
             nodes[side] += result.nodes
@@ -213,7 +212,7 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig |
         outcome = game.outcome(state)
     # The agent's own move ended the game: its prediction is vacuously true.
     if last_mover in expected_reply and fault is None and steps[last_mover]:
-        steps[last_mover][-1] = _set_predicted(steps[last_mover][-1], True)
+        steps[last_mover][-1] = replace(steps[last_mover][-1], opponent_move_predicted=True)
 
     traces = {
         side: GameTrace(side, tuple(steps[side]), outcome) for side in record_sides
@@ -223,24 +222,13 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig |
     return MatchRecord(wid, bid, outcome, traces, moves, nodes, fault)
 
 
-def _set_predicted(step: StepRecord, value: bool) -> StepRecord:
-    from dataclasses import replace
-
-    return replace(step, opponent_move_predicted=value)
-
-
 def _make_step(game, fs, root, result, squash_cfg, lower: bool) -> StepRecord:
-    leaf = result.leaf
     raw_white = result.value * root.side_to_move.sign
-    if game.is_terminal(leaf):
-        phi = np.zeros(fs.k)
-    else:
-        phi = features_white(fs, leaf)
     return StepRecord(
         root=root,
-        leaf=leaf,
+        leaf=result.leaf,
         pv=result.pv,
-        leaf_features=phi,
+        leaf_features=leaf_features_white(game, fs, result.leaf),
         value=squash(raw_white, squash_cfg),
         raw_value=raw_white,
         opponent_move_predicted=False,
@@ -366,6 +354,25 @@ class _RunWriter:
         os.replace(tmp, self._final)
 
 
+def _learn(cfg: LearnerConfig, weights: WeightVector, n_games: int, play):
+    """Fold games 0..n_games-1 into the weights; yields (i, result, weights after game i).
+
+    play(i, weights) plays or reads back game i and returns (result, traces),
+    the traces in accumulation order.  Deltas are taken at the weights a game
+    was played with and applied every cfg.update_every_n_games games and
+    after the last.
+    """
+    acc = np.zeros(len(weights))
+    for i in range(n_games):
+        result, traces = play(i, weights)
+        for trace in traces:
+            acc += tdleaf_delta(trace, cfg, weights, game_index=i)
+        if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
+            weights = weights.with_values(weights.values + acc)
+            acc = np.zeros(len(weights))
+        yield i, result, weights
+
+
 def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfig,
                  n_games: int, seed: int, out_dir, snapshot_every: int = 0) -> RunResult:
     """Learn from rated games against a pool of fixed opponents.
@@ -378,36 +385,31 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
     table.register(agent.id)
     for opp in pool.opponents:
         table.register(opp.id)
-    with _RunWriter(out_dir, agent.fs, agent.weights, snapshot_every) as writer:
-        acc = np.zeros(agent.fs.k)
-        for i in range(n_games):
-            rng = game_rng(seed, i)
-            opp = pool.pick(table, agent.id, rng)
-            agent_side = Side.WHITE if i % 2 == 0 else Side.BLACK
-            white, black = (agent, opp) if agent_side is Side.WHITE else (opp, agent)
-            lower = table.rating(opp.id) < table.rating(agent.id)
-            rec = play_game(
-                game, white, black,
-                record_sides=(agent_side,), squash_cfg=cfg.squash, rng=rng,
-                rating_lower={agent_side: lower},
-            )
-            trace = rec.traces[agent_side]
-            acc += tdleaf_delta(trace, cfg, agent.weights, game_index=i)
-            if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
-                agent.weights = agent.weights.with_values(agent.weights.values + acc)
-                acc = np.zeros(agent.fs.k)
-            score_white = (rec.outcome.reward + 1.0) / 2.0
-            elo_update(table, rec.white_id, rec.black_id, score_white)
+
+    def play(i, weights):
+        rng = game_rng(seed, i)
+        opp = pool.pick(table, agent.id, rng)
+        side = Side.WHITE if i % 2 == 0 else Side.BLACK
+        me = replace(agent, weights=weights)
+        white, black = (me, opp) if side is Side.WHITE else (opp, me)
+        rec = play_game(game, white, black, record_sides=(side,), squash_cfg=cfg.squash, rng=rng,
+                        rating_lower={side: table.rating(opp.id) < table.rating(agent.id)})
+        return (rec, opp, side), (rec.traces[side],)
+
+    weights = agent.weights
+    with _RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
+        for i, (rec, opp, side), weights in _learn(cfg, weights, n_games, play):
+            elo_update(table, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
             writer.row(
-                i, opp.id, "white" if agent_side is Side.WHITE else "black",
-                rec.outcome.for_side(agent_side),
+                i, opp.id, "white" if side is Side.WHITE else "black",
+                rec.outcome.for_side(side),
                 table.rating(agent.id), table.rating(opp.id),
-                rec.moves, rec.nodes[agent_side], agent.weights,
+                rec.moves, rec.nodes[side], weights,
             )
-            writer.trace(game, trace, i, opp.id)
-            writer.maybe_periodic(agent.weights, i + 1)
-        writer.finish(agent.weights)
-    return RunResult(Path(out_dir), agent.weights, table, n_games)
+            writer.trace(game, rec.traces[side], i, opp.id)
+            writer.maybe_periodic(weights, i + 1)
+        writer.finish(weights)
+    return RunResult(Path(out_dir), weights, table, n_games)
 
 
 def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
@@ -426,30 +428,27 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
     table = RatingTable()
     table.register(agent.id)
     sides = (Side.WHITE, Side.BLACK) if record_both else (Side.WHITE,)
-    with _RunWriter(out_dir, agent.fs, agent.weights, snapshot_every) as writer:
-        acc = np.zeros(agent.fs.k)
-        for i in range(n_games):
-            rng = game_rng(seed, i)
-            rec = play_game(
-                game, agent, agent,
-                record_sides=sides, squash_cfg=cfg.squash, rng=rng,
-                opening_plies=opening_plies, opening_epsilon=opening_epsilon,
-            )
-            for side in sides:
-                acc += tdleaf_delta(rec.traces[side], cfg, agent.weights, game_index=i)
-            if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
-                agent.weights = agent.weights.with_values(agent.weights.values + acc)
-                acc = np.zeros(agent.fs.k)
+
+    def play(i, weights):
+        me = replace(agent, weights=weights)
+        rec = play_game(game, me, me, record_sides=sides, squash_cfg=cfg.squash,
+                        rng=game_rng(seed, i), opening_plies=opening_plies,
+                        opening_epsilon=opening_epsilon)
+        return rec, [rec.traces[side] for side in sides]
+
+    weights = agent.weights
+    with _RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
+        for i, rec, weights in _learn(cfg, weights, n_games, play):
             writer.row(
                 i, agent.id, "white", rec.outcome.reward,
                 table.rating(agent.id), table.rating(agent.id),
-                rec.moves, rec.nodes[Side.WHITE] + rec.nodes[Side.BLACK], agent.weights,
+                rec.moves, rec.nodes[Side.WHITE] + rec.nodes[Side.BLACK], weights,
             )
             for side in sides:
                 writer.trace(game, rec.traces[side], i, agent.id)
-            writer.maybe_periodic(agent.weights, i + 1)
-        writer.finish(agent.weights)
-    return RunResult(Path(out_dir), agent.weights, table, n_games)
+            writer.maybe_periodic(weights, i + 1)
+        writer.finish(weights)
+    return RunResult(Path(out_dir), weights, table, n_games)
 
 
 def head_to_head(game, agent_a, agent_b, n_games: int, seed: int):
@@ -486,36 +485,37 @@ class ReplayReport:
 
 def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVector,
                   traces_text: str) -> ReplayReport:
-    """Recompute the weight trajectory from a trace log.
+    """Recompute the weight trajectory from a trace log, through training's loop.
 
-    Every step's raw and squashed values are recomputed from the replayed
-    leaf and the weights current at that point of the trajectory; any
-    disagreement with the logged numbers is reported.
+    Blocks must come in training order: games 0, 1, ..., n-1, one block per
+    recorded seat, White's first.  Every step's raw and squashed values are
+    recomputed from the replayed leaf and the weights current at that point
+    of the trajectory; any disagreement or out-of-order block is reported.
     """
-    weights = initial
-    acc = np.zeros(fs.k)
-    mismatches = []
-    parsed = list(traces_from_log(traces_text, game, fs))
-    count_by_game = {}
-    for idx, _opp, _trace in parsed:
-        count_by_game[idx] = count_by_game.get(idx, 0) + 1
-    n_games = max(count_by_game) + 1 if count_by_game else 0
-    done = set()
-    for idx, _opp, trace in parsed:
-        for t, step in enumerate(trace.steps):
-            if game.is_terminal(step.leaf):
-                expect_raw = game.outcome(step.leaf).reward * (MATE_SCORE - len(step.pv))
-            else:
-                expect_raw = raw_eval(step.leaf_features, weights)
-            if expect_raw != step.raw_value:
-                mismatches.append(f"game {idx} step {t}: raw {expect_raw!r} != logged {step.raw_value!r}")
-            if squash(step.raw_value, cfg.squash) != step.value:
-                mismatches.append(f"game {idx} step {t}: squashed value mismatch")
-        acc += tdleaf_delta(trace, cfg, weights, game_index=idx)
-        count_by_game[idx] -= 1
-        if count_by_game[idx] == 0:
-            done.add(idx)
-            if (idx + 1) % cfg.update_every_n_games == 0 or idx + 1 == n_games:
-                weights = weights.with_values(weights.values + acc)
-                acc = np.zeros(fs.k)
-    return ReplayReport(not mismatches, len(done), weights, mismatches)
+    blocks = [(idx, [trace for *_, trace in group])
+              for idx, group in groupby(traces_from_log(traces_text, game, fs),
+                                        key=lambda block: block[0])]
+
+    def play(i, weights):
+        idx, traces = blocks[i]
+        found = []
+        if idx != i:
+            found.append(f"game {i}: log has game {idx} in its place")
+        if any(a.sign <= b.sign for a, b in pairwise(t.agent_side for t in traces)):
+            found.append(f"game {i}: seat blocks repeated or out of order")
+        for trace in traces:
+            for t, step in enumerate(trace.steps):
+                if game.is_terminal(step.leaf):
+                    expect_raw = game.outcome(step.leaf).reward * (MATE_SCORE - len(step.pv))
+                else:
+                    expect_raw = raw_eval(step.leaf_features, weights)
+                if expect_raw != step.raw_value:
+                    found.append(f"game {i} step {t}: raw {expect_raw!r} != logged {step.raw_value!r}")
+                if squash(step.raw_value, cfg.squash) != step.value:
+                    found.append(f"game {i} step {t}: squashed value mismatch")
+        return found, traces
+
+    mismatches, weights = [], initial
+    for _, found, weights in _learn(cfg, initial, len(blocks), play):
+        mismatches += found
+    return ReplayReport(not mismatches, len(blocks), weights, mismatches)

@@ -21,13 +21,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from tdsearch.arena import (
-    FixedAgent,
     OpponentPool,
     RandomAgent,
     SearchAgent,
@@ -177,7 +177,7 @@ def parse(cfg: dict, config_dir: Path):
             a, b = (_agent(_Section(spec, f"agents[{i}]"), fs, config_dir, True, default)
                     for i, (spec, default) in enumerate(zip(specs, "ab")))
             if a.id == b.id:
-                b.id += "-2"
+                b = replace(b, id=b.id + "-2")
             run = partial(_run_head_to_head, GAMES[game_id], a, b, games, seed, out_dir)
         else:
             agent = _agent(_Section(top.get("agent", dict), "agent"), fs, config_dir, False,
@@ -212,7 +212,7 @@ def _snapshot(path: Path, fs, where: str):
 
 
 def _agent(sec: _Section, fs, config_dir: Path, fixed: bool, default_id=_REQUIRED):
-    """A FixedAgent (key 'weights') or a learning SearchAgent (key 'initial_weights')."""
+    """A SearchAgent: a fixed player (key 'weights') or a learner (key 'initial_weights')."""
     key = "weights" if fixed else "initial_weights"
     spec = sec.get(key, (str, dict), "zero")
     if isinstance(spec, str):
@@ -221,7 +221,7 @@ def _agent(sec: _Section, fs, config_dir: Path, fixed: bool, default_id=_REQUIRE
         ref = _Section(spec, f"{sec.where}.{key}")
         weights = _snapshot(ref.path("path", config_dir), fs, ref.where)
         ref.done()
-    return sec.build(FixedAgent if fixed else SearchAgent, sec.get("id", str, default_id), fs,
+    return sec.build(SearchAgent, sec.get("id", str, default_id), fs,
                      weights, sec.get("depth", int, lo=1), **sec.fields(tie_mode=("tie_break", str)))
 
 
@@ -322,8 +322,9 @@ def _run_replay(run_dir, game, fs, learner, initial, final, traces, out_dir, qui
         "mismatches": report.mismatches[:20],
     })
     if report.ok and weights_match:
-        print(f"PASS: replayed {report.games} games; recomputed weights match "
-              f"weights_final.snapshot")
+        if not quiet:
+            print(f"PASS: replayed {report.games} games; recomputed weights match "
+                  f"weights_final.snapshot")
         return 0
     print(f"FAIL: replay diverged ({len(report.mismatches)} step mismatches; "
           f"final weights match: {weights_match})", file=sys.stderr)
@@ -363,10 +364,12 @@ def _run_verify_figures(seed, trials, out_dir, quiet) -> int:
          seen == {"H", "L"}))
 
     _write_json(out_dir / "verify.json", {name: bool(ok) for name, ok in checks})
-    failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}: {name}")
-    return 1 if failed else 0
+        if not ok:
+            print(f"FAIL: {name}", file=sys.stderr)
+        elif not quiet:
+            print(f"PASS: {name}")
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def main(argv=None) -> int:

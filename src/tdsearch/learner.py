@@ -114,6 +114,11 @@ class StepRecord:
     opponent_rating_lower: bool = False
 
 
+def leaf_features_white(game, fs: FeatureSet, leaf) -> np.ndarray:
+    """A StepRecord's leaf_features: zeros at a terminal leaf, else features_white."""
+    return np.zeros(fs.k) if game.is_terminal(leaf) else features_white(fs, leaf)
+
+
 @dataclass(frozen=True)
 class GameTrace:
     agent_side: Side
@@ -299,16 +304,12 @@ def traces_from_log(text: str, game, fs: FeatureSet):
             if pv_txt != "-":
                 pv = tuple(game.action_from_str(tok) for tok in pv_txt.split(";"))
             leaf = game.replay(pv, root)
-            if game.is_terminal(leaf):
-                phi = np.zeros(fs.k)
-            else:
-                phi = features_white(fs, leaf)
             steps.append(
                 StepRecord(
                     root=root,
                     leaf=leaf,
                     pv=pv,
-                    leaf_features=phi,
+                    leaf_features=leaf_features_white(game, fs, leaf),
                     value=float(val_txt),
                     raw_value=float(raw_txt),
                     opponent_move_predicted=bool(int(pred)),

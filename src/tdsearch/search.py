@@ -2,9 +2,10 @@
 
 Both engines use the negamax formulation: every value is from the point of
 view of the side to move at that node, and one sign flip per ply converts
-between levels.  The returned root value therefore relates to the stored
-leaf by value == (-1)**len(pv) * leaf_score(leaf), with exact float
-equality, since negation is exact.
+between levels.  The returned root value therefore equals (-1)**len(pv)
+times the score of the stored leaf from its own side to move (the terminal
+score or the evaluator's value), with exact float equality, since negation
+is exact.
 
 Each node is handled in a fixed order: the terminal test first, then the
 depth test, and only then move generation, so no moves are generated at
@@ -69,13 +70,6 @@ def terminal_score(game, state, ply: int) -> float:
     """Side-to-move score of a terminal state ply levels below the root."""
     r = game.outcome(state).for_side(state.side_to_move)
     return r * (MATE_SCORE - ply)
-
-
-def leaf_score(game, state, evaluator, ply: int) -> float:
-    """Score the search assigns where it stops: terminal rule or evaluator."""
-    if game.is_terminal(state):
-        return terminal_score(game, state, ply)
-    return evaluator(state)
 
 
 def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND) -> SearchResult:

@@ -40,7 +40,7 @@ from tdsearch.learner import (
     td_update,
     tdleaf_delta,
 )
-from tdsearch.arena import FixedAgent, head_to_head, play_game
+from tdsearch.arena import SearchAgent, head_to_head, play_game
 from tdsearch.presets import preset_weights
 from tdsearch.search import MATE_SCORE, TieBreakPolicy, alphabeta, minimax
 
@@ -88,8 +88,8 @@ def selfplay_run(run_root):
 def _c4_match(weights_a, weights_b, n_games: int, seed: int):
     """Alternating-color match, candidate a vs frozen b, both at depth 3."""
     fs = feature_set("connect4")
-    a = FixedAgent("cand", fs, weights_a, 3, tie_mode="random")
-    b = FixedAgent("ref", fs, weights_b, 3, tie_mode="random")
+    a = SearchAgent("cand", fs, weights_a, 3, tie_mode="random")
+    b = SearchAgent("ref", fs, weights_b, 3, tie_mode="random")
     return head_to_head(GAMES["connect4"], a, b, n_games, seed)
 
 
@@ -238,7 +238,7 @@ def test_c04_gradient_finite_difference():
 def _played_traces(seed: int):
     c4 = GAMES["connect4"]
     fs = feature_set("connect4")
-    agent = FixedAgent("a", fs, preset_weights(fs, "baseline"), 2, tie_mode="random")
+    agent = SearchAgent("a", fs, preset_weights(fs, "baseline"), 2, tie_mode="random")
     rec = play_game(c4, agent, agent, record_sides=(Side.WHITE, Side.BLACK),
                     squash_cfg=fs.squash_config(), rng=np.random.default_rng((77, seed)))
     return [tr for tr in rec.traces.values() if tr.steps]

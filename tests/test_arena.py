@@ -4,11 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsearch import arena
+from tdsearch import arena, cli
 from tdsearch.arena import (
     INITIAL_RATING,
     K_FACTOR,
-    FixedAgent,
     OpponentPool,
     RandomAgent,
     RatingTable,
@@ -321,10 +320,80 @@ def test_train_selfplay_records_and_replays(tmp_path):
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
     report = replay_traces(T3, FS3, cfg, initial, text)
     assert report.ok
+    assert report.games == 8 and report.mismatches == []
     assert np.array_equal(report.weights.values, result.weights.values)
     # selfplay has no meaningful ratings
     rows = (tmp_path / "ratings.csv").read_text().strip().split("\n")[1:]
     assert all(float(r.split(",")[4]) == INITIAL_RATING for r in rows)
+
+
+def _log_blocks(text):
+    blocks = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("game "):
+            blocks.append("")
+        blocks[-1] += line
+    return blocks
+
+
+# name -> (log edit, first game the replay must flag, what it must say)
+BLOCK_EDITS = {
+    "swapped": (lambda b: [b[1], b[0], *b[2:]], 0, "log has game 1 in its place"),
+    "dropped": (lambda b: [b[0], *b[2:]], 1, "log has game 2 in its place"),
+    "duplicated": (lambda b: [b[0], b[1], b[1], *b[2:]], 1, "seat blocks repeated or out of order"),
+    "seats-swapped": (lambda b: [b[1], b[0], *b[2:]], 0, "seat blocks repeated or out of order"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BLOCK_EDITS))
+def test_replay_flags_blocks_out_of_training_order(tmp_path, edit):
+    change, game, says = BLOCK_EDITS[edit]
+    cfg = small_cfg(update_every_n_games=5)  # one batch: every logged value still matches
+    if edit == "seats-swapped":  # both seats of game 0, Black's block first
+        train_selfplay(T3, fresh_agent(), cfg, 4, 3, tmp_path, record_both=True)
+    else:
+        train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                     cfg, 5, 31, tmp_path)
+    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
+    text = "".join(change(_log_blocks((tmp_path / "traces.log").read_text())))
+    report = replay_traces(T3, FS3, cfg, initial, text)
+    assert not report.ok
+    assert report.mismatches[0] == f"game {game}: {says}"
+
+
+@pytest.mark.parametrize("mode", ["online", "selfplay"])
+def test_training_leaves_the_agent_unchanged(tmp_path, mode):
+    agent = fresh_agent()
+    before = agent.weights
+    if mode == "online":
+        result = train_online(T3, agent, OpponentPool([RandomAgent("rnd")], "uniform"),
+                              small_cfg(), 4, 5, tmp_path)
+    else:
+        result = train_selfplay(T3, agent, small_cfg(), 4, 5, tmp_path)
+    assert agent.weights is before
+    assert np.array_equal(agent.weights.values, FS3.zero_weights().values)
+    assert np.any(result.weights.values != 0.0)  # the learned weights are in the result
+
+
+def test_loops_reach_the_module_globals_the_bench_patches(tmp_path, monkeypatch):
+    # bench/tracer.py and bench/worker.py time the layers by replacing these names
+    calls = dict.fromkeys(("play_game", "tdleaf_delta", "trace_to_log", "traces_from_log"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(arena, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(arena, name, counted)
+    cfg = small_cfg()
+    train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                 cfg, 3, 1, tmp_path / "online")
+    assert calls == {"play_game": 3, "tdleaf_delta": 3, "trace_to_log": 3, "traces_from_log": 0}
+    train_selfplay(T3, fresh_agent(), cfg, 3, 1, tmp_path / "self", record_both=True)
+    assert calls == {"play_game": 6, "tdleaf_delta": 9, "trace_to_log": 9, "traces_from_log": 0}
+    _, initial = load_weights(tmp_path / "self" / "weights_000000.snapshot")
+    assert replay_traces(T3, FS3, cfg, initial, (tmp_path / "self" / "traces.log").read_text()).ok
+    assert calls == {"play_game": 6, "tdleaf_delta": 15, "trace_to_log": 9, "traces_from_log": 1}
+    for loop in ("train_online", "train_selfplay", "head_to_head", "replay_traces"):
+        assert getattr(cli, loop) is getattr(arena, loop)
 
 
 def _overflowing_run(mode, out_dir):
@@ -362,8 +431,8 @@ def test_final_snapshot_is_renamed_into_place(tmp_path, monkeypatch):
 
 
 def test_head_to_head_alternates_and_scores():
-    a = FixedAgent("a", FS3, FS3.zero_weights(), 1, tie_mode="random")
-    b = FixedAgent("b", FS3, FS3.zero_weights(), 1, tie_mode="random")
+    a = SearchAgent("a", FS3, FS3.zero_weights(), 1, tie_mode="random")
+    b = SearchAgent("b", FS3, FS3.zero_weights(), 1, tie_mode="random")
     score, tally = head_to_head(T3, a, b, 20, 17)
     assert tally["wins"] + tally["draws"] + tally["losses"] == 20
     assert 0.0 <= score <= 1.0
@@ -373,7 +442,7 @@ def test_head_to_head_alternates_and_scores():
 
 def test_fixed_agent_weights_cannot_drift():
     w = FS3.zero_weights()
-    agent = FixedAgent("f", FS3, w, 1)
+    agent = SearchAgent("f", FS3, w, 1)
     with pytest.raises(AttributeError):
         agent.weights = FS3.zero_weights()
 

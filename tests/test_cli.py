@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsearch.cli import load_config, main
+from tdsearch.cli import MODES, load_config, main
 from tdsearch.evaluation import feature_set, weights_to_text
 
 
@@ -285,8 +285,9 @@ def test_replay_mode_fails_on_tampered_log(tmp_path, capsys):
     log.write_text("\n".join(lines) + "\n")
     rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
                    out_dir=str(tmp_path / "replay"))
-    assert main(["--config", rp]) == 1
-    assert "FAIL" in capsys.readouterr().err
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "FAIL" in err
 
 
 def test_replay_requires_run_artifacts(tmp_path, capsys):
@@ -322,6 +323,41 @@ def test_head_to_head_quiet_prints_nothing(tmp_path, capsys):
     assert main(["--config", p, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
     assert (tmp_path / "h2h" / "result.json").is_file()
+
+
+def _quiet_run(tmp_path, mode):
+    """A config of each mode, with any run it needs already made."""
+    if mode == "train-online":
+        return online_cfg(tmp_path)
+    if mode == "train-selfplay":
+        return write_cfg(tmp_path / "s.json", **_selfplay(tmp_path, record_both=True))
+    if mode == "head-to-head":
+        return write_cfg(tmp_path / "h.json", mode=mode, game="tictactoe", games=2,
+                         out_dir=str(tmp_path / "h2h"), agents=[dict(depth=1), dict(depth=1)])
+    if mode == "replay":
+        assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+        return write_cfg(tmp_path / "r.json", mode=mode, run_dir=str(tmp_path / "run"),
+                         out_dir=str(tmp_path / "replay"))
+    return write_cfg(tmp_path / "f.json", mode=mode, game="synthetic-tree",
+                     out_dir=str(tmp_path / "fig"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_quiet_keeps_stdout_empty(tmp_path, capsys, mode):
+    p = _quiet_run(tmp_path, mode)
+    capsys.readouterr()
+    assert main(["--config", p, "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_quiet_verify_figures_failure_goes_to_stderr(tmp_path, capsys):
+    # one trial cannot reach both tied leaves, so that check fails
+    p = write_cfg(tmp_path / "f.json", mode="verify-figures", game="synthetic-tree",
+                  trials=1, out_dir=str(tmp_path / "fig"))
+    assert main(["--config", p, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("FAIL") == 1 and "random tie-breaking" in err
 
 
 def test_train_selfplay_mode(tmp_path):
