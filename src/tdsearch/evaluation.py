@@ -202,15 +202,14 @@ def _connect4_features(state) -> np.ndarray:
     ], dtype=np.float64)
 
 
-_PIECE_PAIRS = (("P", "p"), ("N", "n"), ("B", "b"), ("R", "r"), ("Q", "q"))
-
-
 def _minichess_material(state) -> list:
-    board = state.board
-    mat = [float(board.count(w) - board.count(b)) for w, b in _PIECE_PAIRS]
-    if state.side_to_move is Side.BLACK:
-        mat = [-v for v in mat]
-    return mat
+    """Side-to-move material differences, pawn, knight, bishop, rook, queen."""
+    c = state.board.count
+    if state.side_to_move is Side.WHITE:
+        return [float(c("P") - c("p")), float(c("N") - c("n")), float(c("B") - c("b")),
+                float(c("R") - c("r")), float(c("Q") - c("q"))]
+    return [float(c("p") - c("P")), float(c("n") - c("N")), float(c("b") - c("B")),
+            float(c("r") - c("R")), float(c("q") - c("Q"))]
 
 
 def _minichess_material_features(state) -> np.ndarray:

@@ -64,7 +64,14 @@ class Game:
         raise NotImplementedError
 
     def legal_actions(self, state):
-        """Ordered list of legal actions; deterministic order."""
+        """Ordered list of legal actions; deterministic order.
+
+        A terminal state has no legal actions: legal_actions returns [] for
+        every state where is_terminal is true.  The search relies on this
+        and calls is_terminal only at depth-0 leaves and at nodes whose list
+        came back empty.  The converse may fail (a synthetic tree's dead end
+        is empty but not terminal); such a node is scored by the evaluator.
+        """
         raise NotImplementedError
 
     def apply(self, state, action):

@@ -130,9 +130,8 @@ def pseudo_moves(board: str, side: Side):
     """Yield (from, to) pairs ignoring king safety.  Deterministic order."""
     white = side is Side.WHITE
     own = WHITE_PIECES if white else BLACK_PIECES
-    for sq in range(NSQUARES):
-        piece = board[sq]
-        if piece == "." or piece not in own:
+    for sq, piece in enumerate(board):
+        if piece not in own:  # '.' is never in own
             continue
         kind = piece.upper()
         if kind == "P":

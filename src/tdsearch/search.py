@@ -7,13 +7,16 @@ times the score of the stored leaf from its own side to move (the terminal
 score or the evaluator's value), with exact float equality, since negation
 is exact.
 
-Each node is handled in a fixed order: the terminal test first, then the
-depth test, and only then move generation, so no moves are generated at
-depth-0 leaves.  Terminal positions inside the tree score
-+/-(MATE_SCORE - ply) from the winner's perspective, so forced wins dominate
-any static evaluation and faster wins are preferred.  The evaluator is only
-ever invoked on non-terminal leaves.  A non-terminal node with no legal
-actions (possible only in synthetic trees) is scored as a leaf at any depth.
+Each node is handled in one pass: the depth test first, then move
+generation, so no moves are generated at depth-0 leaves and interior nodes
+generate their moves once.  Only a depth-0 leaf or a node whose action list
+came back empty is a leaf; the terminal test runs there alone and picks its
+score.  This relies on the Game.legal_actions rule that a terminal state has
+no legal actions.  Terminal positions score +/-(MATE_SCORE - ply) from the
+winner's perspective, so forced wins dominate any static evaluation and
+faster wins are preferred.  The evaluator is only ever invoked on
+non-terminal leaves.  A non-terminal node with no legal actions (possible
+only in synthetic trees) is scored by the evaluator at any depth.
 
 No iterative deepening, transposition tables, or quiescence extensions:
 searches are plain fixed-depth.
@@ -88,11 +91,10 @@ def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND
 
     def rec(state, d, ply):
         nonlocal nodes
-        if is_terminal(state):
-            nodes += 1
-            return terminal_score(game, state, ply), (), state
         if d == 0 or not (actions := legal(state)):
             nodes += 1
+            if is_terminal(state):
+                return terminal_score(game, state, ply), (), state
             return evaluator(state), (), state
         results = []
         best = _NEG_INF
@@ -128,11 +130,10 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
 
     def rec(state, d, alpha, beta, ply):
         nonlocal nodes
-        if is_terminal(state):
-            nodes += 1
-            return terminal_score(game, state, ply), (), state
         if d == 0 or not (actions := legal(state)):
             nodes += 1
+            if is_terminal(state):
+                return terminal_score(game, state, ply), (), state
             return evaluator(state), (), state
         if rng is not None and len(actions) > 1:
             actions = list(actions)

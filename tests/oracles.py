@@ -40,6 +40,54 @@ def white_minimax(game, state, depth, white_eval, ply=0):
     return min(child_values)
 
 
+def white_search(game, state, depth, white_eval, prune=False, rng=None):
+    """Explicit max/min search that also reports the chosen line.
+
+    Returns (White-perspective value, pv, number of scored leaves).  Every
+    node runs the terminal test first, then generates its moves.  Children
+    are tried in legal_actions order and the first best one is kept.  With
+    `prune`, alpha-beta cut-offs on the White-perspective window and, given
+    a random.Random `rng`, each move list of two or more is shuffled first.
+    Without `prune`, `rng` instead picks uniformly among the tied best
+    children once they are all scored.  These are the tie conventions of
+    tdsearch.search, so its results can be compared exactly.
+    """
+    nodes = 0
+
+    def rec(s, d, ply, alpha, beta):
+        nonlocal nodes
+        if game.is_terminal(s):
+            nodes += 1
+            return game.outcome(s).reward * (MATE - ply), ()
+        actions = game.legal_actions(s)
+        if d == 0 or not actions:
+            nodes += 1
+            return white_eval(s), ()
+        maximizing = s.side_to_move.sign > 0
+        if prune and rng is not None and len(actions) > 1:
+            actions = list(actions)
+            rng.shuffle(actions)
+        lines = []
+        for a in actions:
+            v, pv = rec(game.apply(s, a), d - 1, ply + 1, alpha, beta)
+            lines.append((v, (a, *pv)))
+            if prune:
+                if maximizing:
+                    alpha = max(alpha, v)
+                else:
+                    beta = min(beta, v)
+                if alpha >= beta:
+                    break
+        best = (max if maximizing else min)(v for v, _ in lines)
+        ties = [line for line in lines if line[0] == best]
+        if prune or rng is None:
+            return ties[0]
+        return ties[rng.randrange(len(ties))]
+
+    value, pv = rec(state, depth, 0, float("-inf"), float("inf"))
+    return value, pv, nodes
+
+
 def text_eval(game, scale=1.0):
     """Deterministic pseudo-random leaf evaluator, side-to-move perspective.
 
@@ -333,6 +381,20 @@ def random_position(game, rng, max_plies):
             break
         state = game.apply(state, actions[int(rng.integers(len(actions)))])
     return state
+
+
+def random_playouts(game, rng):
+    """Endless uniformly random games, each a list of states from the start."""
+    while True:
+        states = [game.initial_state()]
+        while not game.is_terminal(states[-1]):
+            actions = game.legal_actions(states[-1])
+            states.append(game.apply(states[-1], actions[int(rng.integers(len(actions)))]))
+        yield states
+
+
+# A drawn connect4 game: the 42nd move fills the board without a four.
+C4_DRAW_MOVES = "032220653341512250331461110530666440556244"
 
 
 def random_tree(rng, depth, branching=(2, 3), value_range=9):

@@ -23,6 +23,7 @@ from tdsearch.evaluation import (
 from tdsearch.games import GAMES
 from tdsearch.games import connect4 as c4
 from tdsearch.games.base import Side
+from tdsearch.games.minichess import MinichessState
 
 T3 = GAMES["tictactoe"]
 C4 = GAMES["connect4"]
@@ -321,6 +322,25 @@ def test_minichess_material_features_by_hand():
     assert np.array_equal(fs.extract(s), np.array([0, 0, 0, 0, 1.0]))
     s2 = MC.from_text("k4/5/5/5/K3Q b 0")
     assert np.array_equal(fs.extract(s2), np.array([0, 0, 0, 0, -1.0]))
+
+
+def test_minichess_material_equals_per_pair_counts():
+    # reference: board.count(w) - board.count(b) per piece pair, negated
+    # when Black is to move; each position is checked with both movers
+    pairs = ("Pp", "Nn", "Bb", "Rr", "Qq")
+    full, material = feature_set("minichess"), feature_set("minichess-material")
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(300):
+        s = random_position(MC, rng, 45)
+        for side in (Side.WHITE, Side.BLACK):
+            st = MinichessState(s.board, side, s.ply)
+            want = [side.sign * (st.board.count(w) - st.board.count(b)) for w, b in pairs]
+            assert material.extract(st).tolist() == want
+            assert full.extract(st)[:5].tolist() == want
+            seen.update((i, v) for i, v in enumerate(want) if v)
+    # every entry was seen nonzero with both signs, so a swap or a sign slip shows
+    assert seen >= {(i, v) for i in range(5) for v in (1, -1)}
 
 
 def test_minichess_features_mirror_invariant():

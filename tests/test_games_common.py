@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import C4_DRAW_MOVES
 from tdsearch.games.base import Side, WIN, DRAW, LOSS
+from tdsearch.games.minichess import INITIAL_BOARD, MinichessState
 
 
 def random_playout(game, rng):
@@ -98,3 +100,34 @@ def test_determinism_across_identical_seeds(game):
     a = random_playout(game, np.random.default_rng(99))[1]
     b = random_playout(game, np.random.default_rng(99))[1]
     assert a == b
+
+
+def _protocol_edge_states(game_id, game):
+    """(terminal state, White reward) pairs random playouts may miss."""
+    if game_id == "connect4":
+        return [(game.replay(int(c) for c in C4_DRAW_MOVES), 0.0)]
+    if game_id == "minichess":
+        return [
+            (game.from_text("k4/1Q3/2K2/5/5 b 10"), 1.0),  # mate
+            (game.from_text("k4/5/1Q3/5/4K b 10"), 0.0),   # stalemate
+            (MinichessState(INITIAL_BOARD, Side.WHITE, 50), 0.0),  # the ply cap
+            (game.from_text("k4/1Q3/2K2/5/5 b 50"), 1.0),  # mate at the cap
+        ]
+    return []
+
+
+def test_terminal_states_have_no_legal_actions(game_id, game):
+    # Game.legal_actions rule the search relies on: terminal => [].  For the
+    # real games the converse holds too: a non-terminal state has a move.
+    rng = np.random.default_rng(41)
+    states = [s for _ in range(40) for s in random_playout(game, rng)[0]]
+    edges = []
+    for s, reward in _protocol_edge_states(game_id, game):
+        assert game.is_terminal(s) and game.outcome(s).reward == reward
+        edges.append(s)
+    for s in states + edges:
+        actions = game.legal_actions(s)
+        if game.is_terminal(s):
+            assert actions == []
+        else:
+            assert actions != []

@@ -1,9 +1,20 @@
+import random
+
 import numpy as np
 import pytest
 
-from oracles import random_position, random_tree, text_eval, white_minimax
+from oracles import (
+    C4_DRAW_MOVES,
+    random_playouts,
+    random_position,
+    random_tree,
+    text_eval,
+    white_minimax,
+    white_search,
+)
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.games.base import Side
+from tdsearch.games.minichess import PLY_CAP, in_check
 from tdsearch.search import (
     FIRST_FOUND,
     MATE_SCORE,
@@ -245,18 +256,41 @@ def test_search_result_is_plain_data():
 
 
 class CountingGame:
-    """Delegates to a game and records the ply of every legal_actions call."""
+    """Delegates to a game and records its legal_actions and is_terminal calls.
+
+    `legal_plies` holds the ply of every legal_actions call; `calls` holds
+    ("legal", state, number of actions) and ("terminal", state) in call order.
+    """
 
     def __init__(self, game):
         self._game = game
-        self.legal_plies = []
+        self.calls = []
+
+    @property
+    def legal_plies(self):
+        return [call[1].ply for call in self.calls if call[0] == "legal"]
 
     def __getattr__(self, name):
         return getattr(self._game, name)
 
     def legal_actions(self, state):
-        self.legal_plies.append(state.ply)
-        return self._game.legal_actions(state)
+        actions = self._game.legal_actions(state)
+        self.calls.append(("legal", state, len(actions)))
+        return actions
+
+    def is_terminal(self, state):
+        self.calls.append(("terminal", state))
+        return self._game.is_terminal(state)
+
+    def interior_terminal_tests(self, leaf_ply):
+        """States above leaf_ply that got a terminal test, after checking
+        each came straight after its own legal_actions call returned []."""
+        tested = []
+        for i, call in enumerate(self.calls):
+            if call[0] == "terminal" and call[1].ply < leaf_ply:
+                assert self.calls[i - 1] == ("legal", call[1], 0)
+                tested.append(call[1])
+        return tested
 
 
 @pytest.mark.parametrize("search", [minimax, alphabeta])
@@ -279,3 +313,79 @@ def test_no_move_generation_at_depth_zero_leaves(game_id, depth, search):
         assert counting.legal_plies[0] == s.ply
         assert max(counting.legal_plies) < s.ply + depth
         assert res.value == white_minimax(game, s, depth, white_eval) * s.side_to_move.sign
+
+
+# ---------------------------------------------------------------------------
+# Node order: moves first, terminal test only where the move list is empty
+# ---------------------------------------------------------------------------
+
+
+def _roots_with_terminals_inside(game_id):
+    """(root, depth, kind) triples whose search tree has a terminal at d > 0."""
+    game = GAMES[game_id]
+    rng = np.random.default_rng(53)
+    if game_id == "connect4":
+        roots = []
+        for states in random_playouts(game, rng):
+            if game.outcome(states[-1]).reward != 0:
+                roots.append((states[-2], 3, "four"))
+            if len(roots) == 6:
+                break
+        before_last = game.replay(int(c) for c in C4_DRAW_MOVES[:-1])
+        return roots + [(before_last, 3, "full board")]
+    wanted = {"mate": 3, "stalemate": 2, "ply 48": 2, "ply 49": 2}
+    roots = []
+    for states in random_playouts(game, rng):
+        end = states[-1]
+        if end.ply < PLY_CAP:
+            kind = "mate" if in_check(end.board, end.side_to_move) else "stalemate"
+            root, depth = states[-2], 2
+        else:  # the game reached the cap: states[i] is at ply i
+            kind = ("ply 48", "ply 49")[int(rng.integers(2))]
+            root = states[48 if kind == "ply 48" else 49]
+            depth = 3 if kind == "ply 48" else 2
+        if wanted[kind]:
+            wanted[kind] -= 1
+            roots.append((root, depth, kind))
+        if not any(wanted.values()):
+            return roots
+
+
+@pytest.mark.parametrize("tie", [FIRST_FOUND, TieBreakPolicy.uniform_random(7)], ids=["first", "random"])
+@pytest.mark.parametrize("search", [minimax, alphabeta])
+@pytest.mark.parametrize("game_id", ["connect4", "minichess"])
+def test_terminal_test_only_where_moves_ran_out(game_id, search, tie):
+    game = GAMES[game_id]
+    evaluator = text_eval(game)
+    white_eval = lambda st: st.side_to_move.sign * evaluator(st)
+    for root, depth, kind in _roots_with_terminals_inside(game_id):
+        assert not game.is_terminal(root), kind
+        counting = CountingGame(game)
+        res = search(counting, root, depth, evaluator, tie)
+        rng = random.Random(tie.seed) if tie.mode == "random" else None
+        value, pv, nodes = white_search(game, root, depth, white_eval,
+                                        prune=search is alphabeta, rng=rng)
+        assert res.value == value * root.side_to_move.sign, kind
+        assert res.pv == pv, kind
+        assert res.nodes == nodes, kind
+        assert replay_pv(game, root, res.pv) == res.leaf
+        # one terminal test per scored leaf, above the depth-0 leaves only
+        # where legal_actions came back empty, and those are real terminals
+        assert sum(call[0] == "terminal" for call in counting.calls) == res.nodes
+        inside = counting.interior_terminal_tests(root.ply + depth)
+        assert inside and all(game.is_terminal(st) for st in inside), kind
+
+
+@pytest.mark.parametrize("search", [minimax, alphabeta])
+def test_synthetic_dead_end_scored_by_evaluator(search):
+    # (1 (2 3)): the root's first child is a dead end at d = 1, empty but not
+    # terminal, so it still gets the evaluator, as the oracle scores it
+    g = SyntheticTreeGame("(1 (2 3))")
+    root = g.initial_state()
+    counting = CountingGame(g)
+    res = search(counting, root, 2, g.evaluator)
+    white_eval = lambda s: s.side_to_move.sign * g.evaluator(s)
+    assert (res.value, res.pv, res.nodes) == white_search(g, root, 2, white_eval,
+                                                          prune=search is alphabeta)
+    assert res.value == 2.0 and res.pv == (1, 0) and res.nodes == 3
+    assert counting.interior_terminal_tests(2) == [g.apply(root, 0)]
