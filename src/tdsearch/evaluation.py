@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tdsearch.games.base import Side
+from tdsearch.games.base import WHITE, Side
 from tdsearch.games import connect4 as c4
 from tdsearch.games import minichess as mc
 
@@ -154,9 +154,12 @@ _C4_NAMES = (
 # at once.  No shift exceeds 3 * (STRIDE + 1) = 24 bits, so a stone shifted
 # off its own colour's squares lands in the free bits 49..79 (the mover's
 # reach bit 72 at most, the opponent's bit 56 at least), which every count
-# masks away: one colour never reaches the other's squares.
+# masks away: one colour never reaches the other's squares.  Every packed
+# value stays below 2**160, so one popcount gives a mover-minus-opponent
+# difference: (x ^ _C4_HI).bit_count() - 80 counts the low half plus the
+# 80 - n zeros of the high half.
 _C4_GAP = 80
-_C4_LO = (1 << _C4_GAP) - 1
+_C4_HI = ((1 << _C4_GAP) - 1) << _C4_GAP
 _C4_CENTER, _C4_LOW, _C4_EVEN, _C4_ODD, _C4_BOTTOM, _C4_FULL = (
     m | m << _C4_GAP for m in (c4.CENTER_MASK, c4.LOW_HALF_MASK, c4.EVEN_ROW_MASK,
                                c4.ODD_ROW_MASK, c4.BOTTOM_MASK, c4.FULL_MASK))
@@ -170,7 +173,7 @@ def _connect4_features(state) -> np.ndarray:
     squares are empty cells completing a four, split by row parity;
     playable winning squares are those available this instant.
     """
-    G, LO = _C4_GAP, _C4_LO
+    G, HI = _C4_GAP, _C4_HI
     mine, filled = state.mover, state.filled
     b = mine | (filled ^ mine) << G
     filled |= filled << G
@@ -188,24 +191,24 @@ def _connect4_features(state) -> np.ndarray:
     pl = win & (filled + _C4_BOTTOM) & _C4_FULL
     return np.array([
         1.0,
-        (ce & LO).bit_count() - (ce >> G).bit_count(),
-        (ph & LO).bit_count() - (ph >> G).bit_count(),
-        (pv & LO).bit_count() - (pv >> G).bit_count(),
-        (pa & LO).bit_count() + (pc & LO).bit_count() - (pa >> G).bit_count() - (pc >> G).bit_count(),
-        (th & LO).bit_count() - (th >> G).bit_count(),
-        (tv & LO).bit_count() - (tv >> G).bit_count(),
-        (ta & LO).bit_count() + (tc & LO).bit_count() - (ta >> G).bit_count() - (tc >> G).bit_count(),
-        (ev & LO).bit_count() - (ev >> G).bit_count(),
-        (od & LO).bit_count() - (od >> G).bit_count(),
-        (pl & LO).bit_count() - (pl >> G).bit_count(),
-        (lw & LO).bit_count() - (lw >> G).bit_count(),
+        (ce ^ HI).bit_count() - G,
+        (ph ^ HI).bit_count() - G,
+        (pv ^ HI).bit_count() - G,
+        (pa ^ HI).bit_count() + (pc ^ HI).bit_count() - 2 * G,
+        (th ^ HI).bit_count() - G,
+        (tv ^ HI).bit_count() - G,
+        (ta ^ HI).bit_count() + (tc ^ HI).bit_count() - 2 * G,
+        (ev ^ HI).bit_count() - G,
+        (od ^ HI).bit_count() - G,
+        (pl ^ HI).bit_count() - G,
+        (lw ^ HI).bit_count() - G,
     ], dtype=np.float64)
 
 
 def _minichess_material(state) -> list:
     """Side-to-move material differences, pawn, knight, bishop, rook, queen."""
     c = state.board.count
-    if state.side_to_move is Side.WHITE:
+    if state.side_to_move is WHITE:
         return [float(c("P") - c("p")), float(c("N") - c("n")), float(c("B") - c("b")),
                 float(c("R") - c("r")), float(c("Q") - c("q"))]
     return [float(c("p") - c("P")), float(c("n") - c("N")), float(c("b") - c("B")),
@@ -217,8 +220,8 @@ def _minichess_material_features(state) -> np.ndarray:
 
 
 def _king_exposure(board: str, side: Side) -> int:
-    own = mc.WHITE_PIECES if side is Side.WHITE else mc.BLACK_PIECES
-    ksq = board.index("K" if side is Side.WHITE else "k")
+    own = mc.WHITE_PIECES if side is WHITE else mc.BLACK_PIECES
+    ksq = board.index("K" if side is WHITE else "k")
     return sum(1 for t in mc.KING_TARGETS[ksq] if board[t] not in own)
 
 
@@ -314,7 +317,7 @@ def feature_set(set_id: str) -> FeatureSet:
 def features_white(fs: FeatureSet, state) -> np.ndarray:
     """Feature vector in White's fixed perspective."""
     phi = fs.extract(state)
-    return phi if state.side_to_move is Side.WHITE else -phi
+    return phi if state.side_to_move is WHITE else -phi
 
 
 def linear_evaluator(fs: FeatureSet, weights: WeightVector):
@@ -322,10 +325,10 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
     if len(weights) != fs.k:
         raise ValueError(f"need {fs.k} weights for {fs.id}, got {len(weights)}")
     extract = fs.extract
-    w = weights.values
+    dot = weights.values.dot
 
     def evaluator(state) -> float:
-        return float(np.dot(w, extract(state)))
+        return float(dot(extract(state)))
 
     return evaluator
 

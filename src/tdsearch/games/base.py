@@ -1,9 +1,10 @@
 """Shared game-core types.
 
 Games are deterministic, two-player, zero-sum, perfect information.  States
-are immutable values: applying an action returns a fresh state and never
-mutates the argument.  Rewards are always reported from White's point of
-view; use Outcome.for_side to flip perspective.
+are immutable named tuples: applying an action returns a fresh state and
+never mutates the argument, and states compare and hash by value.  Rewards
+are always reported from White's point of view; use Outcome.for_side to flip
+perspective.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ class Side(enum.Enum):
     WHITE = 1
     BLACK = -1
 
-    @property
-    def opponent(self) -> "Side":
-        return Side.BLACK if self is Side.WHITE else Side.WHITE
+    opponent: "Side"  # the other side
+    sign: int         # +1 for White, -1 for Black
 
-    @property
-    def sign(self) -> int:
-        """+1 for White, -1 for Black."""
-        return self.value
+
+# Module-level names for the members, and opponent and sign as plain member
+# attributes set once here.  Enum's metaclass makes every lookup through the
+# class (Side.WHITE) and every property on a member several times slower
+# than a global or an instance attribute, and per-node code reads these.
+WHITE, BLACK = Side.WHITE, Side.BLACK
+WHITE.opponent, BLACK.opponent = BLACK, WHITE
+WHITE.sign, BLACK.sign = 1, -1
 
 
 class IllegalMoveError(ValueError):

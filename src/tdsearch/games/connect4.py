@@ -8,10 +8,12 @@ stones, so the encoding is mover-relative by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from tdsearch.games.base import (
+    BLACK,
     DRAW,
+    WHITE,
     Game,
     IllegalMoveError,
     NonTerminalError,
@@ -39,14 +41,33 @@ DIRECTIONS = (1, STRIDE, STRIDE - 1, STRIDE + 1)
 # Center-first column order; tends to tighten alpha-beta windows early.
 COLUMN_ORDER = (3, 2, 4, 1, 5, 0, 6)
 
+# A column is full once its top row is filled, so the playable columns are a
+# function of the top-row bits alone: 128 entries, each in COLUMN_ORDER.
+TOP_BIT = tuple(1 << (c * STRIDE + ROWS - 1) for c in range(COLS))
+TOP_MASK = sum(TOP_BIT)
+_OPEN_COLUMNS = {
+    sum(TOP_BIT[c] for c in range(COLS) if key >> c & 1):
+        tuple(c for c in COLUMN_ORDER if not key >> c & 1)
+    for key in range(1 << COLS)
+}
+
 
 def has_alignment(stones: int) -> bool:
-    """True if stones contains four in a row in any direction."""
-    for s in DIRECTIONS:
-        pairs = stones & (stones >> s)
-        if pairs & (pairs >> (2 * s)):
-            return True
-    return False
+    """True if stones contains four in a row in any direction.
+
+    Unrolled over DIRECTIONS: a pair at shift s, then a pair of pairs at 2s.
+    """
+    p = stones & (stones >> 1)
+    if p & (p >> 2):
+        return True
+    p = stones & (stones >> 7)
+    if p & (p >> 14):
+        return True
+    p = stones & (stones >> 6)
+    if p & (p >> 12):
+        return True
+    p = stones & (stones >> 8)
+    return bool(p & (p >> 16))
 
 
 def winning_squares(stones: int, filled: int) -> int:
@@ -62,8 +83,7 @@ def winning_squares(stones: int, filled: int) -> int:
     return r & FULL_MASK & ~filled
 
 
-@dataclass(frozen=True)
-class ConnectFourState:
+class ConnectFourState(NamedTuple):
     mover: int   # stones of the side to move
     filled: int  # all stones
 
@@ -73,7 +93,7 @@ class ConnectFourState:
 
     @property
     def side_to_move(self) -> Side:
-        return Side.WHITE if self.ply % 2 == 0 else Side.BLACK
+        return BLACK if self.filled.bit_count() & 1 else WHITE
 
     @property
     def opponent_stones(self) -> int:
@@ -87,10 +107,10 @@ class ConnectFour(Game):
         return ConnectFourState(0, 0)
 
     def legal_actions(self, state: ConnectFourState):
-        if has_alignment(state.opponent_stones):
+        filled = state.filled
+        if has_alignment(filled ^ state.mover):
             return []
-        playable = (state.filled + BOTTOM_MASK) & FULL_MASK
-        return [c for c in COLUMN_ORDER if playable & COLUMN_MASK[c]]
+        return [*_OPEN_COLUMNS[filled & TOP_MASK]]
 
     def apply(self, state: ConnectFourState, action: int) -> ConnectFourState:
         if not isinstance(action, int) or not 0 <= action < COLS:
@@ -109,7 +129,8 @@ class ConnectFour(Game):
         return ConnectFourState(filled ^ state.mover, filled | cell)
 
     def is_terminal(self, state: ConnectFourState) -> bool:
-        return has_alignment(state.opponent_stones) or state.filled == FULL_MASK
+        filled = state.filled
+        return has_alignment(filled ^ state.mover) or filled == FULL_MASK
 
     def outcome(self, state: ConnectFourState) -> Outcome:
         # Only the player who just moved can have completed a four.
@@ -122,7 +143,7 @@ class ConnectFour(Game):
     # -- text round trip: rows top-down, 'X' White, 'O' Black ------------
 
     def to_text(self, state: ConnectFourState) -> str:
-        white = state.mover if state.side_to_move is Side.WHITE else state.opponent_stones
+        white = state.mover if state.side_to_move is WHITE else state.opponent_stones
         black = state.filled ^ white
         rows = []
         for r in range(ROWS - 1, -1, -1):

@@ -13,10 +13,12 @@ square pairs; promotion is implicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from tdsearch.games.base import (
+    BLACK,
     DRAW,
+    WHITE,
     Game,
     IllegalMoveError,
     NonTerminalError,
@@ -84,8 +86,7 @@ WHITE_PAWN_CAPS = _build_step_table([(-1, 1), (1, 1)])
 BLACK_PAWN_CAPS = _build_step_table([(-1, -1), (1, -1)])
 
 
-@dataclass(frozen=True)
-class MinichessState:
+class MinichessState(NamedTuple):
     board: str
     side_to_move: Side
     ply: int
@@ -93,7 +94,7 @@ class MinichessState:
 
 def in_check(board: str, side: Side) -> bool:
     """True if side's king is attacked.  Attack scan from the king square."""
-    if side is Side.WHITE:
+    if side is WHITE:
         ksq, knight, bishop, rook, queen, king, pawn_srcs = (
             board.index("K"), "n", "b", "r", "q", "k", WHITE_PAWN_CAPS)
     else:
@@ -105,7 +106,7 @@ def in_check(board: str, side: Side) -> bool:
     for t in KING_TARGETS[ksq]:
         if board[t] == king:
             return True
-    pawn = "p" if side is Side.WHITE else "P"
+    pawn = "p" if side is WHITE else "P"
     for t in pawn_srcs[ksq]:
         if board[t] == pawn:
             return True
@@ -128,7 +129,7 @@ def in_check(board: str, side: Side) -> bool:
 
 def pseudo_moves(board: str, side: Side):
     """Yield (from, to) pairs ignoring king safety.  Deterministic order."""
-    white = side is Side.WHITE
+    white = side is WHITE
     own = WHITE_PIECES if white else BLACK_PIECES
     for sq, piece in enumerate(board):
         if piece not in own:  # '.' is never in own
@@ -196,7 +197,7 @@ def _unsafe_origins(board: str, side: Side):
     """
     if in_check(board, side):
         return ALL_SQUARES
-    if side is Side.WHITE:
+    if side is WHITE:
         ksq, own, rook, bishop, queen = board.index("K"), WHITE_PIECES, "r", "b", "q"
     else:
         ksq, own, rook, bishop, queen = board.index("k"), BLACK_PIECES, "R", "B", "Q"
@@ -242,7 +243,7 @@ class Minichess(Game):
     game_id = "minichess"
 
     def initial_state(self) -> MinichessState:
-        return MinichessState(INITIAL_BOARD, Side.WHITE, 0)
+        return MinichessState(INITIAL_BOARD, WHITE, 0)
 
     def legal_actions(self, state: MinichessState):
         if state.ply >= PLY_CAP:
@@ -256,7 +257,7 @@ class Minichess(Game):
             raise IllegalMoveError(f"bad action: {action!r}") from None
         if state.ply >= PLY_CAP:
             raise IllegalMoveError("game over: ply cap reached")
-        own = WHITE_PIECES if state.side_to_move is Side.WHITE else BLACK_PIECES
+        own = WHITE_PIECES if state.side_to_move is WHITE else BLACK_PIECES
         if not (0 <= frm < NSQUARES and 0 <= to < NSQUARES) or state.board[frm] not in own:
             raise IllegalMoveError(f"no movable piece on square {frm}")
         if action not in pseudo_moves(state.board, state.side_to_move):
@@ -303,7 +304,7 @@ class Minichess(Game):
             if empties:
                 out += str(empties)
             ranks.append(out)
-        side = "w" if state.side_to_move is Side.WHITE else "b"
+        side = "w" if state.side_to_move is WHITE else "b"
         return f"{'/'.join(ranks)} {side} {state.ply}"
 
     def from_text(self, text: str) -> MinichessState:
@@ -329,7 +330,7 @@ class Minichess(Game):
         board = "".join(reversed(rows))
         if board.count("K") != 1 or board.count("k") != 1:
             raise ValueError("each side needs exactly one king")
-        side = {"w": Side.WHITE, "b": Side.BLACK}.get(side_txt)
+        side = {"w": WHITE, "b": BLACK}.get(side_txt)
         if side is None:
             raise ValueError(f"bad side token {side_txt!r}")
         return MinichessState(board, side, int(ply_txt))

@@ -13,9 +13,9 @@ them scores them with the evaluator rather than the terminal rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from tdsearch.games.base import Game, IllegalMoveError, NonTerminalError, Side
+from tdsearch.games.base import BLACK, WHITE, Game, IllegalMoveError, NonTerminalError, Side
 
 # Two bundled reference trees, both with root value 4 at depth 3.  The first
 # has a unique principal variation ending at leaf L; in the second both
@@ -72,8 +72,7 @@ def _letters(i: int) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class SyntheticState:
+class SyntheticState(NamedTuple):
     path: tuple  # child indices from the root
 
     @property
@@ -82,7 +81,7 @@ class SyntheticState:
 
     @property
     def side_to_move(self) -> Side:
-        return Side.WHITE if len(self.path) % 2 == 0 else Side.BLACK
+        return WHITE if len(self.path) % 2 == 0 else BLACK
 
 
 class SyntheticTreeGame(Game):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from tdsearch.games.base import (
+    BLACK,
     DRAW,
+    WHITE,
     Game,
     IllegalMoveError,
     NonTerminalError,
@@ -27,8 +29,7 @@ _CHARS = {1: "X", -1: "O", 0: "."}
 _MARKS = {"X": 1, "O": -1, ".": 0}
 
 
-@dataclass(frozen=True)
-class TicTacToeState:
+class TicTacToeState(NamedTuple):
     board: tuple  # 9 ints: +1 White mark, -1 Black mark, 0 empty
     side_to_move: Side
     ply: int
@@ -38,7 +39,7 @@ class TicTacToe(Game):
     game_id = "tictactoe"
 
     def initial_state(self) -> TicTacToeState:
-        return TicTacToeState((0,) * 9, Side.WHITE, 0)
+        return TicTacToeState((0,) * 9, WHITE, 0)
 
     def legal_actions(self, state: TicTacToeState):
         if self._winner(state.board) != 0:
@@ -92,7 +93,7 @@ class TicTacToe(Game):
         os = sum(1 for v in board if v == -1)
         if os not in (xs, xs - 1):
             raise ValueError(f"unreachable mark counts in {text!r}")
-        side = Side.WHITE if xs == os else Side.BLACK
+        side = WHITE if xs == os else BLACK
         return TicTacToeState(board, side, xs + os)
 
     def action_to_str(self, action: int) -> str:

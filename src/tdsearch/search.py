@@ -18,6 +18,12 @@ faster wins are preferred.  The evaluator is only ever invoked on
 non-terminal leaves.  A non-terminal node with no legal actions (possible
 only in synthetic trees) is scored by the evaluator at any depth.
 
+In alphabeta, depth-1 nodes score their children in place: each child is
+built, terminal-tested and scored inside the parent's loop, with no call
+per leaf, in the same order and with the same node count and cut-offs.
+The "random" tie-break shuffles with this module's own Fisher-Yates
+(shuffle), which draws from the generator exactly as Random.shuffle does.
+
 No iterative deepening, transposition tables, or quiescence extensions:
 searches are plain fixed-depth.
 """
@@ -112,6 +118,23 @@ def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND
     return SearchResult(value, pv, leaf, depth, nodes)
 
 
+def shuffle(x: list, getrandbits) -> None:
+    """Fisher-Yates shuffle of x in place, drawing from getrandbits.
+
+    Makes the draws of CPython's Random.shuffle: for i = n-1 down to 1, a
+    swap index below i+1 by rejection over (i+1).bit_length() bits.  Given
+    random.Random(seed).getrandbits it leaves x and the generator as
+    random.Random(seed).shuffle(x) would, without the two Python calls per
+    swap that Random.shuffle makes.
+    """
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND) -> SearchResult:
     """Negamax with alpha-beta pruning; value identical to minimax.
 
@@ -119,10 +142,14 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
     generator seeded once per search.  That randomizes which of several
     tied principal variations is reported (pruning makes an exactly uniform
     choice ill-defined) without affecting the value.
+
+    A depth-1 node scores its children in its own loop, in the order and
+    with the cut-offs a call per child would have: apply, the terminal
+    test, then the terminal score or the evaluator.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rng = random.Random(tie.seed) if tie.mode == "random" else None
+    getrandbits = random.Random(tie.seed).getrandbits if tie.mode == "random" else None
     apply = game.apply_trusted
     is_terminal = game.is_terminal
     legal = game.legal_actions
@@ -135,12 +162,28 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
             if is_terminal(state):
                 return terminal_score(game, state, ply), (), state
             return evaluator(state), (), state
-        if rng is not None and len(actions) > 1:
+        if getrandbits is not None and len(actions) > 1:
             actions = list(actions)
-            rng.shuffle(actions)
+            shuffle(actions, getrandbits)
         best_v = _NEG_INF
         best_a = best_pv = best_leaf = None
         first = True
+        if d == 1:
+            for a in actions:
+                child = apply(state, a)
+                nodes += 1
+                if is_terminal(child):
+                    v = -terminal_score(game, child, ply + 1)
+                else:
+                    v = -evaluator(child)
+                if first or v > best_v:
+                    best_v, best_a, best_leaf = v, a, child
+                    first = False
+                if v > alpha:
+                    alpha = v
+                if alpha >= beta:
+                    break
+            return best_v, (best_a,), best_leaf
         for a in actions:
             v, pv, leaf = rec(apply(state, a), d - 1, -beta, -alpha, ply + 1)
             v = -v

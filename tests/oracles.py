@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from tdsearch.games import connect4 as c4
+
 MATE = 1.0e6
 
 
@@ -237,6 +239,34 @@ def c4_features_oracle(game, state):
         win_count(playable),
         sum(owner[(r, c)] for r in range(3) for c in range(7)),
     ]
+
+
+# The two loops connect4 ran before its unrolled test and column table,
+# kept as references the faster forms must agree with.
+
+
+def c4_has_alignment_loop(stones):
+    """Four in a row, one shift direction at a time."""
+    for s in c4.DIRECTIONS:
+        pairs = stones & (stones >> s)
+        if pairs & (pairs >> (2 * s)):
+            return True
+    return False
+
+
+def c4_legal_actions_scan(state):
+    """Columns in COLUMN_ORDER whose next free cell is on the board; [] once
+    a four is on the board."""
+    if c4_has_alignment_loop(state.filled ^ state.mover):
+        return []
+    playable = (state.filled + c4.BOTTOM_MASK) & c4.FULL_MASK
+    return [c for c in c4.COLUMN_ORDER if playable & c4.COLUMN_MASK[c]]
+
+
+def c4_fours():
+    """Every four-in-a-row on the board as (cells, stone mask), cells (row, col)."""
+    return [(cells, sum(1 << (c * c4.STRIDE + r) for r, c in cells))
+            for lines in _c4_windows(4).values() for cells in lines]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from oracles import C4_DRAW_MOVES
-from tdsearch.games.base import Side, WIN, DRAW, LOSS
+from tdsearch.games import GAMES, SyntheticState, SyntheticTreeGame, UNIQUE_PV_TREE
+from tdsearch.games.base import BLACK, WHITE, Side, WIN, DRAW, LOSS
 from tdsearch.games.minichess import INITIAL_BOARD, MinichessState
 
 
@@ -131,3 +135,57 @@ def test_terminal_states_have_no_legal_actions(game_id, game):
             assert actions == []
         else:
             assert actions != []
+
+
+# -- value semantics: immutable states, singleton sides ---------------------
+
+
+def _states_of_every_game():
+    """(game, states along one seeded playout) for each game, synthetic too."""
+    rng = np.random.default_rng(37)
+    out = [(game, random_playout(game, rng)[0]) for game in GAMES.values()]
+    tree = SyntheticTreeGame(UNIQUE_PV_TREE)
+    leaf = tree.state_for_label("L")
+    out.append((tree, [tree.initial_state(), *(SyntheticState(leaf.path[:i + 1])
+                                                for i in range(len(leaf.path)))]))
+    return out
+
+
+def test_state_fields_cannot_be_assigned():
+    for game, states in _states_of_every_game():
+        s = states[len(states) // 2]
+        for name in type(s)._fields:
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError):
+            s.extra = 1
+
+
+def test_states_compare_and_hash_by_value_and_apply_keeps_its_argument():
+    for game, states in _states_of_every_game():
+        for s, nxt in zip(states, states[1:]):
+            same = game.from_text(game.to_text(s))  # equal value, fresh object
+            assert same == s and hash(same) == hash(s) and same is not s
+            assert nxt != s
+            a = next(a for a in game.legal_actions(s) if game.apply(s, a) == nxt)
+            for step in (game.apply, game.apply_trusted):
+                assert step(s, a) == nxt
+                assert s == same and hash(s) == hash(same)
+        assert len(set(states)) == len(states)
+
+
+def test_side_members_are_singletons_with_plain_attributes():
+    assert (WHITE, BLACK) == (Side.WHITE, Side.BLACK)
+    for side in Side:
+        assert copy.copy(side) is side
+        assert copy.deepcopy(side) is side
+        box = copy.deepcopy([side, {side: side}])
+        assert box[0] is side and box[1][side] is side
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(side, protocol)) is side
+        assert side.opponent is not side and side.opponent.opponent is side
+        assert type(side.sign) is int and side.sign == side.value
+        assert Side(side.sign) is side
+    assert Side.WHITE.opponent is Side.BLACK and Side.BLACK.opponent is Side.WHITE
+    assert Side.WHITE.sign == 1 and Side.BLACK.sign == -1
+    assert list(Side) == [Side.WHITE, Side.BLACK]

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
-from oracles import c4_wins_from_text
+from oracles import (
+    C4_DRAW_MOVES,
+    c4_fours,
+    c4_has_alignment_loop,
+    c4_legal_actions_scan,
+    c4_wins_from_text,
+    random_playouts,
+)
 from tdsearch.games import GAMES
 from tdsearch.games.base import IllegalMoveError, Side
 from tdsearch.games.connect4 import (
     COLS,
+    COLUMN_ORDER,
     FULL_MASK,
     ROWS,
+    STRIDE,
+    ConnectFourState,
     has_alignment,
     winning_squares,
 )
@@ -171,3 +181,78 @@ def test_mirror_preserves_outcome():
         assert C4.is_terminal(m)
         assert C4.outcome(m).reward == C4.outcome(s).reward
         assert m.ply == s.ply
+
+
+# -- the unrolled has_alignment and the column table against the old loops --
+
+
+def _walk_states(seed, games):
+    playouts = random_playouts(C4, np.random.default_rng(seed))
+    return [s for _ in range(games) for s in next(playouts)]
+
+
+def _draw_states():
+    states = [C4.initial_state()]
+    for c in C4_DRAW_MOVES:
+        states.append(C4.apply(states[-1], int(c)))
+    assert states[-1].filled == FULL_MASK and not C4.is_terminal(states[-2])
+    return states
+
+
+def _stacked_state(heights):
+    """Columns stacked to the given heights, coloured so that no four forms:
+    cell (row, col) is the mover's when (row + col // 2) is even."""
+    mover = filled = 0
+    for c, h in enumerate(heights):
+        for r in range(h):
+            bit = 1 << (c * STRIDE + r)
+            filled |= bit
+            if (r + c // 2) % 2 == 0:
+                mover |= bit
+    return ConnectFourState(mover, filled)
+
+
+def test_has_alignment_matches_reference_loop_on_walks_and_draw():
+    for s in _walk_states(3, 200) + _draw_states():
+        for stones in (s.mover, s.opponent_stones, s.filled):
+            assert has_alignment(stones) == c4_has_alignment_loop(stones)
+
+
+def test_has_alignment_finds_fours_touching_every_edge():
+    touched = set()
+    rng = np.random.default_rng(9)
+    for cells, four in c4_fours():
+        (r0, c0), (r1, c1) = cells[:2]
+        direction = (r1 - r0, c1 - c0)
+        rows, cols = {r for r, _ in cells}, {c for _, c in cells}
+        edges = {"bottom": 0 in rows, "top": ROWS - 1 in rows,
+                 "left": 0 in cols, "right": COLS - 1 in cols}
+        touched |= {(direction, edge) for edge, hit in edges.items() if hit}
+        assert has_alignment(four) and c4_has_alignment_loop(four)
+        for r, c in cells:  # three of the four are not a four
+            three = four ^ 1 << (c * STRIDE + r)
+            assert not has_alignment(three) and not c4_has_alignment_loop(three)
+        noise = int(rng.integers(1 << 49)) & FULL_MASK  # the four amid other stones
+        assert has_alignment(four | noise)
+        assert has_alignment(four | noise) == c4_has_alignment_loop(four | noise)
+        assert has_alignment(noise) == c4_has_alignment_loop(noise)
+    directions = {(1, 0), (0, 1), (1, 1), (-1, 1)}
+    edges = {"bottom", "top", "left", "right"}
+    assert touched >= {(d, e) for d in directions for e in edges}
+
+
+def test_legal_actions_match_reference_scan():
+    for s in _walk_states(5, 200) + _draw_states():
+        assert C4.legal_actions(s) == c4_legal_actions_scan(s)
+
+
+def test_legal_actions_for_every_set_of_full_columns():
+    rng = np.random.default_rng(11)
+    for key in range(1 << COLS):
+        full = {c for c in range(COLS) if key >> c & 1}
+        low = [int(h) for h in rng.integers(0, ROWS, size=COLS)]
+        for heights in ([0] * COLS, [ROWS - 1] * COLS, low):
+            s = _stacked_state([ROWS if c in full else heights[c] for c in range(COLS)])
+            assert not has_alignment(s.mover) and not has_alignment(s.opponent_stones)
+            want = [c for c in COLUMN_ORDER if c not in full]
+            assert C4.legal_actions(s) == c4_legal_actions_scan(s) == want

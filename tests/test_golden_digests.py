@@ -17,7 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from tdsearch.arena import SearchAgent, game_rng, play_game
 from tdsearch.cli import main
+from tdsearch.evaluation import feature_set
+from tdsearch.games import GAMES, Side
+from tdsearch.learner import trace_to_log
+from tdsearch.presets import preset_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -65,3 +70,42 @@ def test_artifact_digests_unchanged(name, tmp_path):
         for art in ARTIFACTS
     }
     assert got == expected
+
+
+# Match lock: arena.play_game between two fixed agents with random
+# tie-breaks and both seats recorded.  The digest covers each game's
+# outcome, move count, nodes per seat and the trace_to_log text of both
+# seats, so it pins search results (value, pv, leaf, node count) move by
+# move, not only a training run's final artifacts.
+# name -> (game, feature set, agent presets, depth, games, sha256)
+MATCHES = {
+    "connect4-zero-vs-baseline": (
+        "connect4", "connect4", ("zero", "baseline"), 3, 10,
+        "69bfaee967271ea481f05310ce5996c222c5ee1aa72cf50a3e5f573f55bf6e49",
+    ),
+    "minichess-material-vs-zero": (
+        "minichess", "minichess-material", ("material", "zero"), 2, 6,
+        "13ea04b1c34b5bbf6114571d0976887588eec4fa76d527ad7f6765145293d938",
+    ),
+}
+
+
+def match_digest(game_id, fs_id, presets, depth, n_games, seed=7):
+    game, fs = GAMES[game_id], feature_set(fs_id)
+    a, b = (SearchAgent(p, fs, preset_weights(fs, p), depth, "random") for p in presets)
+    h = hashlib.sha256()
+    for i in range(n_games):
+        white, black = (a, b) if i % 2 == 0 else (b, a)
+        rec = play_game(game, white, black, record_sides=(Side.WHITE, Side.BLACK),
+                        squash_cfg=fs.squash_config(), rng=game_rng(seed, i))
+        h.update(f"{i} {rec.outcome.reward!r} {rec.moves} "
+                 f"{rec.nodes[Side.WHITE]} {rec.nodes[Side.BLACK]}\n".encode())
+        for side, opp in ((Side.WHITE, black), (Side.BLACK, white)):
+            h.update(trace_to_log(game, rec.traces[side], i, opp.id).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MATCHES))
+def test_match_digests_unchanged(name):
+    *spec, expected = MATCHES[name]
+    assert match_digest(*spec) == expected

@@ -22,6 +22,7 @@ from tdsearch.search import (
     TieBreakPolicy,
     alphabeta,
     minimax,
+    shuffle,
 )
 
 
@@ -242,6 +243,22 @@ def test_tie_policy_validation():
     assert TieBreakPolicy.uniform_random(5).seed == 5
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_shuffle_draws_like_random_shuffle(n):
+    # The search's own Fisher-Yates makes Random.shuffle's draws, so a
+    # search shuffles as before and later nodes, which share the generator,
+    # see the same generator state.  Each seed shuffles n items three times
+    # in a row on one generator.
+    for seed in range(240):
+        ref, own = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            want, got = list(range(n)), list(range(n))
+            ref.shuffle(want)
+            shuffle(got, own.getrandbits)
+            assert got == want
+            assert own.getstate() == ref.getstate()
+
+
 def test_search_result_is_plain_data():
     g = SyntheticTreeGame(UNIQUE_PV_TREE)
     res = minimax(g, g.initial_state(), 3, g.evaluator)
@@ -374,6 +391,26 @@ def test_terminal_test_only_where_moves_ran_out(game_id, search, tie):
         assert sum(call[0] == "terminal" for call in counting.calls) == res.nodes
         inside = counting.interior_terminal_tests(root.ply + depth)
         assert inside and all(game.is_terminal(st) for st in inside), kind
+
+
+@pytest.mark.parametrize("tie", [FIRST_FOUND, TieBreakPolicy.uniform_random(3)], ids=["first", "random"])
+@pytest.mark.parametrize("game_id, depth", [("connect4", 3), ("minichess", 2), ("tictactoe", 4)])
+def test_alphabeta_keeps_first_of_tied_leaves(game_id, depth, tie):
+    # A three-valued evaluator makes most sibling leaves tie, so the line
+    # reported depends on which tied child each node keeps, depth-1 nodes
+    # scoring their children in place included: the first found in the
+    # (shuffled) move order, as in the oracle.
+    game = GAMES[game_id]
+    fine = text_eval(game)
+    evaluator = lambda st: float(round(fine(st)))
+    white_eval = lambda st: st.side_to_move.sign * evaluator(st)
+    rng = np.random.default_rng(61)
+    roots = [random_position(game, rng, 12) for _ in range(10)]
+    for root in (r for r in roots if not game.is_terminal(r)):
+        res = alphabeta(game, root, depth, evaluator, tie)
+        value, pv, nodes = white_search(game, root, depth, white_eval, prune=True,
+                                        rng=random.Random(tie.seed) if tie.mode == "random" else None)
+        assert (res.value, res.pv, res.nodes) == (value * root.side_to_move.sign, pv, nodes)
 
 
 @pytest.mark.parametrize("search", [minimax, alphabeta])
