@@ -12,18 +12,18 @@ import tempfile
 from pathlib import Path
 
 from tdsearch.arena import SearchAgent, train_selfplay
-from tdsearch.evaluation import feature_set, load_weights
+from tdsearch.evaluation import SquashConfig, feature_set, load_weights
 from tdsearch.games import GAMES
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
 
 game = GAMES["minichess"]
 fs = feature_set("minichess-material")
 
-agent = SearchAgent("learner", fs, fs.zero_weights(), 2, tie_mode="random")
+agent = SearchAgent("learner", fs, fs.weights_from({}), 2, tie_mode="random")
 cfg = LearnerConfig(
     lambda_=0.95,
     alpha=AlphaSchedule(kind="inverse", base=0.2, decay_games=400, floor=0.01),
-    squash=fs.squash_config(),
+    squash=SquashConfig(),
     clipping=ClipPolicy.UNLESS_PREDICTED,
 )
 

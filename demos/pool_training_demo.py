@@ -17,7 +17,7 @@ from tdsearch.arena import (
     head_to_head,
     train_online,
 )
-from tdsearch.evaluation import feature_set
+from tdsearch.evaluation import SquashConfig, feature_set
 from tdsearch.games import GAMES
 from tdsearch.learner import AlphaSchedule, LearnerConfig
 from tdsearch.presets import preset_weights
@@ -31,9 +31,9 @@ pool = OpponentPool(opponents=(
     SearchAgent("base-d2", fs, preset_weights(fs, "baseline"), 2),
 ), matching="uniform")
 
-agent = SearchAgent("learner", fs, fs.zero_weights(), 2, tie_mode="random")
+agent = SearchAgent("learner", fs, fs.weights_from({}), 2, tie_mode="random")
 cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=0.05),
-                    squash=fs.squash_config())
+                    squash=SquashConfig())
 
 out = Path(tempfile.mkdtemp(prefix="pool-demo-"))
 result = train_online(game, agent, pool, cfg, 300, seed=3, out_dir=out)
@@ -47,6 +47,6 @@ for name, value in zip(fs.names, result.weights.values):
 print("artifacts:", sorted(p.name for p in out.iterdir()))
 
 trained = SearchAgent("trained", fs, result.weights, 2, tie_mode="random")
-fresh = SearchAgent("fresh", fs, fs.zero_weights(), 2, tie_mode="random")
+fresh = SearchAgent("fresh", fs, fs.weights_from({}), 2, tie_mode="random")
 score, tally = head_to_head(game, trained, fresh, 100, seed=5)
 print(f"trained vs untrained over 100 games: {score:.2f} ({tally})")

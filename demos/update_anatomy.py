@@ -42,11 +42,11 @@ cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=1.0),
 # Differences: value[t+1] - value[t], with the final reward standing in as
 # the value after the last step.  Here: [0 - 0, 1 - 0].
 diffs = temporal_differences(trace, cfg)
-print("differences:   ", [d.d for d in diffs])
+print("differences:   ", diffs)
 
 # Each step then accumulates its future differences, discounted by lambda
 # per step of distance: sums[t] = sum_j lambda^(j-t) * d[j].
-sums = discounted_difference_sums([d.d for d in diffs], cfg.lambda_)
+sums = discounted_difference_sums(diffs, cfg.lambda_)
 print("suffix sums:   ", sums)
 
 # The weight movement is alpha * sum_t sums[t] * gradient[t].  With unit

@@ -23,10 +23,8 @@ from tdsearch.learner import (
     GameTrace,
     LearnerConfig,
     StepRecord,
-    TemporalDifference,
     discounted_difference_sums,
     td_update,
-    tdleaf_update,
     temporal_differences,
 )
 

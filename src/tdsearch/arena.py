@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from tdsearch.evaluation import (
+    _G,
     FeatureSet,
     SquashConfig,
     WeightVector,
@@ -47,7 +48,7 @@ from tdsearch.learner import (
     trace_to_log,
     traces_from_log,
 )
-from tdsearch.search import FIRST_FOUND, MATE_SCORE, TieBreakPolicy, alphabeta
+from tdsearch.search import FIRST_FOUND, TieBreakPolicy, alphabeta, terminal_score
 
 INITIAL_RATING = 1500.0
 K_FACTOR = 32.0
@@ -57,7 +58,6 @@ K_FACTOR = 32.0
 class RatingTable:
     """Elo ratings, K=32, everyone starts at 1500."""
 
-    k_factor: float = K_FACTOR
     ratings: dict = field(default_factory=dict)
 
     def register(self, agent_id: str, rating: float = INITIAL_RATING) -> None:
@@ -74,7 +74,7 @@ def expected_score(rating: float, opponent_rating: float) -> float:
 def elo_update(table: RatingTable, white_id: str, black_id: str, score_white: float) -> RatingTable:
     """Apply one game; the two deltas are one number, so the update is zero-sum."""
     rw, rb = table.ratings[white_id], table.ratings[black_id]
-    delta = table.k_factor * (score_white - expected_score(rw, rb))
+    delta = K_FACTOR * (score_white - expected_score(rw, rb))
     table.ratings[white_id] = rw + delta
     table.ratings[black_id] = rb - delta
     return table
@@ -154,8 +154,8 @@ class MatchRecord:
     fault: Side | None    # seat that played an illegal move, if any
 
 
-def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig | None = None,
-              rng=None, rating_lower=None, start=None,
+def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig = SquashConfig(),
+              rng=None, rating_lower=None,
               opening_plies: int = 0, opening_epsilon: float = 0.0) -> MatchRecord:
     """Play one game; optionally record learner traces for given seats.
 
@@ -167,7 +167,7 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig |
     rng = rng if rng is not None else np.random.default_rng(0)
     rating_lower = rating_lower or {}
     record_sides = tuple(record_sides)
-    state = game.initial_state() if start is None else start
+    state = game.initial_state()
     steps = {side: [] for side in record_sides}
     expected_reply = {side: None for side in record_sides}
     nodes = {Side.WHITE: 0, Side.BLACK: 0}
@@ -217,9 +217,7 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig |
     traces = {
         side: GameTrace(side, tuple(steps[side]), outcome) for side in record_sides
     }
-    wid = white.id if hasattr(white, "id") else "white"
-    bid = black.id if hasattr(black, "id") else "black"
-    return MatchRecord(wid, bid, outcome, traces, moves, nodes, fault)
+    return MatchRecord(white.id, black.id, outcome, traces, moves, nodes, fault)
 
 
 def _make_step(game, fs, root, result, squash_cfg, lower: bool) -> StepRecord:
@@ -270,8 +268,6 @@ CSV_COLUMNS = (
     "game_index", "opponent_id", "color", "outcome", "agent_rating",
     "opponent_rating", "moves", "nodes_searched", "weight_snapshot_hash",
 )
-
-_G = "{:.17g}".format
 
 
 def game_rng(seed: int, game_index: int):
@@ -506,7 +502,8 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
         for trace in traces:
             for t, step in enumerate(trace.steps):
                 if game.is_terminal(step.leaf):
-                    expect_raw = game.outcome(step.leaf).reward * (MATE_SCORE - len(step.pv))
+                    leaf = step.leaf
+                    expect_raw = terminal_score(game, leaf, len(step.pv)) * leaf.side_to_move.sign
                 else:
                     expect_raw = raw_eval(step.leaf_features, weights)
                 if expect_raw != step.raw_value:

@@ -237,7 +237,7 @@ def _pool(sec: _Section, fs, config_dir: Path) -> OpponentPool:
 
 
 def _learner(sec: _Section, fs) -> LearnerConfig:
-    squash = fs.squash_config() if sec.get("squash", bool, True) else SquashConfig.disabled()
+    squash = SquashConfig() if sec.get("squash", bool, True) else SquashConfig.disabled()
     return sec.build(LearnerConfig, squash=squash, **sec.fields(
         lambda_=("lambda", NUMBER, float),
         alpha=("alpha", NUMBER + (dict,), partial(_alpha, f"{sec.where}.alpha")),

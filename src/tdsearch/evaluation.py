@@ -36,25 +36,18 @@ class SquashConfig:
     enabled: bool = True
 
     @classmethod
-    def calibrated(cls, unit_value: float = 1.0) -> "SquashConfig":
-        """beta such that squash(unit_value) == 0.25."""
-        if unit_value <= 0:
-            raise ValueError("unit_value must be positive")
-        return cls(beta=ATANH_QUARTER / unit_value)
-
-    @classmethod
     def disabled(cls) -> "SquashConfig":
         return cls(beta=1.0, enabled=False)
 
 
-def squash(j: float, cfg: SquashConfig | None) -> float:
+def squash(j: float, cfg: SquashConfig) -> float:
     """tanh(beta * j), strictly inside (-1, 1).
 
     float64 tanh rounds to exactly +/-1 once |beta*j| exceeds about 19
     (mate-score leaves); those saturated values are pulled one ulp inward
     so the open-interval range holds for every input.
     """
-    if cfg is None or not cfg.enabled:
+    if not cfg.enabled:
         return float(j)
     v = math.tanh(cfg.beta * j)
     if v >= 1.0:
@@ -103,7 +96,7 @@ def raw_eval(features: np.ndarray, weights: WeightVector) -> float:
     return float(np.dot(weights.values, features))
 
 
-def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig | None,
+def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig,
                   value: float | None = None) -> np.ndarray:
     """Gradient of squash(raw_eval) wrt the weights: beta*(1-v^2)*phi.
 
@@ -112,7 +105,7 @@ def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig
     Entries at anchored indices are zeroed, which is what keeps anchors
     fixed under updates (no post-hoc clamping).
     """
-    if cfg is None or not cfg.enabled:
+    if not cfg.enabled:
         g = np.array(features, dtype=np.float64)
     else:
         v = squash(raw_eval(features, weights), cfg) if value is None else value
@@ -181,7 +174,7 @@ def _connect4_features(state) -> np.ndarray:
     v1, h1, a1, c1 = b >> 1, b >> 7, b >> 6, b >> 8
     v2, h2, a2, c2 = b >> 2, b >> 14, b >> 12, b >> 16
     H1, A1, C1 = b << 7, b << 6, b << 8
-    win = ((b << 1) & (b << 2) & (b << 3)  # c4.winning_squares of both colours
+    win = ((b << 1) & (b << 2) & (b << 3)  # winning squares of both colours
            | H1 & (b << 14) & (b << 21 | h1) | h1 & h2 & (b >> 21 | H1)
            | A1 & (b << 12) & (b << 18 | a1) | a1 & a2 & (b >> 18 | A1)
            | C1 & (b << 16) & (b << 24 | c1) | c1 & c2 & (b >> 24 | C1)) & ~filled
@@ -246,18 +239,11 @@ class FeatureSet:
     game_id: str
     names: tuple
     extract: object  # callable(state) -> np.ndarray
-    anchors: tuple = ()       # anchored (index, value) pairs for new weights
-    unit_value: float = 1.0   # raw-eval points worth one calibration unit
+    anchors: tuple = ()  # anchored (index, value) pairs for new weights
 
     @property
     def k(self) -> int:
         return len(self.names)
-
-    def zero_weights(self) -> WeightVector:
-        w = np.zeros(self.k)
-        for i, v in self.anchors:
-            w[i] = v
-        return WeightVector(w, self.anchors)
 
     def weights_from(self, named: dict) -> WeightVector:
         unknown = set(named) - set(self.names)
@@ -269,9 +255,6 @@ class FeatureSet:
         for i, v in self.anchors:
             w[i] = v
         return WeightVector(w, self.anchors)
-
-    def squash_config(self) -> SquashConfig:
-        return SquashConfig.calibrated(self.unit_value)
 
 
 FEATURE_SETS = {
@@ -337,7 +320,9 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
 # Weight snapshot files
 # ---------------------------------------------------------------------------
 
-_G = "{:.17g}".format  # 17 significant digits: exact float64 round trip
+# 17 significant digits round-trip every float64 exactly, so snapshots, ratings
+# and trace logs written with _G reload to the same bits.
+_G = "{:.17g}".format
 
 
 def weights_to_text(fs: FeatureSet, weights: WeightVector) -> str:
@@ -379,11 +364,6 @@ def weights_from_text(text: str):
     if seen != set(range(k)):
         raise ValueError("snapshot does not cover every weight")
     return fs.id, WeightVector(values, anchors)
-
-
-def save_weights(path, fs: FeatureSet, weights: WeightVector) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(weights_to_text(fs, weights))
 
 
 def load_weights(path):

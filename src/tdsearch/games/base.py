@@ -110,14 +110,6 @@ class Game:
     def action_from_str(self, text: str):
         raise NotImplementedError
 
-    # -- move-list trace format: one action token per line ---------------
-
-    def moves_to_text(self, actions) -> str:
-        return "\n".join(self.action_to_str(a) for a in actions) + "\n"
-
-    def moves_from_text(self, text: str):
-        return [self.action_from_str(line) for line in text.split() if line]
-
     def replay(self, actions, state=None):
         """Fold apply() over an action sequence from state (default initial)."""
         s = self.initial_state() if state is None else state

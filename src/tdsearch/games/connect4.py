@@ -35,9 +35,6 @@ LOW_HALF_MASK = sum(0b111 << (c * STRIDE) for c in range(COLS))
 EVEN_ROW_MASK = sum(0b010101 << (c * STRIDE) for c in range(COLS))
 ODD_ROW_MASK = FULL_MASK ^ EVEN_ROW_MASK
 
-# Shift distances: vertical, horizontal, the two diagonals.
-DIRECTIONS = (1, STRIDE, STRIDE - 1, STRIDE + 1)
-
 # Center-first column order; tends to tighten alpha-beta windows early.
 COLUMN_ORDER = (3, 2, 4, 1, 5, 0, 6)
 
@@ -55,7 +52,8 @@ _OPEN_COLUMNS = {
 def has_alignment(stones: int) -> bool:
     """True if stones contains four in a row in any direction.
 
-    Unrolled over DIRECTIONS: a pair at shift s, then a pair of pairs at 2s.
+    One unrolled test per shift s (1 vertical, STRIDE horizontal, STRIDE - 1
+    and STRIDE + 1 the diagonals): a pair at s, then a pair of pairs at 2s.
     """
     p = stones & (stones >> 1)
     if p & (p >> 2):
@@ -68,19 +66,6 @@ def has_alignment(stones: int) -> bool:
         return True
     p = stones & (stones >> 8)
     return bool(p & (p >> 16))
-
-
-def winning_squares(stones: int, filled: int) -> int:
-    """Empty playable-board squares that would complete a four for stones."""
-    r = (stones << 1) & (stones << 2) & (stones << 3)  # vertical
-    for s in DIRECTIONS[1:]:
-        p = (stones << s) & (stones << (2 * s))
-        r |= p & (stones << (3 * s))
-        r |= p & (stones >> s)
-        p = (stones >> s) & (stones >> (2 * s))
-        r |= p & (stones >> (3 * s))
-        r |= p & (stones << s)
-    return r & FULL_MASK & ~filled
 
 
 class ConnectFourState(NamedTuple):
@@ -185,15 +170,3 @@ class ConnectFour(Game):
 
     def action_from_str(self, text: str) -> int:
         return int(text)
-
-    def mirror_lr(self, state: ConnectFourState) -> ConnectFourState:
-        """Reflect the board left-right (column c -> 6-c)."""
-
-        def flip(mask: int) -> int:
-            out = 0
-            for c in range(COLS):
-                col = (mask >> (c * STRIDE)) & ((1 << STRIDE) - 1)
-                out |= col << ((COLS - 1 - c) * STRIDE)
-            return out
-
-        return ConnectFourState(flip(state.mover), flip(state.filled))

@@ -346,9 +346,3 @@ class Minichess(Game):
         frm = _sq(_FILES.index(text[0]), int(text[1]) - 1)
         to = _sq(_FILES.index(text[2]), int(text[3]) - 1)
         return (frm, to)
-
-    def mirror(self, state: MinichessState) -> MinichessState:
-        """Color-swapped position: ranks flipped, cases swapped, mover toggled."""
-        rows = [state.board[r * SIZE:(r + 1) * SIZE] for r in range(SIZE)]
-        board = "".join(reversed(rows)).swapcase()
-        return MinichessState(board, state.side_to_move.opponent, state.ply)

@@ -56,12 +56,6 @@ def parse_tree(text: str):
     return tree
 
 
-def tree_to_text(tree) -> str:
-    if isinstance(tree, list):
-        return "(" + " ".join(tree_to_text(c) for c in tree) + ")"
-    return format(tree, "g")
-
-
 def _letters(i: int) -> str:
     """0 -> A, 25 -> Z, 26 -> AA, ..."""
     out = ""
@@ -107,12 +101,6 @@ class SyntheticTreeGame(Game):
 
     def label(self, state: SyntheticState) -> str:
         return self._labels[state.path]
-
-    def state_for_label(self, label: str) -> SyntheticState:
-        for path, lab in self._labels.items():
-            if lab == label:
-                return SyntheticState(path)
-        raise KeyError(label)
 
     def leaf_value(self, state: SyntheticState) -> float:
         """Root-perspective score stored at a leaf."""

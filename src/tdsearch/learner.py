@@ -17,7 +17,7 @@ collapses to per-step bootstrapping; at lambda=1 (unclipped) it telescopes
 to gradient descent on the final outcome error.
 
 td_update applies the rule to the searched root positions themselves;
-tdleaf_update applies it to the principal-variation leaves, which is what
+tdleaf_delta applies it to the principal-variation leaves, which is what
 makes the rule consistent with the deep searches actually choosing moves.
 
 Positive differences can optionally be clipped: a positive surprise that
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from tdsearch.evaluation import (
+    _G,
     FeatureSet,
     SquashConfig,
     WeightVector,
@@ -126,12 +127,6 @@ class GameTrace:
     outcome: Outcome | None
 
 
-@dataclass(frozen=True)
-class TemporalDifference:
-    t: int
-    d: float
-
-
 def _retained(policy: ClipPolicy, step: StepRecord) -> bool:
     if policy is ClipPolicy.NONE:
         return True
@@ -152,21 +147,16 @@ def temporal_differences(trace: GameTrace, cfg: LearnerConfig):
     r = trace.outcome.for_side(trace.agent_side)
     raw = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
     raw.append(r - vals[-1])
-    out = []
-    for t, d in enumerate(raw):
-        if d > 0.0 and not _retained(cfg.clipping, steps[t]):
-            d = 0.0
-        out.append(TemporalDifference(t, d))
-    return out
+    return [0.0 if d > 0.0 and not _retained(cfg.clipping, step) else d
+            for d, step in zip(raw, steps)]
 
 
 def discounted_difference_sums(diffs, lam: float):
     """S_t = sum_{j>=t} lambda**(j-t) * d_j via S_t = d_t + lambda*S_{t+1}."""
-    ds = [d.d if isinstance(d, TemporalDifference) else float(d) for d in diffs]
-    out = [0.0] * len(ds)
+    out = [0.0] * len(diffs)
     acc = 0.0
-    for i in range(len(ds) - 1, -1, -1):
-        acc = ds[i] + lam * acc
+    for i in range(len(diffs) - 1, -1, -1):
+        acc = diffs[i] + lam * acc
         out[i] = acc
     return out
 
@@ -185,12 +175,6 @@ def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
             # White-perspective gradient at the recorded leaf, at its stored value.
             delta += (c * s) * grad_squashed(step.leaf_features, weights, cfg.squash, step.value)
     return cfg.alpha.at(game_index) * delta
-
-
-def tdleaf_update(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
-                  game_index: int = 0) -> WeightVector:
-    """w + delta; anchored entries stay put because their gradients are zero."""
-    return weights.with_values(weights.values + tdleaf_delta(trace, cfg, weights, game_index))
 
 
 def rebase_on_roots(trace: GameTrace, weights: WeightVector, fs: FeatureSet,
@@ -234,8 +218,6 @@ def td_update(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
 # significant digits, flags are 0/1.  The root hash is the first 16 hex
 # digits of the sha256 of the root text, and the stored PV replays from the
 # root text to the leaf, so updates can be recomputed offline.
-
-_G = "{:.17g}".format
 
 
 def state_hash(game, state) -> str:

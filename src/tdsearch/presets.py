@@ -39,23 +39,19 @@ _PRESETS = {
 def preset_weights(fs: FeatureSet, name: str) -> WeightVector:
     """Resolve a named preset ("zero", "baseline", "material") for a feature set."""
     if name == "zero":
-        return fs.zero_weights()
+        return fs.weights_from({})
     table = _PRESETS.get((fs.id, name))
     if table is None:
         raise KeyError(f"no preset {name!r} for feature set {fs.id!r}")
-    known = {k: v for k, v in table.items() if k in fs.names}
-    return fs.weights_from(known)
-
-
-def default_feature_set_id(game_id: str) -> str:
-    return {"tictactoe": "tictactoe", "connect4": "connect4", "minichess": "minichess"}[game_id]
+    return fs.weights_from(table)
 
 
 def resolve_feature_set(game_id: str, features: str | None) -> FeatureSet:
-    """Map a config's game + optional feature-set name to a FeatureSet."""
-    if features is None:
-        return feature_set(default_feature_set_id(game_id))
-    fs = feature_set(features)
+    """Map a config's game + optional feature-set name to a FeatureSet.
+
+    Each game's default feature set carries the game's own id.
+    """
+    fs = feature_set(game_id if features is None else features)
     if fs.game_id != game_id:
         raise ValueError(f"feature set {features!r} is for {fs.game_id}, not {game_id}")
     return fs

@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from tdsearch.games import connect4 as c4
+from tdsearch.games.connect4 import ConnectFourState
+from tdsearch.games.minichess import MinichessState
 
 MATE = 1.0e6
 
@@ -241,13 +243,17 @@ def c4_features_oracle(game, state):
     ]
 
 
+# Shift distances: vertical, horizontal, the two diagonals.
+C4_DIRECTIONS = (1, c4.STRIDE, c4.STRIDE - 1, c4.STRIDE + 1)
+
+
 # The two loops connect4 ran before its unrolled test and column table,
 # kept as references the faster forms must agree with.
 
 
 def c4_has_alignment_loop(stones):
     """Four in a row, one shift direction at a time."""
-    for s in c4.DIRECTIONS:
+    for s in C4_DIRECTIONS:
         pairs = stones & (stones >> s)
         if pairs & (pairs >> (2 * s)):
             return True
@@ -267,6 +273,33 @@ def c4_fours():
     """Every four-in-a-row on the board as (cells, stone mask), cells (row, col)."""
     return [(cells, sum(1 << (c * c4.STRIDE + r) for r, c in cells))
             for lines in _c4_windows(4).values() for cells in lines]
+
+
+def c4_winning_squares(stones, filled):
+    """Empty playable-board squares that would complete a four for stones,
+    one colour at a time, as the features were computed before packing."""
+    r = (stones << 1) & (stones << 2) & (stones << 3)  # vertical
+    for s in C4_DIRECTIONS[1:]:
+        p = (stones << s) & (stones << (2 * s))
+        r |= p & (stones << (3 * s))
+        r |= p & (stones >> s)
+        p = (stones >> s) & (stones >> (2 * s))
+        r |= p & (stones >> (3 * s))
+        r |= p & (stones << s)
+    return r & c4.FULL_MASK & ~filled
+
+
+def c4_mirror_lr(state):
+    """Reflect the board left-right (column c -> 6-c)."""
+
+    def flip(mask):
+        out = 0
+        for c in range(c4.COLS):
+            col = (mask >> (c * c4.STRIDE)) & ((1 << c4.STRIDE) - 1)
+            out |= col << ((c4.COLS - 1 - c) * c4.STRIDE)
+        return out
+
+    return ConnectFourState(flip(state.mover), flip(state.filled))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +428,13 @@ def mc_legal_moves_oracle(board, white_to_move):
     return sorted(out)
 
 
+def mc_mirror(state):
+    """Color-swapped position: ranks flipped, cases swapped, mover toggled."""
+    rows = [state.board[r * 5:(r + 1) * 5] for r in range(5)]
+    board = "".join(reversed(rows)).swapcase()
+    return MinichessState(board, state.side_to_move.opponent, state.ply)
+
+
 # ---------------------------------------------------------------------------
 # Random-walk position generators
 # ---------------------------------------------------------------------------
@@ -425,6 +465,17 @@ def random_playouts(game, rng):
 
 # A drawn connect4 game: the 42nd move fills the board without a four.
 C4_DRAW_MOVES = "032220653341512250331461110530666440556244"
+
+
+def state_for_label(game, label):
+    """The synthetic-tree state with the given breadth-first label."""
+    queue = [game.initial_state()]
+    while queue:
+        state = queue.pop(0)
+        if game.label(state) == label:
+            return state
+        queue.extend(game.apply(state, a) for a in game.legal_actions(state))
+    raise KeyError(label)
 
 
 def random_tree(rng, depth, branching=(2, 3), value_range=9):

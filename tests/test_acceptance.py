@@ -215,7 +215,7 @@ def test_c04_gradient_finite_difference():
         s = random_position(game, rng, int(rng.integers(0, 8)))
         phi = features_white(fs, s)
         w = rng.normal(scale=0.8, size=fs.k)
-        cfg = fs.squash_config()
+        cfg = SquashConfig()
 
         def value_at(wv):
             return squash(float(phi @ wv), cfg)
@@ -240,7 +240,7 @@ def _played_traces(seed: int):
     fs = feature_set("connect4")
     agent = SearchAgent("a", fs, preset_weights(fs, "baseline"), 2, tie_mode="random")
     rec = play_game(c4, agent, agent, record_sides=(Side.WHITE, Side.BLACK),
-                    squash_cfg=fs.squash_config(), rng=np.random.default_rng((77, seed)))
+                    squash_cfg=SquashConfig(), rng=np.random.default_rng((77, seed)))
     return [tr for tr in rec.traces.values() if tr.steps]
 
 
@@ -254,7 +254,7 @@ def _anchor_zeroed(phi, w):
 def test_c05_update_rule_special_cases():
     fs = feature_set("connect4")
     w = preset_weights(fs, "baseline")
-    squash_cfg = fs.squash_config()
+    squash_cfg = SquashConfig()
     checks = []
     for seed in range(8):
         for tr in _played_traces(seed):
@@ -329,7 +329,7 @@ def test_c07_pool_training_beats_baseline(pool_run):
     base = preset_weights(fs, "baseline")
     t0 = time.monotonic()
     trained_score, trained_tally = _c4_match(trained, base, 400, seed=4707)
-    untrained_score, _ = _c4_match(fs.zero_weights(), base, 400, seed=4707)
+    untrained_score, _ = _c4_match(fs.weights_from({}), base, 400, seed=4707)
     total = pool_run["seconds"] + (time.monotonic() - t0)
     ok = trained_score >= 0.55 and untrained_score <= 0.45 and total < 900.0
     _verdict(7, "pool-training-beats-baseline", ok,

@@ -42,7 +42,7 @@ FS3 = feature_set("tictactoe")
 def small_cfg(**kw):
     defaults = dict(
         lambda_=0.7, alpha=AlphaSchedule(base=0.05),
-        squash=FS3.squash_config(), clipping=ClipPolicy.NONE,
+        squash=SquashConfig(), clipping=ClipPolicy.NONE,
         update_every_n_games=1,
     )
     defaults.update(kw)
@@ -50,7 +50,7 @@ def small_cfg(**kw):
 
 
 def fresh_agent(agent_id="learner", depth=2, tie="random"):
-    return SearchAgent(agent_id, FS3, FS3.zero_weights(), depth, tie_mode=tie)
+    return SearchAgent(agent_id, FS3, FS3.weights_from({}), depth, tie_mode=tie)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_recorded_steps_store_white_perspective_values():
     rng = np.random.default_rng(1)
     agent = fresh_agent()
     rec = play_game(T3, agent, RandomAgent("r"),
-                    record_sides=(Side.WHITE,), squash_cfg=FS3.squash_config(),
+                    record_sides=(Side.WHITE,), squash_cfg=SquashConfig(),
                     rng=rng)
     trace = rec.traces[Side.WHITE]
     assert trace.agent_side is Side.WHITE
@@ -127,7 +127,7 @@ def test_recorded_steps_store_white_perspective_values():
             phi = features_white(FS3, step.leaf)
             assert np.array_equal(step.leaf_features, phi)
             assert step.raw_value == raw_eval(phi, agent.weights)
-            assert step.value == squash(step.raw_value, FS3.squash_config())
+            assert step.value == squash(step.raw_value, SquashConfig())
 
 
 def test_prediction_flags_match_reconstruction():
@@ -137,7 +137,7 @@ def test_prediction_flags_match_reconstruction():
     b = fresh_agent("b")
     for _ in range(30):
         rec = play_game(T3, a, b, record_sides=(Side.WHITE, Side.BLACK),
-                        squash_cfg=FS3.squash_config(), rng=rng)
+                        squash_cfg=SquashConfig(), rng=rng)
         for side in (Side.WHITE, Side.BLACK):
             steps = rec.traces[side].steps
             for t, step in enumerate(steps):
@@ -172,7 +172,7 @@ def test_opening_randomization_skips_recording():
     rng = np.random.default_rng(9)
     agent = fresh_agent()
     rec = play_game(T3, agent, agent, record_sides=(Side.WHITE,),
-                    squash_cfg=FS3.squash_config(), rng=rng,
+                    squash_cfg=SquashConfig(), rng=rng,
                     opening_plies=2, opening_epsilon=1.0)
     trace = rec.traces[Side.WHITE]
     # the first White move fell in the opening window, so no step for ply 0
@@ -268,7 +268,7 @@ def test_train_online_batching_defers_updates(tmp_path):
     train_online(T3, agent, pool, small_cfg(update_every_n_games=2), 4, 7, tmp_path)
     rows = (tmp_path / "ratings.csv").read_text().strip().split("\n")[1:]
     hashes = [r.split(",")[-1] for r in rows]
-    w0 = weights_hash(FS3, FS3.zero_weights())
+    w0 = weights_hash(FS3, FS3.weights_from({}))
     assert hashes[0] == w0          # game 0 accumulated, not applied
     assert hashes[1] != w0          # applied after game 1
     assert hashes[2] == hashes[1]   # game 2 accumulated again
@@ -307,6 +307,38 @@ def test_replay_flags_tampered_log(tmp_path):
     report = replay_traces(T3, FS3, cfg, initial, "\n".join(lines) + "\n")
     assert not report.ok
     assert report.mismatches
+
+
+def test_replay_flags_tampered_mate_distance(tmp_path):
+    # A step whose PV ends in a won or lost position logs +/-(MATE_SCORE - plies).
+    # Moving that mate two plies further away leaves the squashed value (which
+    # saturates) as it was, so only replay's terminal-leaf rule can catch it.
+    cfg = small_cfg()
+    train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                 cfg, 6, 31, tmp_path)
+    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
+    lines = (tmp_path / "traces.log").read_text().splitlines()
+    target = None
+    for n, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "game":
+            game, t = int(parts[1]), -1
+        elif parts[0] == "step":
+            t += 1
+            root = T3.from_text(parts[3].replace("_", " "))
+            leaf = T3.replay([T3.action_from_str(a) for a in parts[4].split(";")], root)
+            if T3.is_terminal(leaf) and T3.outcome(leaf).reward != 0.0:
+                target = n, game, t, float(parts[5])
+                break
+    assert target is not None, "no step with a decisive terminal PV leaf"
+    n, game, t, raw = target
+    tampered = raw - math.copysign(2.0, raw)
+    parts = lines[n].split()
+    parts[5] = repr(tampered)
+    lines[n] = " ".join(parts)
+    report = replay_traces(T3, FS3, cfg, initial, "\n".join(lines) + "\n")
+    assert not report.ok
+    assert report.mismatches == [f"game {game} step {t}: raw {raw!r} != logged {tampered!r}"]
 
 
 def test_train_selfplay_records_and_replays(tmp_path):
@@ -371,7 +403,7 @@ def test_training_leaves_the_agent_unchanged(tmp_path, mode):
     else:
         result = train_selfplay(T3, agent, small_cfg(), 4, 5, tmp_path)
     assert agent.weights is before
-    assert np.array_equal(agent.weights.values, FS3.zero_weights().values)
+    assert np.array_equal(agent.weights.values, FS3.weights_from({}).values)
     assert np.any(result.weights.values != 0.0)  # the learned weights are in the result
 
 
@@ -431,8 +463,8 @@ def test_final_snapshot_is_renamed_into_place(tmp_path, monkeypatch):
 
 
 def test_head_to_head_alternates_and_scores():
-    a = SearchAgent("a", FS3, FS3.zero_weights(), 1, tie_mode="random")
-    b = SearchAgent("b", FS3, FS3.zero_weights(), 1, tie_mode="random")
+    a = SearchAgent("a", FS3, FS3.weights_from({}), 1, tie_mode="random")
+    b = SearchAgent("b", FS3, FS3.weights_from({}), 1, tie_mode="random")
     score, tally = head_to_head(T3, a, b, 20, 17)
     assert tally["wins"] + tally["draws"] + tally["losses"] == 20
     assert 0.0 <= score <= 1.0
@@ -441,10 +473,10 @@ def test_head_to_head_alternates_and_scores():
 
 
 def test_fixed_agent_weights_cannot_drift():
-    w = FS3.zero_weights()
+    w = FS3.weights_from({})
     agent = SearchAgent("f", FS3, w, 1)
     with pytest.raises(AttributeError):
-        agent.weights = FS3.zero_weights()
+        agent.weights = FS3.weights_from({})
 
 
 def test_game_rng_streams_are_decorrelated():
@@ -456,8 +488,8 @@ def test_game_rng_streams_are_decorrelated():
 
 
 def test_weights_hash_tracks_content():
-    w1 = FS3.zero_weights()
+    w1 = FS3.weights_from({})
     w2 = w1.with_values(np.linspace(0, 1, FS3.k))
     assert weights_hash(FS3, w1) != weights_hash(FS3, w2)
-    assert weights_hash(FS3, w1) == weights_hash(FS3, FS3.zero_weights())
+    assert weights_hash(FS3, w1) == weights_hash(FS3, FS3.weights_from({}))
     assert len(weights_hash(FS3, w1)) == 12

@@ -117,7 +117,7 @@ def _fixed_opponent(tmp_path, weights):
 
 def _nan_snapshot(tmp_path):
     fs = feature_set("tictactoe")
-    text = weights_to_text(fs, fs.zero_weights()).replace("cell_3,0", "cell_3,nan")
+    text = weights_to_text(fs, fs.weights_from({})).replace("cell_3,0", "cell_3,nan")
     (tmp_path / "nan.snapshot").write_text(text)
     return _fixed_opponent(tmp_path, {"path": "nan.snapshot"})
 

@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tdsearch.cli import ConfigError, main, parse  # noqa: E402
-from tdsearch.evaluation import feature_set, save_weights  # noqa: E402
+from tdsearch.evaluation import feature_set, weights_to_text  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,7 +42,7 @@ def base(tmp_path_factory):
     """A directory with a snapshot and a finished run, and the configs to edit."""
     root = tmp_path_factory.mktemp("parse")
     fs = feature_set("connect4")
-    save_weights(root / "c4.snapshot", fs, fs.zero_weights())
+    (root / "c4.snapshot").write_text(weights_to_text(fs, fs.weights_from({})), encoding="ascii")
     run = dict(mode="train-online", game="tictactoe", seed=1, games=2, out_dir=str(root / "run"),
                agent=dict(depth=1), learner=dict(alpha=0.1),
                pool=dict(opponents=[dict(type="random", id="r")]))

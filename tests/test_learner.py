@@ -21,13 +21,11 @@ from tdsearch.learner import (
     GameTrace,
     LearnerConfig,
     StepRecord,
-    TemporalDifference,
     discounted_difference_sums,
     rebase_on_roots,
     state_hash,
     td_update,
     tdleaf_delta,
-    tdleaf_update,
     temporal_differences,
     trace_to_log,
     traces_from_log,
@@ -67,22 +65,21 @@ def cfg_of(lam=0.7, alpha=1.0, squash_cfg=OFF, clipping=ClipPolicy.NONE, **kw):
 
 def test_differences_for_white():
     tr = mktrace([0.1, -0.2, 0.3], WIN)
-    ds = [d.d for d in temporal_differences(tr, cfg_of())]
+    ds = temporal_differences(tr, cfg_of())
     assert ds == pytest.approx([-0.3, 0.5, 0.7])
 
 
 def test_differences_for_black_flip_stored_values():
     # stored values are White-centric; a Black agent sees them negated
     tr = mktrace([0.1, -0.2, 0.3], WIN, side=Side.BLACK)
-    ds = [d.d for d in temporal_differences(tr, cfg_of())]
+    ds = temporal_differences(tr, cfg_of())
     assert ds == pytest.approx([0.3, -0.5, -0.7])
 
 
 def test_final_difference_uses_reward_as_terminal_value():
     tr = mktrace([0.4], DRAW)
     (d,) = temporal_differences(tr, cfg_of())
-    assert d.t == 0
-    assert d.d == pytest.approx(-0.4)  # 0 - 0.4
+    assert d == pytest.approx(-0.4)  # 0 - 0.4
 
 
 def test_missing_outcome_rejected():
@@ -116,33 +113,33 @@ def make_clip_trace(predicted, lower):
 def test_positive_difference_clipped_when_unpredicted():
     tr = make_clip_trace(predicted=False, lower=False)
     cfg = cfg_of(clipping=ClipPolicy.UNLESS_PREDICTED)
-    assert [d.d for d in temporal_differences(tr, cfg)] == [0.0, -1.5]
+    assert temporal_differences(tr, cfg) == [0.0, -1.5]
 
 
 def test_positive_difference_kept_when_predicted():
     tr = make_clip_trace(predicted=True, lower=False)
     cfg = cfg_of(clipping=ClipPolicy.UNLESS_PREDICTED)
-    assert [d.d for d in temporal_differences(tr, cfg)] == [0.5, -1.5]
+    assert temporal_differences(tr, cfg) == [0.5, -1.5]
 
 
 def test_negative_differences_never_clipped():
     tr = mktrace([0.9, 0.2], LOSS)
     cfg = cfg_of(clipping=ClipPolicy.UNLESS_PREDICTED)
-    ds = [d.d for d in temporal_differences(tr, cfg)]
+    ds = temporal_differences(tr, cfg)
     assert ds == pytest.approx([-0.7, -1.2])
 
 
 def test_stronger_opponent_variant_keeps_gains_from_equals():
     cfg = cfg_of(clipping=ClipPolicy.UNLESS_PREDICTED_OR_STRONGER)
     kept = make_clip_trace(predicted=False, lower=False)  # peer or stronger
-    assert [d.d for d in temporal_differences(kept, cfg)][0] == 0.5
+    assert temporal_differences(kept, cfg)[0] == 0.5
     dropped = make_clip_trace(predicted=False, lower=True)  # weaker opponent
-    assert [d.d for d in temporal_differences(dropped, cfg)][0] == 0.0
+    assert temporal_differences(dropped, cfg)[0] == 0.0
 
 
 def test_no_clipping_by_default():
     tr = make_clip_trace(predicted=False, lower=True)
-    assert [d.d for d in temporal_differences(tr, cfg_of())] == [0.5, -1.5]
+    assert temporal_differences(tr, cfg_of()) == [0.5, -1.5]
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +155,6 @@ def test_discounted_sums_against_quadratic_oracle():
             got = discounted_difference_sums(ds, lam)
             want = suffix_sums_quadratic(ds, lam)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_discounted_sums_accept_difference_records():
-    ds = [TemporalDifference(0, 1.0), TemporalDifference(1, -2.0)]
-    assert discounted_difference_sums(ds, 0.5) == [0.0, -2.0]
 
 
 def test_lambda_zero_keeps_raw_differences():
@@ -188,7 +180,7 @@ def test_textbook_two_step_update():
     w = WeightVector(np.zeros(2))
     delta = tdleaf_delta(tr, cfg_of(lam=0.7, alpha=1.0), w)
     assert delta[0] == 0.7 and delta[1] == 1.0
-    w2 = tdleaf_update(tr, cfg_of(lam=0.7, alpha=1.0), w)
+    w2 = w.with_values(w.values + delta)
     assert list(w2.values) == [0.7, 1.0]
 
 
@@ -235,10 +227,10 @@ def test_gradient_uses_stored_value_not_current_weights():
 
 def test_anchored_weight_never_moves():
     fs = feature_set("minichess-material")
-    w = fs.zero_weights()
+    w = fs.weights_from({})
     steps = (mkstep([1.0, 1.0, 0.0, 0.0, 0.0], 0.0),)
     tr = GameTrace(Side.WHITE, steps, WIN)
-    w2 = tdleaf_update(tr, cfg_of(squash_cfg=fs.squash_config()), w)
+    w2 = w.with_values(w.values + tdleaf_delta(tr, cfg_of(squash_cfg=SquashConfig()), w))
     assert w2.values[0] == 1.0
     assert w2.values[1] > 0.0
 
@@ -278,7 +270,7 @@ def test_schedule_validation():
 
 def test_rebase_replaces_leaves_with_roots():
     fs = feature_set("tictactoe")
-    squash_cfg = fs.squash_config()
+    squash_cfg = SquashConfig()
     w = WeightVector(np.linspace(-0.4, 0.5, fs.k))
     root = T3.initial_state()
     leaf = T3.apply(T3.apply(root, 4), 0)
@@ -303,7 +295,7 @@ def test_rebase_replaces_leaves_with_roots():
 def test_td_update_equals_leaf_update_at_depth_zero():
     # when every leaf IS its root the two rules coincide bitwise
     fs = feature_set("tictactoe")
-    squash_cfg = fs.squash_config()
+    squash_cfg = SquashConfig()
     rng = np.random.default_rng(42)
     w = WeightVector(rng.normal(size=fs.k) * 0.1)
     root = T3.initial_state()
@@ -337,7 +329,7 @@ def _played_trace():
     agent = SearchAgent("a", fs, WeightVector(rng.normal(size=fs.k) * 0.2), 2)
     rec = play_game(
         T3, agent, RandomAgent("r"),
-        record_sides=(Side.WHITE,), squash_cfg=fs.squash_config(), rng=rng,
+        record_sides=(Side.WHITE,), squash_cfg=SquashConfig(), rng=rng,
     )
     return fs, rec.traces[Side.WHITE]
 

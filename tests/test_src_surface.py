@@ -1,0 +1,50 @@
+"""Guard: every definition in src/tdsearch is reached from src/tdsearch.
+
+A top-level function or class, or a non-dunder method, whose name no
+ast.Name or ast.Attribute anywhere in src/ refers to (references inside its
+own body do not count) is code that only tests reach.  Such code belongs in
+tests/ (oracles.py for reference implementations) or nowhere.  Imports and
+__all__ strings are not references, so a re-export does not keep a name
+alive.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tdsearch"
+
+# td_update is the root-based TD(lambda) rule, the paper's comparator for
+# TDLeaf(lambda); no run mode uses it, the acceptance checks do.
+ALLOWED = {"td_update"}
+
+
+def _definitions(module):
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced(root=SRC):
+    """(name, "file:line qualname") for each definition nothing else names."""
+    modules = {path.relative_to(root).as_posix(): ast.parse(path.read_text(), str(path))
+               for path in sorted(root.rglob("*.py"))}
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for module in modules.values() for node in ast.walk(module)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for rel, module in modules.items():
+        for qualname, node in _definitions(module):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and id(ref) not in own for name, ref in refs):
+                found.append((node.name, f"{rel}:{node.lineno} {qualname}"))
+    return found
+
+
+def test_every_src_definition_is_referenced_from_src():
+    found = [where for name, where in unreferenced() if name not in ALLOWED]
+    assert not found, "defined in src/tdsearch but never referenced there:\n" + "\n".join(found)

@@ -1,18 +1,19 @@
 import pytest
 
+from oracles import state_for_label
 from tdsearch.games.base import Side
 from tdsearch.games.synthetic import (
     SyntheticTreeGame,
     TIED_PV_TREE,
     UNIQUE_PV_TREE,
     parse_tree,
-    tree_to_text,
 )
 
 
 def test_parse_round_trip():
-    for text in (UNIQUE_PV_TREE, TIED_PV_TREE, "(1 (2 3) ((4) 5))"):
-        assert tree_to_text(parse_tree(text)) == text
+    assert parse_tree(UNIQUE_PV_TREE) == [[[3, -9], [-5, -6]], [[4, 2], [-9, 5]]]
+    assert parse_tree(TIED_PV_TREE) == [[[4, -9], [10, 8]], [[4, 2], [-9, 5]]]
+    assert parse_tree("(1 (2 3) ((4) 5))") == [1, [2, 3], [[4], 5]]
     assert parse_tree("(1 2)") == [1, 2]
     assert parse_tree("((1 2) 3)") == [[1, 2], 3]
 
@@ -34,14 +35,14 @@ def test_reference_trees_shape():
     b = g.apply(root, 0)
     c = g.apply(root, 1)
     assert g.label(b) == "B" and g.label(c) == "C"
-    leaf = g.state_for_label("L")
+    leaf = state_for_label(g, "L")
     assert g.legal_actions(leaf) == []
     assert g.leaf_value(leaf) == 4.0
 
 
 def test_leaf_values_match_text():
     g = SyntheticTreeGame(UNIQUE_PV_TREE)
-    values = {lbl: g.leaf_value(g.state_for_label(lbl))
+    values = {lbl: g.leaf_value(state_for_label(g, lbl))
               for lbl in "HIJKLMNO"}
     assert values == {"H": 3.0, "I": -9.0, "J": -5.0, "K": -6.0,
                       "L": 4.0, "M": 2.0, "N": -9.0, "O": 5.0}
@@ -49,7 +50,7 @@ def test_leaf_values_match_text():
 
 def test_evaluator_is_side_to_move_relative():
     g = SyntheticTreeGame(UNIQUE_PV_TREE)
-    leaf = g.state_for_label("L")  # depth 3, Black to move
+    leaf = state_for_label(g, "L")  # depth 3, Black to move
     assert leaf.side_to_move is Side.BLACK
     assert g.evaluator(leaf) == -4.0
     g2 = SyntheticTreeGame("(7 (1 2))")
@@ -66,8 +67,8 @@ def test_mid_nodes_have_no_leaf_value():
 
 def test_tied_tree_has_two_best_leaves():
     g = SyntheticTreeGame(TIED_PV_TREE)
-    h = g.state_for_label("H")
-    l = g.state_for_label("L")
+    h = state_for_label(g, "H")
+    l = state_for_label(g, "L")
     assert g.leaf_value(h) == 4.0 and g.leaf_value(l) == 4.0
 
 

@@ -36,7 +36,7 @@ def logs(tmp_path_factory):
     for game_id, (fs_id, games) in RUNS.items():
         fs = feature_set(fs_id)
         run_dir = tmp_path_factory.mktemp(game_id)
-        agent = SearchAgent("learner", fs, fs.zero_weights(), 1, tie_mode="random")
+        agent = SearchAgent("learner", fs, fs.weights_from({}), 1, tie_mode="random")
         train_online(GAMES[game_id], agent, OpponentPool([RandomAgent("rnd")]),
                      LearnerConfig(), games, 3, run_dir)
         out[game_id] = (run_dir / "traces.log").read_text()
