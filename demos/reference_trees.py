@@ -8,7 +8,7 @@ tree's two equal leaves surface under randomized tie-breaking.
 """
 
 from tdsearch.games.synthetic import TIED_PV_TREE, UNIQUE_PV_TREE, SyntheticTreeGame
-from tdsearch.search import TieBreakPolicy, alphabeta, minimax
+from tdsearch.search import alphabeta, minimax
 
 # The fixture format is a parenthesized nested list; leaves are scores for
 # the side to move at the root.
@@ -25,7 +25,7 @@ for algo in (minimax, alphabeta):
     print(f"  {algo.__name__:9s} value {res.value:+.0f}, line {path}")
 
 # A second tree where two leaves tie for the optimal value.  First-found
-# tie-breaking always lands on the earlier leaf; the uniform policy reaches
+# tie-breaking always lands on the earlier leaf; a tie-break seed reaches
 # both across seeds.
 print("tied-PV tree:", TIED_PV_TREE)
 game = SyntheticTreeGame(TIED_PV_TREE)
@@ -36,8 +36,7 @@ print(f"  first-found leaf: {game.label(res.leaf)} (value {res.value:+.0f})")
 
 seen = {}
 for seed in range(40):
-    res = alphabeta(game, root, game.max_depth(), game.evaluator,
-                    tie=TieBreakPolicy.uniform_random(seed))
+    res = alphabeta(game, root, game.max_depth(), game.evaluator, seed=seed)
     leaf = game.label(res.leaf)
     seen[leaf] = seen.get(leaf, 0) + 1
 print(f"  randomized over 40 seeds: {dict(sorted(seen.items()))}")

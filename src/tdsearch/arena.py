@@ -48,7 +48,7 @@ from tdsearch.learner import (
     trace_to_log,
     traces_from_log,
 )
-from tdsearch.search import FIRST_FOUND, TieBreakPolicy, alphabeta, terminal_score
+from tdsearch.search import alphabeta, terminal_score
 
 INITIAL_RATING = 1500.0
 K_FACTOR = 32.0
@@ -128,12 +128,9 @@ class SearchAgent:
         _check_id(self.id)
 
     def select_move(self, game, state, rng):
-        if self.tie_mode == "random":
-            tie = TieBreakPolicy.uniform_random(int(rng.integers(2**63)))
-        else:
-            tie = FIRST_FOUND
+        seed = int(rng.integers(2**63)) if self.tie_mode == "random" else None
         result = alphabeta(
-            game, state, self.depth, linear_evaluator(self.fs, self.weights), tie
+            game, state, self.depth, linear_evaluator(self.fs, self.weights), seed
         )
         return result.pv[0], result
 
@@ -162,65 +159,58 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig =
     For the first opening_plies plies, a uniformly random move replaces the
     seat's normal choice with probability opening_epsilon (no trace step is
     recorded for a substituted move).  An illegal move aborts the game and
-    scores it as a loss for the offender.
+    scores it as a loss for the offender.  Prediction flags are set once the
+    game is over, from the moves actually played.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     rating_lower = rating_lower or {}
     record_sides = tuple(record_sides)
     state = game.initial_state()
-    steps = {side: [] for side in record_sides}
-    expected_reply = {side: None for side in record_sides}
+    seats = {Side.WHITE: white, Side.BLACK: black}
+    searched = {side: [] for side in record_sides}  # (move index, root, result)
+    played = []  # every action tried, an illegal last one included
     nodes = {Side.WHITE: 0, Side.BLACK: 0}
-    moves = 0
     fault = None
-    last_mover = None
-    outcome = None
 
-    while not game.is_terminal(state):
+    while (outcome := game.outcome(state)) is None:
         side = state.side_to_move
-        mover = white if side is Side.WHITE else black
-        action = None
-        result = None
-        if moves < opening_plies and opening_epsilon > 0.0 and rng.random() < opening_epsilon:
+        if len(played) < opening_plies and opening_epsilon > 0.0 and rng.random() < opening_epsilon:
             actions = game.legal_actions(state)
             action = actions[int(rng.integers(len(actions)))]
         else:
-            action, result = mover.select_move(game, state, rng)
-        # Resolve the other seat's pending prediction against this reply.
-        opp = side.opponent
-        if opp in expected_reply and steps[opp]:
-            pred = expected_reply[opp]
-            if pred is not None:
-                steps[opp][-1] = replace(steps[opp][-1], opponent_move_predicted=action == pred)
-                expected_reply[opp] = None
-        if result is not None:
-            nodes[side] += result.nodes
-            if side in expected_reply:
-                steps[side].append(_make_step(game, mover.fs, state, result, squash_cfg,
-                                              rating_lower.get(side, False)))
-                expected_reply[side] = result.pv[1] if len(result.pv) > 1 else None
+            action, result = seats[side].select_move(game, state, rng)
+            if result is not None:
+                nodes[side] += result.nodes
+                if side in searched:
+                    searched[side].append((len(played), state, result))
+        played.append(action)
         try:
             state = game.apply(state, action)
         except IllegalMoveError:
             fault = side
             outcome = Outcome(float(side.opponent.sign))
             break
-        moves += 1
-        last_mover = side
 
-    if outcome is None:
-        outcome = game.outcome(state)
-    # The agent's own move ended the game: its prediction is vacuously true.
-    if last_mover in expected_reply and fault is None and steps[last_mover]:
-        steps[last_mover][-1] = replace(steps[last_mover][-1], opponent_move_predicted=True)
+    def predicted(m, pv):
+        # Did the reply played after move m match the PV's second ply?  A
+        # searched move that ended the game predicted vacuously, unless it
+        # was the illegal move that forfeited it.
+        if m + 1 < len(played):
+            return len(pv) > 1 and played[m + 1] == pv[1]
+        return fault is None
 
     traces = {
-        side: GameTrace(side, tuple(steps[side]), outcome) for side in record_sides
+        side: GameTrace(side, tuple(
+            _make_step(game, seats[side].fs, root, result, squash_cfg,
+                       rating_lower.get(side, False), predicted(m, result.pv))
+            for m, root, result in searched[side]), outcome)
+        for side in record_sides
     }
+    moves = len(played) - (fault is not None)
     return MatchRecord(white.id, black.id, outcome, traces, moves, nodes, fault)
 
 
-def _make_step(game, fs, root, result, squash_cfg, lower: bool) -> StepRecord:
+def _make_step(game, fs, root, result, squash_cfg, lower: bool, predicted: bool) -> StepRecord:
     raw_white = result.value * root.side_to_move.sign
     return StepRecord(
         root=root,
@@ -229,7 +219,7 @@ def _make_step(game, fs, root, result, squash_cfg, lower: bool) -> StepRecord:
         leaf_features=leaf_features_white(game, fs, result.leaf),
         value=squash(raw_white, squash_cfg),
         raw_value=raw_white,
-        opponent_move_predicted=False,
+        opponent_move_predicted=predicted,
         opponent_rating_lower=lower,
     )
 
@@ -501,9 +491,9 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
             found.append(f"game {i}: seat blocks repeated or out of order")
         for trace in traces:
             for t, step in enumerate(trace.steps):
-                if game.is_terminal(step.leaf):
+                if (outcome := game.outcome(step.leaf)) is not None:
                     leaf = step.leaf
-                    expect_raw = terminal_score(game, leaf, len(step.pv)) * leaf.side_to_move.sign
+                    expect_raw = terminal_score(outcome, leaf, len(step.pv)) * leaf.side_to_move.sign
                 else:
                     expect_raw = raw_eval(step.leaf_features, weights)
                 if expect_raw != step.raw_value:

@@ -40,7 +40,7 @@ from tdsearch.evaluation import SquashConfig, load_weights
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
 from tdsearch.presets import preset_weights, resolve_feature_set
-from tdsearch.search import TieBreakPolicy, alphabeta, minimax
+from tdsearch.search import alphabeta, minimax
 
 MODES = ("train-online", "train-selfplay", "head-to-head", "replay", "verify-figures")
 NUMBER = (int, float)
@@ -187,6 +187,8 @@ def parse(cfg: dict, config_dir: Path):
                       top.get("snapshot_every", int, 0, lo=0))
             if mode == "train-online":
                 pool = _pool(_Section(top.get("pool", dict), "pool"), fs, config_dir)
+                if any(opp.id == agent.id for opp in pool.opponents):
+                    raise ConfigError(f"config: agent id {agent.id!r} is also a pool opponent's id")
                 run = partial(_run_training, *common, pool=pool)
             else:
                 sp = _Section(top.get("selfplay", dict, {}), "selfplay")
@@ -353,8 +355,7 @@ def _run_verify_figures(seed, trials, out_dir, quiet) -> int:
 
     seen = set()
     for t in range(trials):
-        res = minimax(tied, troot, depth, tied.evaluator,
-                      TieBreakPolicy.uniform_random(seed + t))
+        res = minimax(tied, troot, depth, tied.evaluator, seed + t)
         if res.value != 4.0:
             seen = set()
             break

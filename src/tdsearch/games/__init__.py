@@ -5,7 +5,6 @@ from tdsearch.games.base import (
     Game,
     IllegalMoveError,
     LOSS,
-    NonTerminalError,
     Outcome,
     Side,
     WIN,
@@ -32,7 +31,6 @@ __all__ = [
     "Game",
     "IllegalMoveError",
     "LOSS",
-    "NonTerminalError",
     "Outcome",
     "Side",
     "WIN",

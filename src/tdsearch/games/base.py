@@ -34,10 +34,6 @@ class IllegalMoveError(ValueError):
     """Raised by apply() when the action is not legal in the given state."""
 
 
-class NonTerminalError(ValueError):
-    """Raised by outcome() when the state is not terminal."""
-
-
 @dataclass(frozen=True)
 class Outcome:
     """Terminal result, stored from White's perspective: +1 / 0 / -1."""
@@ -60,9 +56,11 @@ class Game:
     deterministic: apply(s, a) is a function of its arguments alone, so any
     recorded action sequence replays to field-identical states.  Stochastic
     games are out of scope.
-    """
 
-    game_id: str = ""
+    outcome() is the one terminal rule a game writes: it returns the result
+    of a finished game and None while play goes on, and is_terminal is
+    derived from it.
+    """
 
     def initial_state(self):
         raise NotImplementedError
@@ -71,8 +69,8 @@ class Game:
         """Ordered list of legal actions; deterministic order.
 
         A terminal state has no legal actions: legal_actions returns [] for
-        every state where is_terminal is true.  The search relies on this
-        and calls is_terminal only at depth-0 leaves and at nodes whose list
+        every state whose outcome is not None.  The search relies on this
+        and calls outcome only at depth-0 leaves and at nodes whose list
         came back empty.  The converse may fail (a synthetic tree's dead end
         is empty but not terminal); such a node is scored by the evaluator.
         """
@@ -89,12 +87,12 @@ class Game:
         """
         return self.apply(state, action)
 
-    def is_terminal(self, state) -> bool:
+    def outcome(self, state) -> Outcome | None:
+        """White-perspective result of a terminal state; None if play goes on."""
         raise NotImplementedError
 
-    def outcome(self, state) -> Outcome:
-        """White-perspective result of a terminal state."""
-        raise NotImplementedError
+    def is_terminal(self, state) -> bool:
+        return self.outcome(state) is not None
 
     # -- text round-trip interfaces -------------------------------------
 
@@ -105,10 +103,11 @@ class Game:
         raise NotImplementedError
 
     def action_to_str(self, action) -> str:
-        raise NotImplementedError
+        """Move token for a trace log; the default suits integer actions."""
+        return str(action)
 
     def action_from_str(self, text: str):
-        raise NotImplementedError
+        return int(text)
 
     def replay(self, actions, state=None):
         """Fold apply() over an action sequence from state (default initial)."""

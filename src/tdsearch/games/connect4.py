@@ -13,10 +13,11 @@ from typing import NamedTuple
 from tdsearch.games.base import (
     BLACK,
     DRAW,
+    LOSS,
     WHITE,
+    WIN,
     Game,
     IllegalMoveError,
-    NonTerminalError,
     Outcome,
     Side,
 )
@@ -86,8 +87,6 @@ class ConnectFourState(NamedTuple):
 
 
 class ConnectFour(Game):
-    game_id = "connect4"
-
     def initial_state(self) -> ConnectFourState:
         return ConnectFourState(0, 0)
 
@@ -113,17 +112,13 @@ class ConnectFour(Game):
         cell = (filled + BOTTOM_BIT[action]) & COLUMN_MASK[action]
         return ConnectFourState(filled ^ state.mover, filled | cell)
 
-    def is_terminal(self, state: ConnectFourState) -> bool:
+    def outcome(self, state: ConnectFourState) -> Outcome | None:
+        # Only the player who just moved can have completed a four; an odd
+        # stone count means that was White.
         filled = state.filled
-        return has_alignment(filled ^ state.mover) or filled == FULL_MASK
-
-    def outcome(self, state: ConnectFourState) -> Outcome:
-        # Only the player who just moved can have completed a four.
-        if has_alignment(state.opponent_stones):
-            return Outcome(float(state.side_to_move.opponent.sign))
-        if state.filled == FULL_MASK:
-            return DRAW
-        raise NonTerminalError("position is not terminal")
+        if has_alignment(filled ^ state.mover):
+            return WIN if filled.bit_count() & 1 else LOSS
+        return DRAW if filled == FULL_MASK else None
 
     # -- text round trip: rows top-down, 'X' White, 'O' Black ------------
 
@@ -164,9 +159,3 @@ class ConnectFour(Game):
                 raise ValueError(f"floating stones in column {c}")
         mover = white if nw == nb else black
         return ConnectFourState(mover, filled)
-
-    def action_to_str(self, action: int) -> str:
-        return str(action)
-
-    def action_from_str(self, text: str) -> int:
-        return int(text)

@@ -21,7 +21,6 @@ from tdsearch.games.base import (
     WHITE,
     Game,
     IllegalMoveError,
-    NonTerminalError,
     Outcome,
     Side,
 )
@@ -240,8 +239,6 @@ def has_any_legal(board: str, side: Side) -> bool:
 
 
 class Minichess(Game):
-    game_id = "minichess"
-
     def initial_state(self) -> MinichessState:
         return MinichessState(INITIAL_BOARD, WHITE, 0)
 
@@ -273,18 +270,12 @@ class Minichess(Game):
             _edit(state.board, action), state.side_to_move.opponent, state.ply + 1
         )
 
-    def is_terminal(self, state: MinichessState) -> bool:
-        return state.ply >= PLY_CAP or not has_any_legal(state.board, state.side_to_move)
-
-    def outcome(self, state: MinichessState) -> Outcome:
+    def outcome(self, state: MinichessState) -> Outcome | None:
         # Mate/stalemate take precedence if both trip at the cap.
-        if not has_any_legal(state.board, state.side_to_move):
-            if in_check(state.board, state.side_to_move):
-                return Outcome(float(state.side_to_move.opponent.sign))
-            return DRAW
-        if state.ply >= PLY_CAP:
-            return DRAW
-        raise NonTerminalError("position is not terminal")
+        board, side = state.board, state.side_to_move
+        if has_any_legal(board, side):
+            return DRAW if state.ply >= PLY_CAP else None
+        return Outcome(float(side.opponent.sign)) if in_check(board, side) else DRAW
 
     # -- text round trip: placement top rank first / side / ply ----------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from tdsearch.games.base import BLACK, WHITE, Game, IllegalMoveError, NonTerminalError, Side
+from tdsearch.games.base import BLACK, WHITE, Game, IllegalMoveError, Side
 
 # Two bundled reference trees, both with root value 4 at depth 3.  The first
 # has a unique principal variation ending at leaf L; in the second both
@@ -79,8 +79,6 @@ class SyntheticState(NamedTuple):
 
 
 class SyntheticTreeGame(Game):
-    game_id = "synthetic-tree"
-
     def __init__(self, tree):
         self.tree = parse_tree(tree) if isinstance(tree, str) else tree
         self._labels = {}
@@ -138,11 +136,8 @@ class SyntheticTreeGame(Game):
             raise IllegalMoveError(f"bad child index {action!r}")
         return SyntheticState((*state.path, action))
 
-    def is_terminal(self, state: SyntheticState) -> bool:
-        return False  # leaves are evaluator stops, not game results
-
-    def outcome(self, state: SyntheticState):
-        raise NonTerminalError("synthetic trees have no terminal outcomes")
+    def outcome(self, state: SyntheticState) -> None:
+        return None  # leaves are evaluator stops, not game results
 
     def to_text(self, state: SyntheticState) -> str:
         return "/".join(str(i) for i in state.path) if state.path else "root"
@@ -152,9 +147,3 @@ class SyntheticTreeGame(Game):
         if text == "root":
             return SyntheticState(())
         return SyntheticState(tuple(int(t) for t in text.split("/")))
-
-    def action_to_str(self, action: int) -> str:
-        return str(action)
-
-    def action_from_str(self, text: str) -> int:
-        return int(text)

@@ -10,7 +10,6 @@ from tdsearch.games.base import (
     WHITE,
     Game,
     IllegalMoveError,
-    NonTerminalError,
     Outcome,
     Side,
 )
@@ -36,8 +35,6 @@ class TicTacToeState(NamedTuple):
 
 
 class TicTacToe(Game):
-    game_id = "tictactoe"
-
     def initial_state(self) -> TicTacToeState:
         return TicTacToeState((0,) * 9, WHITE, 0)
 
@@ -55,16 +52,11 @@ class TicTacToe(Game):
         board[action] = state.side_to_move.sign
         return TicTacToeState(tuple(board), state.side_to_move.opponent, state.ply + 1)
 
-    def is_terminal(self, state: TicTacToeState) -> bool:
-        return self._winner(state.board) != 0 or state.ply == 9
-
-    def outcome(self, state: TicTacToeState) -> Outcome:
+    def outcome(self, state: TicTacToeState) -> Outcome | None:
         w = self._winner(state.board)
         if w != 0:
             return Outcome(float(w))
-        if state.ply == 9:
-            return DRAW
-        raise NonTerminalError("position is not terminal")
+        return DRAW if state.ply == 9 else None
 
     @staticmethod
     def _winner(board) -> int:
@@ -95,9 +87,3 @@ class TicTacToe(Game):
             raise ValueError(f"unreachable mark counts in {text!r}")
         side = WHITE if xs == os else BLACK
         return TicTacToeState(board, side, xs + os)
-
-    def action_to_str(self, action: int) -> str:
-        return str(action)
-
-    def action_from_str(self, text: str) -> int:
-        return int(text)

@@ -10,19 +10,24 @@ is exact.
 Each node is handled in one pass: the depth test first, then move
 generation, so no moves are generated at depth-0 leaves and interior nodes
 generate their moves once.  Only a depth-0 leaf or a node whose action list
-came back empty is a leaf; the terminal test runs there alone and picks its
-score.  This relies on the Game.legal_actions rule that a terminal state has
-no legal actions.  Terminal positions score +/-(MATE_SCORE - ply) from the
-winner's perspective, so forced wins dominate any static evaluation and
-faster wins are preferred.  The evaluator is only ever invoked on
-non-terminal leaves.  A non-terminal node with no legal actions (possible
-only in synthetic trees) is scored by the evaluator at any depth.
+came back empty is a leaf; one Game.outcome call there tells a terminal
+from an evaluator stop and gives the terminal's result.  This relies on the
+Game.legal_actions rule that a terminal state has no legal actions.
+Terminal positions score +/-(MATE_SCORE - ply) from the winner's
+perspective, so forced wins dominate any static evaluation and faster wins
+are preferred.  The evaluator is only ever invoked on non-terminal leaves.
+A non-terminal node with no legal actions (possible only in synthetic
+trees) is scored by the evaluator at any depth.
 
 In alphabeta, depth-1 nodes score their children in place: each child is
 built, terminal-tested and scored inside the parent's loop, with no call
 per leaf, in the same order and with the same node count and cut-offs.
-The "random" tie-break shuffles with this module's own Fisher-Yates
-(shuffle), which draws from the generator exactly as Random.shuffle does.
+
+Ties between equal-valued moves go to the first move found unless a seed
+is given; then random.Random(seed) breaks them, freshly per search, so one
+seed yields one SearchResult.  Alphabeta shuffles with this module's own
+Fisher-Yates (shuffle), which draws from the generator exactly as
+Random.shuffle does.
 
 No iterative deepening, transposition tables, or quiescence extensions:
 searches are plain fixed-depth.
@@ -39,59 +44,28 @@ _NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class TieBreakPolicy:
-    """How a search resolves equal-valued moves.
-
-    "first" keeps the first move found (deterministic given move order).
-    "random" resolves ties with a generator freshly seeded per search, so
-    the same policy object yields the same SearchResult on repeated calls.
-    """
-
-    mode: str = "first"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("first", "random"):
-            raise ValueError(f"bad tie-break mode {self.mode!r}")
-
-    @classmethod
-    def first_found(cls) -> "TieBreakPolicy":
-        return cls("first")
-
-    @classmethod
-    def uniform_random(cls, seed: int) -> "TieBreakPolicy":
-        return cls("random", seed)
-
-
-FIRST_FOUND = TieBreakPolicy.first_found()
-
-
-@dataclass(frozen=True)
 class SearchResult:
     value: float  # root side-to-move perspective
     pv: tuple     # principal variation, actions from the root
     leaf: object  # state reached by following pv
-    depth: int
     nodes: int    # number of leaf scorings
 
 
-def terminal_score(game, state, ply: int) -> float:
-    """Side-to-move score of a terminal state ply levels below the root."""
-    r = game.outcome(state).for_side(state.side_to_move)
-    return r * (MATE_SCORE - ply)
+def terminal_score(outcome, state, ply: int) -> float:
+    """Side-to-move score of state, whose outcome is given, ply levels below the root."""
+    return outcome.reward * state.side_to_move.sign * (MATE_SCORE - ply)
 
 
-def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND) -> SearchResult:
+def minimax(game, root, depth: int, evaluator, seed: int | None = None) -> SearchResult:
     """Full-width negamax to the given depth.
 
-    Ties between equal-valued moves are resolved per policy at every node;
-    "random" picks uniformly among the argmax set.
+    With a seed, every node picks uniformly among its tied best moves.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rng = random.Random(tie.seed) if tie.mode == "random" else None
+    rng = None if seed is None else random.Random(seed)
     apply = game.apply_trusted
-    is_terminal = game.is_terminal
+    outcome = game.outcome
     legal = game.legal_actions
     nodes = 0
 
@@ -99,8 +73,8 @@ def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND
         nonlocal nodes
         if d == 0 or not (actions := legal(state)):
             nodes += 1
-            if is_terminal(state):
-                return terminal_score(game, state, ply), (), state
+            if (o := outcome(state)) is not None:
+                return terminal_score(o, state, ply), (), state
             return evaluator(state), (), state
         results = []
         best = _NEG_INF
@@ -115,7 +89,7 @@ def minimax(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND
         return v, (a, *pv), leaf
 
     value, pv, leaf = rec(root, depth, 0)
-    return SearchResult(value, pv, leaf, depth, nodes)
+    return SearchResult(value, pv, leaf, nodes)
 
 
 def shuffle(x: list, getrandbits) -> None:
@@ -135,12 +109,12 @@ def shuffle(x: list, getrandbits) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOUND) -> SearchResult:
+def alphabeta(game, root, depth: int, evaluator, seed: int | None = None) -> SearchResult:
     """Negamax with alpha-beta pruning; value identical to minimax.
 
-    Under the "random" policy the move order is shuffled per node with a
-    generator seeded once per search.  That randomizes which of several
-    tied principal variations is reported (pruning makes an exactly uniform
+    With a seed, the move order is shuffled per node with a generator
+    seeded once per search.  That randomizes which of several tied
+    principal variations is reported (pruning makes an exactly uniform
     choice ill-defined) without affecting the value.
 
     A depth-1 node scores its children in its own loop, in the order and
@@ -149,9 +123,9 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    getrandbits = random.Random(tie.seed).getrandbits if tie.mode == "random" else None
+    getrandbits = None if seed is None else random.Random(seed).getrandbits
     apply = game.apply_trusted
-    is_terminal = game.is_terminal
+    outcome = game.outcome
     legal = game.legal_actions
     nodes = 0
 
@@ -159,8 +133,8 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
         nonlocal nodes
         if d == 0 or not (actions := legal(state)):
             nodes += 1
-            if is_terminal(state):
-                return terminal_score(game, state, ply), (), state
+            if (o := outcome(state)) is not None:
+                return terminal_score(o, state, ply), (), state
             return evaluator(state), (), state
         if getrandbits is not None and len(actions) > 1:
             actions = list(actions)
@@ -172,8 +146,8 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
             for a in actions:
                 child = apply(state, a)
                 nodes += 1
-                if is_terminal(child):
-                    v = -terminal_score(game, child, ply + 1)
+                if (o := outcome(child)) is not None:
+                    v = -terminal_score(o, child, ply + 1)
                 else:
                     v = -evaluator(child)
                 if first or v > best_v:
@@ -197,4 +171,4 @@ def alphabeta(game, root, depth: int, evaluator, tie: TieBreakPolicy = FIRST_FOU
         return best_v, (best_a, *best_pv), best_leaf
 
     value, pv, leaf = rec(root, depth, _NEG_INF, float("inf"), 0)
-    return SearchResult(value, pv, leaf, depth, nodes)
+    return SearchResult(value, pv, leaf, nodes)

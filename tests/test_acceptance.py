@@ -42,7 +42,7 @@ from tdsearch.learner import (
 )
 from tdsearch.arena import SearchAgent, head_to_head, play_game
 from tdsearch.presets import preset_weights
-from tdsearch.search import MATE_SCORE, TieBreakPolicy, alphabeta, minimax
+from tdsearch.search import MATE_SCORE, alphabeta, minimax
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OFF = SquashConfig.disabled()
@@ -151,8 +151,7 @@ def test_c02_reference_trees():
     # randomized tie-breaking reaches both tied leaves within the trial budget
     seen = set()
     for i in range(200):
-        res = alphabeta(tied, tied.initial_state(), tied.max_depth(), tied.evaluator,
-                        tie=TieBreakPolicy.uniform_random(i))
+        res = alphabeta(tied, tied.initial_state(), tied.max_depth(), tied.evaluator, seed=i)
         seen.add(tied.label(res.leaf))
         if seen == {"H", "L"}:
             break

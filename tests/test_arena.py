@@ -156,6 +156,46 @@ def test_prediction_flags_match_reconstruction():
                     assert step.opponent_move_predicted == want
 
 
+class PlayedMoves(type(T3)):
+    """Tic-tac-toe that logs the moves play_game applies (the search applies
+    its moves through apply_trusted, which skips the log)."""
+
+    def __init__(self):
+        self.played = []
+
+    def apply(self, state, action):
+        self.played.append(action)
+        return super().apply(state, action)
+
+    def apply_trusted(self, state, action):
+        return super().apply(state, action)
+
+
+def test_prediction_flags_follow_the_moves_played():
+    # Every flag, recomputed from the game's move list: the reply played
+    # after the step's move equals pv[1], or the step's own move ended the
+    # game.  Random opening moves must not count as a seat's own last move.
+    agent = fresh_agent()
+    checked = 0
+    for i in range(100):
+        game = PlayedMoves()
+        rec = play_game(game, agent, agent, record_sides=(Side.WHITE, Side.BLACK),
+                        rng=game_rng(1, i), opening_plies=9, opening_epsilon=0.5)
+        played = game.played
+        assert rec.moves == len(played) and rec.fault is None
+        for side in (Side.WHITE, Side.BLACK):
+            for step in rec.traces[side].steps:
+                m = step.root.ply
+                assert played[m] == step.pv[0]
+                if m + 1 == len(played):
+                    want = True
+                else:
+                    want = len(step.pv) > 1 and played[m + 1] == step.pv[1]
+                assert step.opponent_move_predicted == want, (i, side, m)
+                checked += 1
+    assert checked > 300
+
+
 def test_faulty_agent_forfeits():
     class Cheater:
         id = "cheater"
@@ -289,24 +329,37 @@ def test_replay_recovers_online_run_exactly(tmp_path):
     assert np.array_equal(report.weights.values, result.weights.values)
 
 
-def test_replay_flags_tampered_log(tmp_path):
-    agent = fresh_agent()
-    pool = OpponentPool([RandomAgent("rnd")], "uniform")
+def _tampered_replay(tmp_path, field):
+    """Replay of a short online run whose first step has logged field `field`
+    changed; returns (report, logged value, tampered value)."""
     cfg = small_cfg()
-    train_online(T3, agent, pool, cfg, 5, 31, tmp_path)
+    train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                 cfg, 5, 31, tmp_path)
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
-    text = (tmp_path / "traces.log").read_text()
-    lines = text.splitlines()
-    # nudge one logged squashed value
-    for i, line in enumerate(lines):
-        if line.startswith("step"):
-            parts = line.split()
-            parts[5] = "0.12345" if parts[5] != "0.12345" else "0.54321"
-            lines[i] = " ".join(parts)
-            break
+    lines = (tmp_path / "traces.log").read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if line.startswith("step"))
+    parts = lines[n].split()
+    logged = float(parts[field])
+    parts[field] = "0.12345" if parts[field] != "0.12345" else "0.54321"
+    lines[n] = " ".join(parts)
     report = replay_traces(T3, FS3, cfg, initial, "\n".join(lines) + "\n")
+    return report, logged, float(parts[field])
+
+
+def test_replay_flags_tampered_log(tmp_path):
+    # Field 6 of a step line is the squashed value, which only replay's
+    # squash check reads.  (The learning update then diverges too, so later
+    # games report raw mismatches after this first one.)
+    report, _, _ = _tampered_replay(tmp_path, 6)
     assert not report.ok
-    assert report.mismatches
+    assert report.mismatches[0] == "game 0 step 0: squashed value mismatch"
+
+
+def test_replay_flags_tampered_raw_value(tmp_path):
+    # Field 5 is the raw value: the recomputed leaf value disagrees first.
+    report, logged, tampered = _tampered_replay(tmp_path, 5)
+    assert not report.ok
+    assert report.mismatches[0] == f"game 0 step 0: raw {logged!r} != logged {tampered!r}"
 
 
 def test_replay_flags_tampered_mate_distance(tmp_path):

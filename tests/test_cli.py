@@ -132,6 +132,13 @@ def _replay_of_head_to_head(tmp_path):
     return dict(mode="replay", run_dir=str(tmp_path / "h2h"), out_dir=str(tmp_path / "run"))
 
 
+def _learner_named(tmp_path, agent_id):
+    # the learner and a pool opponent would share one Elo table entry
+    cfg = _online(tmp_path)
+    cfg["agent"]["id"] = agent_id
+    return cfg
+
+
 # hole -> (config maker, text stderr must contain)
 HOLES = {
     "seed": (lambda t: _online(t, seed=-1), "seed"),
@@ -143,6 +150,7 @@ HOLES = {
     "unknown-preset": (lambda t: _fixed_opponent(t, "basline"), "basline"),
     "nan-snapshot": (_nan_snapshot, "finite"),
     "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
+    "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
 }
 
 

@@ -124,6 +124,7 @@ def _protocol_edge_states(game_id, game):
 def test_terminal_states_have_no_legal_actions(game_id, game):
     # Game.legal_actions rule the search relies on: terminal => [].  For the
     # real games the converse holds too: a non-terminal state has a move.
+    # outcome() is the one terminal rule: None exactly on non-terminal states.
     rng = np.random.default_rng(41)
     states = [s for _ in range(40) for s in random_playout(game, rng)[0]]
     edges = []
@@ -131,11 +132,22 @@ def test_terminal_states_have_no_legal_actions(game_id, game):
         assert game.is_terminal(s) and game.outcome(s).reward == reward
         edges.append(s)
     for s in states + edges:
-        actions = game.legal_actions(s)
-        if game.is_terminal(s):
-            assert actions == []
-        else:
-            assert actions != []
+        result = game.outcome(s)
+        assert game.is_terminal(s) is (result is not None)
+        assert (game.legal_actions(s) == []) is (result is not None)
+
+
+def test_synthetic_tree_has_no_terminal_states():
+    # A synthetic tree's leaves are evaluator stops: outcome is None on every
+    # node, the leaves included, though a leaf has no moves.
+    g = SyntheticTreeGame(UNIQUE_PV_TREE)
+    frontier, seen = [g.initial_state()], 0
+    while frontier:
+        s = frontier.pop()
+        assert g.outcome(s) is None and not g.is_terminal(s)
+        frontier.extend(g.apply(s, a) for a in g.legal_actions(s))
+        seen += 1
+    assert seen == 15
 
 
 # -- value semantics: immutable states, singleton sides ---------------------

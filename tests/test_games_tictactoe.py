@@ -3,7 +3,7 @@ import pytest
 
 from oracles import t3_solve
 from tdsearch.games import GAMES
-from tdsearch.games.base import IllegalMoveError, NonTerminalError, Side
+from tdsearch.games.base import IllegalMoveError, Side
 
 T3 = GAMES["tictactoe"]
 
@@ -58,9 +58,8 @@ def test_draw():
     assert T3.outcome(s).reward == 0.0
 
 
-def test_outcome_before_terminal_raises():
-    with pytest.raises(NonTerminalError):
-        T3.outcome(play([0, 1]))
+def test_outcome_is_none_before_terminal():
+    assert T3.outcome(play([0, 1])) is None
 
 
 def test_text_round_trip():

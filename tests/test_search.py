@@ -16,10 +16,8 @@ from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TRE
 from tdsearch.games.base import Side
 from tdsearch.games.minichess import PLY_CAP, in_check
 from tdsearch.search import (
-    FIRST_FOUND,
     MATE_SCORE,
     SearchResult,
-    TieBreakPolicy,
     alphabeta,
     minimax,
     shuffle,
@@ -65,8 +63,8 @@ def _pv_states(g, res):
 
 def test_tied_tree_first_found_is_deterministic():
     g = SyntheticTreeGame(TIED_PV_TREE)
-    r1 = minimax(g, g.initial_state(), 3, g.evaluator, FIRST_FOUND)
-    r2 = minimax(g, g.initial_state(), 3, g.evaluator, FIRST_FOUND)
+    r1 = minimax(g, g.initial_state(), 3, g.evaluator)
+    r2 = minimax(g, g.initial_state(), 3, g.evaluator)
     assert r1 == r2
     assert r1.value == 4.0
     assert g.label(r1.leaf) == "H"  # left-most of the tied pair
@@ -76,8 +74,7 @@ def test_tied_tree_random_reaches_both_leaves():
     g = SyntheticTreeGame(TIED_PV_TREE)
     seen = set()
     for seed in range(200):
-        res = minimax(g, g.initial_state(), 3, g.evaluator,
-                      TieBreakPolicy.uniform_random(seed))
+        res = minimax(g, g.initial_state(), 3, g.evaluator, seed)
         assert res.value == 4.0
         seen.add(g.label(res.leaf))
     assert seen == {"H", "L"}
@@ -86,8 +83,7 @@ def test_tied_tree_random_reaches_both_leaves():
 def test_tied_tree_same_seed_same_choice():
     g = SyntheticTreeGame(TIED_PV_TREE)
     picks = {
-        minimax(g, g.initial_state(), 3, g.evaluator,
-                TieBreakPolicy.uniform_random(123)).leaf
+        minimax(g, g.initial_state(), 3, g.evaluator, 123).leaf
         for _ in range(10)
     }
     assert len(picks) == 1
@@ -236,13 +232,6 @@ def test_node_counts_positive_and_pruning_helps():
     assert 0 < ab.nodes < mm.nodes
 
 
-def test_tie_policy_validation():
-    with pytest.raises(ValueError):
-        TieBreakPolicy(mode="coin-flip")
-    assert TieBreakPolicy.first_found().mode == "first"
-    assert TieBreakPolicy.uniform_random(5).seed == 5
-
-
 @pytest.mark.parametrize("n", range(13))
 def test_shuffle_draws_like_random_shuffle(n):
     # The search's own Fisher-Yates makes Random.shuffle's draws, so a
@@ -263,7 +252,6 @@ def test_search_result_is_plain_data():
     g = SyntheticTreeGame(UNIQUE_PV_TREE)
     res = minimax(g, g.initial_state(), 3, g.evaluator)
     assert isinstance(res, SearchResult)
-    assert res.depth == 3
     assert isinstance(res.pv, tuple)
 
 
@@ -273,7 +261,7 @@ def test_search_result_is_plain_data():
 
 
 class CountingGame:
-    """Delegates to a game and records its legal_actions and is_terminal calls.
+    """Delegates to a game and records its legal_actions and outcome calls.
 
     `legal_plies` holds the ply of every legal_actions call; `calls` holds
     ("legal", state, number of actions) and ("terminal", state) in call order.
@@ -295,9 +283,9 @@ class CountingGame:
         self.calls.append(("legal", state, len(actions)))
         return actions
 
-    def is_terminal(self, state):
+    def outcome(self, state):
         self.calls.append(("terminal", state))
-        return self._game.is_terminal(state)
+        return self._game.outcome(state)
 
     def interior_terminal_tests(self, leaf_ply):
         """States above leaf_ply that got a terminal test, after checking
@@ -368,18 +356,18 @@ def _roots_with_terminals_inside(game_id):
             return roots
 
 
-@pytest.mark.parametrize("tie", [FIRST_FOUND, TieBreakPolicy.uniform_random(7)], ids=["first", "random"])
+@pytest.mark.parametrize("seed", [None, 7], ids=["first", "random"])
 @pytest.mark.parametrize("search", [minimax, alphabeta])
 @pytest.mark.parametrize("game_id", ["connect4", "minichess"])
-def test_terminal_test_only_where_moves_ran_out(game_id, search, tie):
+def test_terminal_test_only_where_moves_ran_out(game_id, search, seed):
     game = GAMES[game_id]
     evaluator = text_eval(game)
     white_eval = lambda st: st.side_to_move.sign * evaluator(st)
     for root, depth, kind in _roots_with_terminals_inside(game_id):
         assert not game.is_terminal(root), kind
         counting = CountingGame(game)
-        res = search(counting, root, depth, evaluator, tie)
-        rng = random.Random(tie.seed) if tie.mode == "random" else None
+        res = search(counting, root, depth, evaluator, seed)
+        rng = None if seed is None else random.Random(seed)
         value, pv, nodes = white_search(game, root, depth, white_eval,
                                         prune=search is alphabeta, rng=rng)
         assert res.value == value * root.side_to_move.sign, kind
@@ -393,9 +381,9 @@ def test_terminal_test_only_where_moves_ran_out(game_id, search, tie):
         assert inside and all(game.is_terminal(st) for st in inside), kind
 
 
-@pytest.mark.parametrize("tie", [FIRST_FOUND, TieBreakPolicy.uniform_random(3)], ids=["first", "random"])
+@pytest.mark.parametrize("seed", [None, 3], ids=["first", "random"])
 @pytest.mark.parametrize("game_id, depth", [("connect4", 3), ("minichess", 2), ("tictactoe", 4)])
-def test_alphabeta_keeps_first_of_tied_leaves(game_id, depth, tie):
+def test_alphabeta_keeps_first_of_tied_leaves(game_id, depth, seed):
     # A three-valued evaluator makes most sibling leaves tie, so the line
     # reported depends on which tied child each node keeps, depth-1 nodes
     # scoring their children in place included: the first found in the
@@ -407,9 +395,9 @@ def test_alphabeta_keeps_first_of_tied_leaves(game_id, depth, tie):
     rng = np.random.default_rng(61)
     roots = [random_position(game, rng, 12) for _ in range(10)]
     for root in (r for r in roots if not game.is_terminal(r)):
-        res = alphabeta(game, root, depth, evaluator, tie)
+        res = alphabeta(game, root, depth, evaluator, seed)
         value, pv, nodes = white_search(game, root, depth, white_eval, prune=True,
-                                        rng=random.Random(tie.seed) if tie.mode == "random" else None)
+                                        rng=None if seed is None else random.Random(seed))
         assert (res.value, res.pv, res.nodes) == (value * root.side_to_move.sign, pv, nodes)
 
 

@@ -48,3 +48,25 @@ def unreferenced(root=SRC):
 def test_every_src_definition_is_referenced_from_src():
     found = [where for name, where in unreferenced() if name not in ALLOWED]
     assert not found, "defined in src/tdsearch but never referenced there:\n" + "\n".join(found)
+
+
+def terminal_rule_copies(root=SRC / "games"):
+    """The "file:line Class" of each Game subclass that writes its own is_terminal.
+
+    A game's one terminal rule is outcome(); Game.is_terminal derives from
+    it, so a second copy could only disagree with it.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, ast.ClassDef)
+                    and any(isinstance(b, ast.Name) and b.id == "Game" for b in node.bases)
+                    and any(isinstance(item, ast.FunctionDef) and item.name == "is_terminal"
+                            for item in node.body)):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+def test_games_define_outcome_only():
+    found = terminal_rule_copies()
+    assert not found, "Game subclasses that define is_terminal again:\n" + "\n".join(found)
