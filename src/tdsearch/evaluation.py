@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tdsearch.games.base import WHITE, Side
+from tdsearch.games.base import WHITE
 from tdsearch.games import connect4 as c4
 from tdsearch.games import minichess as mc
 
@@ -200,32 +200,31 @@ def _connect4_features(state) -> np.ndarray:
 
 def _minichess_material(state) -> list:
     """Side-to-move material differences, pawn, knight, bishop, rook, queen."""
-    c = state.board.count
-    if state.side_to_move is WHITE:
-        return [float(c("P") - c("p")), float(c("N") - c("n")), float(c("B") - c("b")),
-                float(c("R") - c("r")), float(c("Q") - c("q"))]
-    return [float(c("p") - c("P")), float(c("n") - c("N")), float(c("b") - c("B")),
-            float(c("r") - c("R")), float(c("q") - c("Q"))]
+    own, opp, pawns, knights, bishops, rooks, queens = state[:7]
+    return [float((pawns & own).bit_count() - (pawns & opp).bit_count()),
+            float((knights & own).bit_count() - (knights & opp).bit_count()),
+            float((bishops & own).bit_count() - (bishops & opp).bit_count()),
+            float((rooks & own).bit_count() - (rooks & opp).bit_count()),
+            float((queens & own).bit_count() - (queens & opp).bit_count())]
 
 
 def _minichess_material_features(state) -> np.ndarray:
     return np.array(_minichess_material(state), dtype=np.float64)
 
 
-def _king_exposure(board: str, side: Side) -> int:
-    own = mc.WHITE_PIECES if side is WHITE else mc.BLACK_PIECES
-    ksq = board.index("K" if side is WHITE else "k")
-    return sum(1 for t in mc.KING_TARGETS[ksq] if board[t] not in own)
+def _king_exposure(kings: int, pieces: int) -> int:
+    """King-neighbour squares of the king in pieces that pieces do not fill."""
+    return (mc.KING_MASKS[(kings & pieces).bit_length() - 1] & ~pieces).bit_count()
 
 
 def _minichess_features(state) -> np.ndarray:
     """Material differences plus pseudo-mobility and king exposure."""
     vals = _minichess_material(state)
-    side = state.side_to_move
-    mob = sum(1 for _ in mc.pseudo_moves(state.board, side)) - sum(
-        1 for _ in mc.pseudo_moves(state.board, side.opponent)
-    )
-    exposure = _king_exposure(state.board, side.opponent) - _king_exposure(state.board, side)
+    swapped = state._replace(own=state.opp, opp=state.own,
+                             side_to_move=state.side_to_move.opponent)
+    mob = sum(1 for _ in mc.pseudo_moves(state)) - sum(1 for _ in mc.pseudo_moves(swapped))
+    exposure = (_king_exposure(state.kings, state.opp)
+                - _king_exposure(state.kings, state.own))
     vals.append(float(mob))
     vals.append(float(exposure))
     return np.array(vals, dtype=np.float64)

@@ -6,9 +6,12 @@ Rule restrictions: no castling, no en passant, pawns move a single square,
 promotion is always to a queen.  Checkmate and stalemate are standard; a
 game is drawn once it reaches 50 plies.
 
-The board is a 25-char string, square index = rank * 5 + file, rank 0 being
-White's back rank.  Uppercase pieces are White.  Actions are (from, to)
-square pairs; promotion is implicit.
+A state is eight int bitboards, bit index = square = rank * 5 + file, rank
+0 being White's back rank: own and opp hold the pieces of the side to move
+and of its opponent, and one board per piece kind holds that kind for both
+colours.  Actions are (from, to) square pairs; promotion is implicit.  King
+safety is an attack test on the occupancy a move leaves, with no successor
+state built for it.
 """
 
 from __future__ import annotations
@@ -29,12 +32,10 @@ SIZE = 5
 NSQUARES = 25
 PLY_CAP = 50
 
-INITIAL_BOARD = "RNBQK" "PPPPP" "....." "ppppp" "rnbqk"
-
-WHITE_PIECES = "PNBRQK"
-BLACK_PIECES = "pnbrqk"
-
 _FILES = "abcde"
+# Piece letters in the order of the state's kind boards: White's, then Black's.
+_LETTERS = "PNBRQKpnbrqk"
+_PIECES = {ch: (i % 6, i // 6) for i, ch in enumerate(_LETTERS)}  # letter -> (kind, colour)
 
 
 def _sq(file: int, rank: int) -> int:
@@ -70,6 +71,17 @@ def _build_ray_table(deltas):
     return tuple(table)
 
 
+def _masks(table):
+    """Per square, the bitboard of the squares in a target or ray table entry."""
+    return tuple(sum(1 << t for t in entry) for entry in table)
+
+
+def _ray_masks(table, up: bool):
+    """Per square, the masks of the rays that run towards higher (up) or lower squares."""
+    return tuple(tuple(sum(1 << t for t in ray) for ray in rays if (ray[0] > sq) == up)
+                 for sq, rays in enumerate(table))
+
+
 KNIGHT_TARGETS = _build_step_table(
     [(1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2)]
 )
@@ -78,174 +90,199 @@ KING_TARGETS = _build_step_table(
 )
 ROOK_RAYS = _build_ray_table([(0, 1), (1, 0), (0, -1), (-1, 0)])
 BISHOP_RAYS = _build_ray_table([(1, 1), (1, -1), (-1, -1), (-1, 1)])
+QUEEN_RAYS = tuple(r + b for r, b in zip(ROOK_RAYS, BISHOP_RAYS))
 
 # Diagonal squares a white pawn on sq attacks (and, by symmetry, the squares
 # a black pawn must stand on to attack sq).
 WHITE_PAWN_CAPS = _build_step_table([(-1, 1), (1, 1)])
 BLACK_PAWN_CAPS = _build_step_table([(-1, -1), (1, -1)])
 
+KNIGHT_MASKS = _masks(KNIGHT_TARGETS)
+KING_MASKS = _masks(KING_TARGETS)
+WHITE_PAWN_MASKS = _masks(WHITE_PAWN_CAPS)
+BLACK_PAWN_MASKS = _masks(BLACK_PAWN_CAPS)
+ROOK_LINES = _masks(tuple(sum(rays, ()) for rays in ROOK_RAYS))
+BISHOP_LINES = _masks(tuple(sum(rays, ()) for rays in BISHOP_RAYS))
+ROOK_UP, ROOK_DOWN = _ray_masks(ROOK_RAYS, True), _ray_masks(ROOK_RAYS, False)
+BISHOP_UP, BISHOP_DOWN = _ray_masks(BISHOP_RAYS, True), _ray_masks(BISHOP_RAYS, False)
+
+PROMOTION_SQUARES = 0b11111 | 0b11111 << 20  # a pawn only ever moves onto its last rank
+
 
 class MinichessState(NamedTuple):
-    board: str
+    own: int      # pieces of the side to move
+    opp: int      # pieces of the other side
+    pawns: int
+    knights: int
+    bishops: int
+    rooks: int
+    queens: int
+    kings: int
     side_to_move: Side
     ply: int
 
 
-def in_check(board: str, side: Side) -> bool:
-    """True if side's king is attacked.  Attack scan from the king square."""
-    if side is WHITE:
-        ksq, knight, bishop, rook, queen, king, pawn_srcs = (
-            board.index("K"), "n", "b", "r", "q", "k", WHITE_PAWN_CAPS)
-    else:
-        ksq, knight, bishop, rook, queen, king, pawn_srcs = (
-            board.index("k"), "N", "B", "R", "Q", "K", BLACK_PAWN_CAPS)
-    for t in KNIGHT_TARGETS[ksq]:
-        if board[t] == knight:
-            return True
-    for t in KING_TARGETS[ksq]:
-        if board[t] == king:
-            return True
-    pawn = "p" if side is WHITE else "P"
-    for t in pawn_srcs[ksq]:
-        if board[t] == pawn:
-            return True
-    for ray in ROOK_RAYS[ksq]:
-        for t in ray:
-            ch = board[t]
-            if ch != ".":
-                if ch == rook or ch == queen:
-                    return True
-                break
-    for ray in BISHOP_RAYS[ksq]:
-        for t in ray:
-            ch = board[t]
-            if ch != ".":
-                if ch == bishop or ch == queen:
-                    return True
-                break
+def _attacked(sq: int, occ: int, opp: int, state: MinichessState) -> bool:
+    """True if a piece in opp attacks sq, with occ the occupied squares.
+
+    Kinds come from state, so a capture is a square left out of opp.  A
+    ray's first blocker is the lowest set bit of ray & occ if the ray runs
+    up, else the highest, which lies in sliders iff blockers & sliders
+    outweighs blockers & ~sliders.
+    """
+    pawn_masks = WHITE_PAWN_MASKS if state.side_to_move is WHITE else BLACK_PAWN_MASKS
+    if opp & (KNIGHT_MASKS[sq] & state.knights | KING_MASKS[sq] & state.kings
+              | pawn_masks[sq] & state.pawns):
+        return True
+    queens = state.queens & opp
+    sliders = state.rooks & opp | queens
+    if sliders & ROOK_LINES[sq]:
+        for ray in ROOK_UP[sq]:
+            blockers = ray & occ
+            if blockers & -blockers & sliders:
+                return True
+        for ray in ROOK_DOWN[sq]:
+            blockers = ray & occ
+            if blockers & sliders > blockers & ~sliders:
+                return True
+    sliders = state.bishops & opp | queens
+    if sliders & BISHOP_LINES[sq]:
+        for ray in BISHOP_UP[sq]:
+            blockers = ray & occ
+            if blockers & -blockers & sliders:
+                return True
+        for ray in BISHOP_DOWN[sq]:
+            blockers = ray & occ
+            if blockers & sliders > blockers & ~sliders:
+                return True
     return False
 
 
-def pseudo_moves(board: str, side: Side):
-    """Yield (from, to) pairs ignoring king safety.  Deterministic order."""
+def in_check(state: MinichessState) -> bool:
+    """True if the side to move's king is attacked."""
+    own, opp = state.own, state.opp
+    return _attacked((state.kings & own).bit_length() - 1, own | opp, opp, state)
+
+
+def pseudo_moves(state: MinichessState):
+    """Yield the side to move's (from, to) pairs ignoring king safety.
+
+    Deterministic order: own pieces by ascending square, each piece's
+    targets in table order (a pawn's push before its captures, a queen's
+    rook rays before its bishop rays, each ray outwards to its first piece).
+    """
+    own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
+    occ = own | opp
     white = side is WHITE
-    own = WHITE_PIECES if white else BLACK_PIECES
-    for sq, piece in enumerate(board):
-        if piece not in own:  # '.' is never in own
-            continue
-        kind = piece.upper()
-        if kind == "P":
-            step = SIZE if white else -SIZE
-            fwd = sq + step
-            if 0 <= fwd < NSQUARES and board[fwd] == ".":
+    rest = own
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        sq = bit.bit_length() - 1
+        if bit & pawns:
+            fwd = sq + SIZE if white else sq - SIZE
+            if 0 <= fwd < NSQUARES and not occ >> fwd & 1:
                 yield (sq, fwd)
             for t in (WHITE_PAWN_CAPS if white else BLACK_PAWN_CAPS)[sq]:
-                if board[t] != "." and board[t] not in own:
+                if opp >> t & 1:
                     yield (sq, t)
-        elif kind == "N":
-            for t in KNIGHT_TARGETS[sq]:
-                if board[t] not in own:  # '.' is never in own
-                    yield (sq, t)
-        elif kind == "K":
-            for t in KING_TARGETS[sq]:
-                if board[t] not in own:
+        elif bit & (knights | kings):
+            for t in (KNIGHT_TARGETS if bit & knights else KING_TARGETS)[sq]:
+                if not own >> t & 1:
                     yield (sq, t)
         else:
-            rays = []
-            if kind in ("R", "Q"):
-                rays.extend(ROOK_RAYS[sq])
-            if kind in ("B", "Q"):
-                rays.extend(BISHOP_RAYS[sq])
+            rays = (ROOK_RAYS if bit & rooks else BISHOP_RAYS if bit & bishops
+                    else QUEEN_RAYS)[sq]
             for ray in rays:
                 for t in ray:
-                    ch = board[t]
-                    if ch == ".":
-                        yield (sq, t)
-                        continue
-                    if ch not in own:
-                        yield (sq, t)
-                    break
+                    if occ >> t & 1:
+                        if opp >> t & 1:
+                            yield (sq, t)
+                        break
+                    yield (sq, t)
 
 
-def _edit(board: str, move) -> str:
-    """Board after the move, with automatic queen promotion."""
+def _is_safe(move, state: MinichessState, occ: int, king: int) -> bool:
+    """True if move leaves the mover's king, on bit king, unattacked."""
     frm, to = move
-    piece = board[frm]
-    if piece == "P" and to >= 20:
-        piece = "Q"
-    elif piece == "p" and to < 5:
-        piece = "q"
-    cells = list(board)
-    cells[frm] = "."
-    cells[to] = piece
-    return "".join(cells)
+    source, target = 1 << frm, 1 << to
+    ksq = to if source == king else king.bit_length() - 1
+    return not _attacked(ksq, occ ^ source | target, state.opp & ~target, state)
 
 
-ALL_SQUARES = frozenset(range(NSQUARES))
-
-
-def _unsafe_origins(board: str, side: Side):
-    """Squares whose pseudo-moves may leave side's king attacked.
-
-    In check, that is every square.  Otherwise it is the king's square plus
-    each own piece pinned to the king: the first own piece on a rook or
-    bishop ray from the king, with an enemy rook/queen (resp. bishop/queen)
-    as the next piece behind it.  Moving any other piece cannot expose the
-    king: only sliders attack along lines, a move only vacates its origin,
-    and there is no en passant to vacate a second square.
-    """
-    if in_check(board, side):
-        return ALL_SQUARES
-    if side is WHITE:
-        ksq, own, rook, bishop, queen = board.index("K"), WHITE_PIECES, "r", "b", "q"
-    else:
-        ksq, own, rook, bishop, queen = board.index("k"), BLACK_PIECES, "R", "B", "Q"
-    unsafe = {ksq}
-    for rays, slider in ((ROOK_RAYS[ksq], rook), (BISHOP_RAYS[ksq], bishop)):
-        for ray in rays:
-            shield = None
-            for t in ray:
-                ch = board[t]
-                if ch == ".":
-                    continue
-                if shield is None and ch in own:
-                    shield = t
-                    continue
-                if shield is not None and (ch == slider or ch == queen):
-                    unsafe.add(shield)
-                break
-    return unsafe
-
-
-def legal_moves(board: str, side: Side):
+def legal_moves(state: MinichessState):
     """Legal (from, to) pairs, in pseudo_moves order.
 
-    Pin rule: a pseudo-move is tested with _edit + in_check only if it
-    starts on a square from _unsafe_origins (the king, a pinned piece, or
-    any piece while in check); every other pseudo-move is legal as it is.
+    Out of check, a move can expose the king only if it starts on the
+    king's square or on a rook or bishop ray from the king that holds an
+    enemy slider of that line's kind; only such moves get the attack test.
+    In check every move gets it.
     """
-    unsafe = _unsafe_origins(board, side)
-    return [
-        move for move in pseudo_moves(board, side)
-        if move[0] not in unsafe or not in_check(_edit(board, move), side)
-    ]
+    own, opp = state.own, state.opp
+    occ = own | opp
+    king = state.kings & own
+    ksq = king.bit_length() - 1
+    if _attacked(ksq, occ, opp, state):
+        unsafe = own
+    else:
+        unsafe = king
+        queens = state.queens & opp
+        for rays, sliders in ((ROOK_UP[ksq] + ROOK_DOWN[ksq], state.rooks & opp | queens),
+                              (BISHOP_UP[ksq] + BISHOP_DOWN[ksq], state.bishops & opp | queens)):
+            unsafe |= sum(ray & own for ray in rays if ray & sliders)  # rays are disjoint
+    return [move for move in pseudo_moves(state)
+            if not unsafe >> move[0] & 1 or _is_safe(move, state, occ, king)]
 
 
-def has_any_legal(board: str, side: Side) -> bool:
-    for move in pseudo_moves(board, side):
-        if not in_check(_edit(board, move), side):
+def has_any_legal(state: MinichessState) -> bool:
+    """True if the side to move has a legal move; stops at the first one."""
+    occ, king = state.own | state.opp, state.kings & state.own
+    for move in pseudo_moves(state):
+        if _is_safe(move, state, occ, king):
             return True
     return False
+
+
+def _successor(state: MinichessState, move) -> MinichessState:
+    """State after a pseudo-move, with automatic queen promotion."""
+    own, opp, pawns, knights, bishops, rooks, queens, kings, side, ply = state
+    frm, to = move
+    source, target = 1 << frm, 1 << to
+    path = source | target
+    if opp & target:
+        keep = ~target
+        pawns, knights, bishops, rooks, queens, kings = (
+            pawns & keep, knights & keep, bishops & keep, rooks & keep, queens & keep,
+            kings & keep)
+        opp &= keep
+    if pawns & source:
+        if target & PROMOTION_SQUARES:
+            pawns ^= source
+            queens |= target
+        else:
+            pawns ^= path
+    elif knights & source:
+        knights ^= path
+    elif bishops & source:
+        bishops ^= path
+    elif rooks & source:
+        rooks ^= path
+    elif queens & source:
+        queens ^= path
+    else:
+        kings ^= path
+    return MinichessState(opp, own ^ path, pawns, knights, bishops, rooks, queens, kings,
+                          side.opponent, ply + 1)
 
 
 class Minichess(Game):
     def initial_state(self) -> MinichessState:
-        return MinichessState(INITIAL_BOARD, WHITE, 0)
+        return self.from_text("rnbqk/ppppp/5/PPPPP/RNBQK w 0")
 
     def legal_actions(self, state: MinichessState):
         if state.ply >= PLY_CAP:
             return []
-        return legal_moves(state.board, state.side_to_move)
+        return legal_moves(state)
 
     def apply(self, state: MinichessState, action) -> MinichessState:
         try:
@@ -254,77 +291,74 @@ class Minichess(Game):
             raise IllegalMoveError(f"bad action: {action!r}") from None
         if state.ply >= PLY_CAP:
             raise IllegalMoveError("game over: ply cap reached")
-        own = WHITE_PIECES if state.side_to_move is WHITE else BLACK_PIECES
-        if not (0 <= frm < NSQUARES and 0 <= to < NSQUARES) or state.board[frm] not in own:
+        if not (0 <= frm < NSQUARES and 0 <= to < NSQUARES) or not state.own >> frm & 1:
             raise IllegalMoveError(f"no movable piece on square {frm}")
-        if action not in pseudo_moves(state.board, state.side_to_move):
+        if action not in pseudo_moves(state):
             raise IllegalMoveError(f"piece cannot reach square {to}")
-        board = _edit(state.board, action)
-        if in_check(board, state.side_to_move):
+        if not _is_safe(action, state, state.own | state.opp, state.kings & state.own):
             raise IllegalMoveError("move leaves the king in check")
-        return MinichessState(board, state.side_to_move.opponent, state.ply + 1)
+        return _successor(state, action)
 
     def apply_trusted(self, state: MinichessState, action) -> MinichessState:
         # Fast path for callers holding an action from legal_actions().
-        return MinichessState(
-            _edit(state.board, action), state.side_to_move.opponent, state.ply + 1
-        )
+        return _successor(state, action)
 
     def outcome(self, state: MinichessState) -> Outcome | None:
         # Mate/stalemate take precedence if both trip at the cap.
-        board, side = state.board, state.side_to_move
-        if has_any_legal(board, side):
+        if has_any_legal(state):
             return DRAW if state.ply >= PLY_CAP else None
-        return Outcome(float(side.opponent.sign)) if in_check(board, side) else DRAW
+        return Outcome(float(state.side_to_move.opponent.sign)) if in_check(state) else DRAW
 
     # -- text round trip: placement top rank first / side / ply ----------
 
     def to_text(self, state: MinichessState) -> str:
-        ranks = []
-        for r in range(SIZE - 1, -1, -1):
-            row = state.board[r * SIZE:(r + 1) * SIZE]
-            out, empties = "", 0
-            for ch in row:
-                if ch == ".":
-                    empties += 1
-                else:
-                    if empties:
-                        out += str(empties)
-                        empties = 0
-                    out += ch
-            if empties:
-                out += str(empties)
-            ranks.append(out)
+        white = state.own if state.side_to_move is WHITE else state.opp
+        cells = ["1"] * NSQUARES  # one text cell per square, "1" while empty
+        for kind, bits in enumerate(state[2:8]):
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                cells[bit.bit_length() - 1] = _LETTERS[kind if bit & white else kind + 6]
+        squares = "".join(cells)
+        placement = "/".join([squares[r:r + SIZE] for r in range(NSQUARES - SIZE, -1, -SIZE)])
+        for run in "5432":
+            placement = placement.replace("1" * int(run), run)
         side = "w" if state.side_to_move is WHITE else "b"
-        return f"{'/'.join(ranks)} {side} {state.ply}"
+        return f"{placement} {side} {state.ply}"
 
     def from_text(self, text: str) -> MinichessState:
         try:
             placement, side_txt, ply_txt = text.strip().split()
-            ranks = placement.split("/")
-            assert len(ranks) == SIZE
-        except (ValueError, AssertionError):
+        except ValueError:
             raise ValueError(f"bad minichess text: {text!r}") from None
-        rows = []
-        for rank_txt in ranks:
-            row = ""
+        ranks = placement.split("/")
+        if len(ranks) != SIZE:
+            raise ValueError(f"bad minichess text: {text!r}")
+        colours = [0, 0]  # White, Black
+        kinds = [0] * 6
+        for rank_txt, first in zip(ranks, range(NSQUARES - SIZE, -1, -SIZE)):
+            file = 0
             for ch in rank_txt:
-                if ch.isdigit():
-                    row += "." * int(ch)
-                elif ch.upper() in WHITE_PIECES:
-                    row += ch
-                else:
-                    raise ValueError(f"bad piece char {ch!r}")
-            if len(row) != SIZE:
+                piece = _PIECES.get(ch)
+                if piece is None:
+                    if not ch.isdigit():
+                        raise ValueError(f"bad piece char {ch!r}")
+                    file += int(ch)
+                    continue
+                bit = 1 << first + file  # a file past the rank is rejected below
+                kinds[piece[0]] |= bit
+                colours[piece[1]] |= bit
+                file += 1
+            if file != SIZE:
                 raise ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
-            rows.append(row)
-        board = "".join(reversed(rows))
-        if board.count("K") != 1 or board.count("k") != 1:
+        white, black = colours
+        if (kinds[5] & white).bit_count() != 1 or (kinds[5] & black).bit_count() != 1:
             raise ValueError("each side needs exactly one king")
         side = {"w": WHITE, "b": BLACK}.get(side_txt)
         if side is None:
             raise ValueError(f"bad side token {side_txt!r}")
-        return MinichessState(board, side, int(ply_txt))
+        own, opp = (white, black) if side is WHITE else (black, white)
+        return MinichessState(own, opp, *kinds, side, int(ply_txt))
 
     def action_to_str(self, action) -> str:
         frm, to = action

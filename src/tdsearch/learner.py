@@ -220,8 +220,12 @@ def td_update(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
 # root text to the leaf, so updates can be recomputed offline.
 
 
+def text_hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def state_hash(game, state) -> str:
-    return hashlib.sha256(game.to_text(state).encode()).hexdigest()[:16]
+    return text_hash(game.to_text(state))
 
 
 def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> str:
@@ -233,7 +237,7 @@ def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> s
         lines.append(
             "step {} {} {} {} {} {} {} {}".format(
                 step.root.ply,
-                state_hash(game, step.root),
+                text_hash(root_text),
                 root_text.replace(" ", "_"),
                 pv,
                 _G(step.raw_value),

@@ -15,6 +15,8 @@ import numpy as np
 
 from tdsearch.games import connect4 as c4
 from tdsearch.games.connect4 import ConnectFourState
+from tdsearch.games import minichess as mc
+from tdsearch.games.base import Side
 from tdsearch.games.minichess import MinichessState
 
 MATE = 1.0e6
@@ -428,11 +430,165 @@ def mc_legal_moves_oracle(board, white_to_move):
     return sorted(out)
 
 
+def mc_board(state):
+    """The 25-char board string of a state, uppercase White, '.' empty."""
+    white = state.own if state.side_to_move is Side.WHITE else state.opp
+    cells = []
+    for sq in range(25):
+        letters = [ch for ch, bits in zip("PNBRQK", state[2:8]) if bits >> sq & 1]
+        assert len(letters) <= 1, f"square {sq} holds {letters}"
+        cells.append("." if not letters else letters[0] if white >> sq & 1 else letters[0].lower())
+    return "".join(cells)
+
+
+def mc_with_mover(state, side):
+    """The same pieces with side to move; own and opp follow the mover."""
+    if side is state.side_to_move:
+        return state
+    return state._replace(own=state.opp, opp=state.own, side_to_move=side)
+
+
 def mc_mirror(state):
-    """Color-swapped position: ranks flipped, cases swapped, mover toggled."""
-    rows = [state.board[r * 5:(r + 1) * 5] for r in range(5)]
-    board = "".join(reversed(rows)).swapcase()
-    return MinichessState(board, state.side_to_move.opponent, state.ply)
+    """Color-swapped position: ranks flipped, colours swapped, mover toggled.
+
+    The mover keeps its pieces (own stays own) but plays the other colour.
+    """
+    def flip(bits):
+        return sum(((bits >> 5 * r) & 0b11111) << 5 * (4 - r) for r in range(5))
+
+    return MinichessState(*map(flip, state[:8]), state.side_to_move.opponent, state.ply)
+
+
+# A string-board minichess engine: a 25-char board, a move generator in the
+# engine's order, and every pseudo-move played out and tested for check.  It
+# is the reference for the bitboard engine's move order and for what its
+# from_text accepts and rejects.
+
+
+def mc_str_in_check(board, side):
+    """True if side's king is attacked.  Attack scan from the king square."""
+    if side is Side.WHITE:
+        ksq, knight, bishop, rook, queen, king, pawn_srcs = (
+            board.index("K"), "n", "b", "r", "q", "k", mc.WHITE_PAWN_CAPS)
+    else:
+        ksq, knight, bishop, rook, queen, king, pawn_srcs = (
+            board.index("k"), "N", "B", "R", "Q", "K", mc.BLACK_PAWN_CAPS)
+    for t in mc.KNIGHT_TARGETS[ksq]:
+        if board[t] == knight:
+            return True
+    for t in mc.KING_TARGETS[ksq]:
+        if board[t] == king:
+            return True
+    pawn = "p" if side is Side.WHITE else "P"
+    for t in pawn_srcs[ksq]:
+        if board[t] == pawn:
+            return True
+    for ray in mc.ROOK_RAYS[ksq]:
+        for t in ray:
+            ch = board[t]
+            if ch != ".":
+                if ch == rook or ch == queen:
+                    return True
+                break
+    for ray in mc.BISHOP_RAYS[ksq]:
+        for t in ray:
+            ch = board[t]
+            if ch != ".":
+                if ch == bishop or ch == queen:
+                    return True
+                break
+    return False
+
+
+def mc_str_pseudo_moves(board, side):
+    """Yield (from, to) pairs ignoring king safety.  Deterministic order."""
+    white = side is Side.WHITE
+    own = "PNBRQK" if white else "pnbrqk"
+    for sq, piece in enumerate(board):
+        if piece not in own:  # '.' is never in own
+            continue
+        kind = piece.upper()
+        if kind == "P":
+            step = 5 if white else -5
+            fwd = sq + step
+            if 0 <= fwd < 25 and board[fwd] == ".":
+                yield (sq, fwd)
+            for t in (mc.WHITE_PAWN_CAPS if white else mc.BLACK_PAWN_CAPS)[sq]:
+                if board[t] != "." and board[t] not in own:
+                    yield (sq, t)
+        elif kind == "N":
+            for t in mc.KNIGHT_TARGETS[sq]:
+                if board[t] not in own:  # '.' is never in own
+                    yield (sq, t)
+        elif kind == "K":
+            for t in mc.KING_TARGETS[sq]:
+                if board[t] not in own:
+                    yield (sq, t)
+        else:
+            rays = []
+            if kind in ("R", "Q"):
+                rays.extend(mc.ROOK_RAYS[sq])
+            if kind in ("B", "Q"):
+                rays.extend(mc.BISHOP_RAYS[sq])
+            for ray in rays:
+                for t in ray:
+                    ch = board[t]
+                    if ch == ".":
+                        yield (sq, t)
+                        continue
+                    if ch not in own:
+                        yield (sq, t)
+                    break
+
+
+def mc_str_edit(board, move):
+    """Board after the move, with automatic queen promotion."""
+    frm, to = move
+    piece = board[frm]
+    if piece == "P" and to >= 20:
+        piece = "Q"
+    elif piece == "p" and to < 5:
+        piece = "q"
+    cells = list(board)
+    cells[frm] = "."
+    cells[to] = piece
+    return "".join(cells)
+
+
+def mc_str_legal_moves(board, side):
+    """Legal (from, to) pairs in the engine's order: every pseudo-move played and tested."""
+    return [m for m in mc_str_pseudo_moves(board, side)
+            if not mc_str_in_check(mc_str_edit(board, m), side)]
+
+
+def mc_str_from_text(text):
+    """(board, side, ply) from minichess text: the string-board engine's parser."""
+    try:
+        placement, side_txt, ply_txt = text.strip().split()
+        ranks = placement.split("/")
+        assert len(ranks) == 5
+    except (ValueError, AssertionError):
+        raise ValueError(f"bad minichess text: {text!r}") from None
+    rows = []
+    for rank_txt in ranks:
+        row = ""
+        for ch in rank_txt:
+            if ch.isdigit():
+                row += "." * int(ch)
+            elif ch.upper() in "PNBRQK":
+                row += ch
+            else:
+                raise ValueError(f"bad piece char {ch!r}")
+        if len(row) != 5:
+            raise ValueError(f"rank {rank_txt!r} does not fill 5 files")
+        rows.append(row)
+    board = "".join(reversed(rows))
+    if board.count("K") != 1 or board.count("k") != 1:
+        raise ValueError("each side needs exactly one king")
+    side = {"w": Side.WHITE, "b": Side.BLACK}.get(side_txt)
+    if side is None:
+        raise ValueError(f"bad side token {side_txt!r}")
+    return board, side, int(ply_txt)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from oracles import (
     c4_mirror_lr,
     c4_winning_squares,
     fd_gradient,
+    mc_board,
     mc_mirror,
+    mc_with_mover,
     random_position,
 )
 from tdsearch.evaluation import (
@@ -28,7 +30,6 @@ from tdsearch.evaluation import (
 from tdsearch.games import GAMES
 from tdsearch.games import connect4 as c4
 from tdsearch.games.base import Side
-from tdsearch.games.minichess import MinichessState
 from tdsearch.presets import preset_weights
 
 T3 = GAMES["tictactoe"]
@@ -333,8 +334,9 @@ def test_minichess_material_equals_per_pair_counts():
     for _ in range(300):
         s = random_position(MC, rng, 45)
         for side in (Side.WHITE, Side.BLACK):
-            st = MinichessState(s.board, side, s.ply)
-            want = [side.sign * (st.board.count(w) - st.board.count(b)) for w, b in pairs]
+            st = mc_with_mover(s, side)
+            board = mc_board(st)
+            want = [side.sign * (board.count(w) - board.count(b)) for w, b in pairs]
             assert material.extract(st).tolist() == want
             assert full.extract(st)[:5].tolist() == want
             seen.update((i, v) for i, v in enumerate(want) if v)

@@ -7,7 +7,6 @@ import pytest
 from oracles import C4_DRAW_MOVES, state_for_label
 from tdsearch.games import GAMES, SyntheticState, SyntheticTreeGame, UNIQUE_PV_TREE
 from tdsearch.games.base import BLACK, WHITE, Side, WIN, DRAW, LOSS
-from tdsearch.games.minichess import INITIAL_BOARD, MinichessState
 
 
 def random_playout(game, rng):
@@ -115,7 +114,7 @@ def _protocol_edge_states(game_id, game):
         return [
             (game.from_text("k4/1Q3/2K2/5/5 b 10"), 1.0),  # mate
             (game.from_text("k4/5/1Q3/5/4K b 10"), 0.0),   # stalemate
-            (MinichessState(INITIAL_BOARD, Side.WHITE, 50), 0.0),  # the ply cap
+            (game.initial_state()._replace(ply=50), 0.0),  # the ply cap
             (game.from_text("k4/1Q3/2K2/5/5 b 50"), 1.0),  # mate at the cap
         ]
     return []

@@ -1,10 +1,25 @@
+from collections import Counter
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from oracles import mc_in_check_oracle, mc_legal_moves_oracle, mc_mirror, random_position
+from oracles import (
+    mc_board,
+    mc_in_check_oracle,
+    mc_legal_moves_oracle,
+    mc_mirror,
+    mc_str_from_text,
+    mc_str_in_check,
+    mc_str_legal_moves,
+    mc_str_pseudo_moves,
+    mc_with_mover,
+    random_playouts,
+    random_position,
+)
 from tdsearch.games import GAMES
 from tdsearch.games.base import IllegalMoveError, Side
-from tdsearch.games.minichess import PLY_CAP, _edit, in_check, legal_moves, pseudo_moves
+from tdsearch.games.minichess import PLY_CAP, in_check, legal_moves
 
 MC = GAMES["minichess"]
 
@@ -18,7 +33,7 @@ def play_strs(move_strs):
 
 def test_initial_position():
     s = MC.initial_state()
-    assert s.board == "RNBQK" + "PPPPP" + "....." + "ppppp" + "rnbqk"
+    assert mc_board(s) == "RNBQK" + "PPPPP" + "....." + "ppppp" + "rnbqk"
     assert s.side_to_move is Side.WHITE
     moves = {MC.action_to_str(m) for m in MC.legal_actions(s)}
     assert moves == {"a2a3", "b2b3", "c2c3", "d2d3", "e2e3", "b1a3", "b1c3"}
@@ -66,13 +81,14 @@ def test_movegen_matches_oracle_on_random_positions():
         positions += 1
         white = s.side_to_move is Side.WHITE
         got = sorted(MC.legal_actions(s))
-        want = mc_legal_moves_oracle(s.board, white)
+        want = mc_legal_moves_oracle(mc_board(s), white)
         assert got == want, MC.to_text(s)
-        assert in_check(s.board, s.side_to_move) == mc_in_check_oracle(s.board, white)
+        assert in_check(s) == mc_in_check_oracle(mc_board(s), white)
 
 
-def _full_filter(board, side):
-    return [m for m in pseudo_moves(board, side) if not in_check(_edit(board, m), side)]
+def _full_filter(state):
+    """The string-board engine's list: every pseudo-move played out and tested."""
+    return mc_str_legal_moves(mc_board(state), state.side_to_move)
 
 
 def test_pin_aware_movegen_equals_full_filter_on_random_walks():
@@ -80,7 +96,46 @@ def test_pin_aware_movegen_equals_full_filter_on_random_walks():
     for _ in range(1500):
         s = random_position(MC, rng, 60)
         for side in (Side.WHITE, Side.BLACK):
-            assert legal_moves(s.board, side) == _full_filter(s.board, side), MC.to_text(s)
+            st = mc_with_mover(s, side)
+            assert legal_moves(st) == _full_filter(st), MC.to_text(st)
+
+
+def test_legal_actions_keep_the_string_engines_order_on_random_playouts():
+    # Element for element, so the search sees moves in the same order and
+    # traces keep their bytes.  The games must reach every case that takes
+    # its own path: check, a pinned piece, a promotion and the ply cap.
+    rng = np.random.default_rng(47)
+    seen = Counter()
+    for states in islice(random_playouts(MC, rng), 150):
+        for s in states:
+            board, side = mc_board(s), s.side_to_move
+            got = MC.legal_actions(s)
+            check = mc_str_in_check(board, side)
+            assert in_check(s) == check, MC.to_text(s)
+            if s.ply >= PLY_CAP:
+                assert got == []
+                seen["ply cap"] += 1
+                continue
+            assert got == mc_str_legal_moves(board, side), MC.to_text(s)
+            seen["check"] += check
+            seen["pin"] += not check and any(
+                board[frm] not in "Kk" and (frm, to) not in got
+                for frm, to in mc_str_pseudo_moves(board, side))
+            seen["promotion"] += any(board[frm] in "Pp" and to // 5 in (0, 4) for frm, to in got)
+    assert all(seen[case] for case in ("check", "pin", "promotion", "ply cap")), seen
+
+
+def test_state_invariants_and_text_round_trip_on_random_playouts():
+    rng = np.random.default_rng(53)
+    for states in islice(random_playouts(MC, rng), 60):
+        for s in states:
+            kinds = s[2:8]
+            assert s.own & s.opp == 0
+            assert all(a & b == 0 for i, a in enumerate(kinds) for b in kinds[i + 1:])
+            assert sum(kinds) == s.own | s.opp
+            assert (s.kings & s.own).bit_count() == 1 and (s.kings & s.opp).bit_count() == 1
+            assert MC.from_text(MC.to_text(s)) == s
+            assert mc_str_from_text(MC.to_text(s)) == (mc_board(s), s.side_to_move, s.ply)
 
 
 @pytest.mark.parametrize("text, square, expected", [
@@ -106,9 +161,9 @@ def test_pin_aware_movegen_equals_full_filter_on_random_walks():
 ])
 def test_pin_aware_movegen_hand_built(text, square, expected):
     s = MC.from_text(text)
-    got = legal_moves(s.board, s.side_to_move)
-    assert got == _full_filter(s.board, s.side_to_move)
-    assert sorted(got) == mc_legal_moves_oracle(s.board, s.side_to_move is Side.WHITE)
+    got = legal_moves(s)
+    assert got == _full_filter(s)
+    assert sorted(got) == mc_legal_moves_oracle(mc_board(s), s.side_to_move is Side.WHITE)
     strs = {MC.action_to_str(m) for m in got}
     assert {m for m in strs if m.startswith(square)} == expected
 
@@ -116,8 +171,8 @@ def test_pin_aware_movegen_hand_built(text, square, expected):
 def test_queen_mate_in_corner():
     # queen e4 supported by king d3 mates the king on e5
     s = MC.from_text("4k/4Q/3K1/5/5 b 8")
-    assert in_check(s.board, Side.BLACK)
-    assert in_check(s.board, Side.BLACK) == mc_in_check_oracle(s.board, False)
+    assert in_check(s)
+    assert in_check(s) == mc_in_check_oracle(mc_board(s), False)
     assert list(MC.legal_actions(s)) == []
     assert MC.is_terminal(s)
     assert MC.outcome(s).reward == 1.0  # the side that delivered mate won
@@ -127,7 +182,7 @@ def test_stalemate_is_draw():
     # Black king a5 boxed in by White queen c4 and king c5; Black to move
     text = "k1K2/2Q2/5/5/5 b 10"
     s = MC.from_text(text)
-    assert not in_check(s.board, Side.BLACK)
+    assert not in_check(s)
     assert list(MC.legal_actions(s)) == []
     assert MC.is_terminal(s)
     assert MC.outcome(s).reward == 0.0
@@ -137,7 +192,7 @@ def test_checkmate_outcome_sign():
     # White queen delivers mate supported by king; Black to move and mated
     text = "k1K2/1Q3/5/5/5 b 8"
     s = MC.from_text(text)
-    assert in_check(s.board, Side.BLACK)
+    assert in_check(s)
     assert list(MC.legal_actions(s)) == []
     assert MC.is_terminal(s)
     assert MC.outcome(s).reward == 1.0
@@ -148,20 +203,20 @@ def test_promotion_to_queen():
     text = "k4/3P1/5/5/4K w 0"
     s = MC.from_text(text)
     s2 = MC.apply(s, MC.action_from_str("d4d5"))
-    assert s2.board[23] == "Q"  # d5 = rank 4 * 5 + file 3
+    assert mc_board(s2)[23] == "Q"  # d5 = rank 4 * 5 + file 3
 
 
 def test_black_promotion():
     text = "k4/5/5/1p3/4K b 0"
     s = MC.from_text(text)
     s2 = MC.apply(s, MC.action_from_str("b2b1"))
-    assert s2.board[1] == "q"
+    assert mc_board(s2)[1] == "q"
 
 
 def test_ply_cap_draws():
     s = MC.from_text("rnbqk/ppppp/5/PPPPP/RNBQK w " + str(PLY_CAP))
     assert MC.is_terminal(s)
-    assert legal_moves(s.board, s.side_to_move)  # moves exist, game ends anyway
+    assert legal_moves(s)  # moves exist, game ends anyway
     assert MC.outcome(s).reward == 0.0
 
 

@@ -6,7 +6,7 @@ weights_final.snapshot must equal the values below.  A change that is meant
 to keep behaviour (a faster search, a refactor) must leave these unchanged;
 a change that alters the artifacts on purpose updates them and says why.
 
-The values are machine-specific in one respect (ROADMAP 4c): search, the
+The values are machine-specific in one respect (ROADMAP item 2): search, the
 learner and replay use np.dot, which numpy hands to a CPU-dispatched BLAS
 kernel, so the last bit of a weight may differ on another CPU model.
 """

@@ -343,7 +343,7 @@ def _roots_with_terminals_inside(game_id):
     for states in random_playouts(game, rng):
         end = states[-1]
         if end.ply < PLY_CAP:
-            kind = "mate" if in_check(end.board, end.side_to_move) else "stalemate"
+            kind = "mate" if in_check(end) else "stalemate"
             root, depth = states[-2], 2
         else:  # the game reached the cap: states[i] is at ply i
             kind = ("ply 48", "ply 49")[int(rng.integers(2))]
