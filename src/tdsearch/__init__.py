@@ -24,7 +24,6 @@ from tdsearch.learner import (
     LearnerConfig,
     StepRecord,
     discounted_difference_sums,
-    td_update,
     temporal_differences,
 )
 

@@ -303,9 +303,19 @@ def features_white(fs: FeatureSet, state) -> np.ndarray:
 
 
 def linear_evaluator(fs: FeatureSet, weights: WeightVector):
-    """Side-to-move raw evaluator for the search engines."""
+    """Side-to-move raw evaluator for the search engines.
+
+    All-zero weights give a constant evaluator that extracts no features.
+    That returns the same bits as the dot product for any kernel and any
+    summation order.  Every product 0 * phi_i of a finite feature is +0 or
+    -0.  Every accumulator starts at +0, and in round-to-nearest
+    +0 + (-0) == +0, so no partial or combined sum can become -0.  Hence
+    float(np.dot(w, phi)) is exactly +0.0, also when w holds -0.0 entries.
+    """
     if len(weights) != fs.k:
         raise ValueError(f"need {fs.k} weights for {fs.id}, got {len(weights)}")
+    if not weights.values.any():
+        return lambda state: 0.0
     extract = fs.extract
     dot = weights.values.dot
 

@@ -16,9 +16,10 @@ computed with a backward recursion for the inner sums.  At lambda=0 this
 collapses to per-step bootstrapping; at lambda=1 (unclipped) it telescopes
 to gradient descent on the final outcome error.
 
-td_update applies the rule to the searched root positions themselves;
-tdleaf_delta applies it to the principal-variation leaves, which is what
-makes the rule consistent with the deep searches actually choosing moves.
+tdleaf_delta applies the rule to the principal-variation leaves, which is
+what makes it consistent with the deep searches actually choosing moves.
+(The root-based TD(lambda) rule, the paper's comparator, lives in the test
+oracles: no run mode uses it.)
 
 Positive differences can optionally be clipped: a positive surprise that
 merely reflects an opponent blunder (their reply was not the one the agent
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +42,6 @@ from tdsearch.evaluation import (
     WeightVector,
     features_white,
     grad_squashed,
-    raw_eval,
-    squash,
 )
 from tdsearch.games.base import Outcome, Side
 
@@ -175,31 +174,6 @@ def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
             # White-perspective gradient at the recorded leaf, at its stored value.
             delta += (c * s) * grad_squashed(step.leaf_features, weights, cfg.squash, step.value)
     return cfg.alpha.at(game_index) * delta
-
-
-def rebase_on_roots(trace: GameTrace, weights: WeightVector, fs: FeatureSet,
-                    squash_cfg: SquashConfig) -> GameTrace:
-    """The same trace with each step's leaf replaced by its search root.
-
-    Features and values are recomputed at the roots with the given weights,
-    which is exactly what the root-based update rule operates on.
-    """
-    steps = []
-    for s in trace.steps:
-        phi = features_white(fs, s.root)
-        raw = raw_eval(phi, weights)
-        steps.append(
-            replace(s, leaf=s.root, pv=(), leaf_features=phi,
-                    value=squash(raw, squash_cfg), raw_value=raw)
-        )
-    return replace(trace, steps=tuple(steps))
-
-
-def td_update(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
-              fs: FeatureSet, game_index: int = 0) -> np.ndarray:
-    """Root-based update delta: TD on the searched positions themselves."""
-    rebased = rebase_on_roots(trace, weights, fs, cfg.squash)
-    return tdleaf_delta(rebased, cfg, weights, game_index)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ is fine; these exist to catch shared-bug failure modes.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
+from tdsearch.evaluation import features_white, raw_eval, squash
+from tdsearch.learner import tdleaf_delta
 from tdsearch.games import connect4 as c4
 from tdsearch.games.connect4 import ConnectFourState
 from tdsearch.games import minichess as mc
@@ -119,6 +122,33 @@ def suffix_sums_quadratic(diffs, lam):
     return [
         sum(lam ** (j - t) * diffs[j] for j in range(t, n)) for t in range(n)
     ]
+
+
+def rebase_on_roots(trace, weights, fs, squash_cfg):
+    """The same trace with each step's leaf replaced by its search root.
+
+    Features and values are recomputed at the roots with the given weights,
+    which is exactly what the root-based update rule operates on.
+    """
+    steps = []
+    for s in trace.steps:
+        phi = features_white(fs, s.root)
+        raw = raw_eval(phi, weights)
+        steps.append(
+            replace(s, leaf=s.root, pv=(), leaf_features=phi,
+                    value=squash(raw, squash_cfg), raw_value=raw)
+        )
+    return replace(trace, steps=tuple(steps))
+
+
+def td_update(trace, cfg, weights, fs, game_index=0):
+    """Root-based TD(lambda) delta, the paper's comparator for TDLeaf(lambda).
+
+    The same rule applied to the searched positions themselves; no run mode
+    uses it, the acceptance checks compare against it.
+    """
+    rebased = rebase_on_roots(trace, weights, fs, cfg.squash)
+    return tdleaf_delta(rebased, cfg, weights, game_index)
 
 
 def fd_gradient(f, x, h=1e-5):

@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 import acceptance_report
-from oracles import fd_gradient, random_position, random_tree, text_eval, white_minimax
+from oracles import (
+    fd_gradient,
+    random_position,
+    random_tree,
+    td_update,
+    text_eval,
+    white_minimax,
+)
 from tdsearch.cli import main as cli_main
 from tdsearch.evaluation import (
     SquashConfig,
@@ -37,7 +44,6 @@ from tdsearch.learner import (
     GameTrace,
     LearnerConfig,
     StepRecord,
-    td_update,
     tdleaf_delta,
 )
 from tdsearch.arena import SearchAgent, head_to_head, play_game

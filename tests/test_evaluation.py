@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -376,15 +378,69 @@ def test_features_white_flips_sign_for_black():
 # ---------------------------------------------------------------------------
 
 
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _walk_states(fs, seed, n=150):
+    rng = np.random.default_rng(seed)
+    game = GAMES[fs.game_id]
+    return [random_position(game, rng, 40) for _ in range(n)]
+
+
+def _zero_vectors(k):
+    """+0.0 everywhere, and a mix of +0.0 and -0.0 entries."""
+    return [np.zeros(k), np.array([-0.0 if i % 2 == 0 else 0.0 for i in range(k)])]
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_zero_weight_evaluator_is_the_dot_product_bit_for_bit(set_id):
+    # The constant evaluator must give what w . phi gives, sign of zero included.
+    fs = feature_set(set_id)
+    states = _walk_states(fs, seed=32)
+    for values in _zero_vectors(fs.k):
+        ev = linear_evaluator(fs, WeightVector(values))
+        for s in states:
+            assert _bits(ev(s)) == _bits(float(np.dot(values, fs.extract(s))))
+
+
 def test_linear_evaluator_matches_raw_eval():
-    fs = feature_set("connect4")
-    rng = np.random.default_rng(31)
-    w = WeightVector(rng.normal(size=fs.k))
-    ev = linear_evaluator(fs, w)
-    s = C4.apply(C4.initial_state(), 3)
-    assert ev(s) == raw_eval(fs.extract(s), w)
-    with pytest.raises(ValueError):
-        linear_evaluator(fs, WeightVector(np.zeros(3)))
+    for fs in FEATURE_SETS.values():
+        w = WeightVector(np.random.default_rng(31).normal(size=fs.k))
+        ev = linear_evaluator(fs, w)
+        for s in _walk_states(fs, seed=33):
+            assert _bits(ev(s)) == _bits(raw_eval(fs.extract(s), w)), (fs.id, s)
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_zero_weight_evaluator_extracts_no_features(set_id):
+    base = feature_set(set_id)
+    calls = []
+
+    def counting_extract(state):
+        calls.append(state)
+        return base.extract(state)
+
+    fs = dataclasses.replace(base, extract=counting_extract)
+    states = _walk_states(fs, seed=34, n=20)
+    for values in _zero_vectors(fs.k):
+        ev = linear_evaluator(fs, WeightVector(values))
+        for s in states:
+            ev(s)
+    assert calls == []
+    ev = linear_evaluator(fs, WeightVector(np.ones(fs.k)))
+    for s in states:
+        ev(s)
+    assert len(calls) == len(states)
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_linear_evaluator_rejects_wrong_length(set_id):
+    fs = feature_set(set_id)
+    for k in (fs.k - 1, fs.k + 1):
+        for values in (np.zeros(k), np.ones(k)):
+            with pytest.raises(ValueError):
+                linear_evaluator(fs, WeightVector(values))
 
 
 def test_zero_weights_respect_anchors():

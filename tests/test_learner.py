@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import suffix_sums_quadratic
+from oracles import rebase_on_roots, suffix_sums_quadratic, td_update
 from tdsearch.evaluation import (
     ATANH_QUARTER,
     SquashConfig,
@@ -22,9 +22,7 @@ from tdsearch.learner import (
     LearnerConfig,
     StepRecord,
     discounted_difference_sums,
-    rebase_on_roots,
     state_hash,
-    td_update,
     tdleaf_delta,
     temporal_differences,
     trace_to_log,

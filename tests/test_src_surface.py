@@ -13,9 +13,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tdsearch"
 
-# td_update is the root-based TD(lambda) rule, the paper's comparator for
-# TDLeaf(lambda); no run mode uses it, the acceptance checks do.
-ALLOWED = {"td_update"}
+# Names exempt from the guard.  Empty: test-only code lives in tests/.
+ALLOWED = set()
 
 
 def _definitions(module):
