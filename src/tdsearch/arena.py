@@ -23,7 +23,7 @@ import csv
 import hashlib
 import os
 from dataclasses import dataclass, field, replace
-from itertools import groupby, pairwise
+from itertools import chain, groupby, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +216,7 @@ def _make_step(game, fs, root, result, squash_cfg, lower: bool, predicted: bool)
         root=root,
         leaf=result.leaf,
         pv=result.pv,
-        leaf_features=leaf_features_white(game, fs, result.leaf),
+        leaf_features=leaf_features_white(fs, result.leaf, game.is_terminal(result.leaf)),
         value=squash(raw_white, squash_cfg),
         raw_value=raw_white,
         opponent_move_predicted=predicted,
@@ -340,20 +340,21 @@ class _RunWriter:
         os.replace(tmp, self._final)
 
 
-def _learn(cfg: LearnerConfig, weights: WeightVector, n_games: int, play):
-    """Fold games 0..n_games-1 into the weights; yields (i, result, weights after game i).
+def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
+    """Fold a stream of games into the weights; yields (i, result, weights after game i).
 
-    play(i, weights) plays or reads back game i and returns (result, traces),
-    the traces in accumulation order.  Deltas are taken at the weights a game
-    was played with and applied every cfg.update_every_n_games games and
-    after the last.
+    play(item, weights) plays or reads back one item of games (never None)
+    and returns (result, traces), the traces in accumulation order.  Deltas
+    are taken at the weights a game was played with and applied every
+    cfg.update_every_n_games games and after the last, which one item of
+    lookahead tells apart, so games may be a generator of unknown length.
     """
     acc = np.zeros(len(weights))
-    for i in range(n_games):
-        result, traces = play(i, weights)
+    for i, (item, upcoming) in enumerate(pairwise(chain(games, [None]))):
+        result, traces = play(item, weights)
         for trace in traces:
             acc += tdleaf_delta(trace, cfg, weights, game_index=i)
-        if (i + 1) % cfg.update_every_n_games == 0 or i + 1 == n_games:
+        if (i + 1) % cfg.update_every_n_games == 0 or upcoming is None:
             weights = weights.with_values(weights.values + acc)
             acc = np.zeros(len(weights))
         yield i, result, weights
@@ -384,7 +385,7 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
 
     weights = agent.weights
     with _RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
-        for i, (rec, opp, side), weights in _learn(cfg, weights, n_games, play):
+        for i, (rec, opp, side), weights in _learn(cfg, weights, range(n_games), play):
             elo_update(table, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
             writer.row(
                 i, opp.id, "white" if side is Side.WHITE else "black",
@@ -424,7 +425,7 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
 
     weights = agent.weights
     with _RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
-        for i, rec, weights in _learn(cfg, weights, n_games, play):
+        for i, rec, weights in _learn(cfg, weights, range(n_games), play):
             writer.row(
                 i, agent.id, "white", rec.outcome.reward,
                 table.rating(agent.id), table.rating(agent.id),
@@ -478,20 +479,22 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
     recomputed from the replayed leaf and the weights current at that point
     of the trajectory; any disagreement or out-of-order block is reported.
     """
-    blocks = [(idx, [trace for *_, trace in group])
-              for idx, group in groupby(traces_from_log(traces_text, game, fs),
-                                        key=lambda block: block[0])]
+    # One game's blocks at a time: the log is parsed as the replay reaches it.
+    blocks = enumerate((idx, [block[2:] for block in group])
+                       for idx, group in groupby(traces_from_log(traces_text, game, fs),
+                                                 key=lambda block: block[0]))
 
-    def play(i, weights):
-        idx, traces = blocks[i]
+    def play(block, weights):
+        i, (idx, seats) = block
+        traces = [trace for trace, _ in seats]
         found = []
         if idx != i:
             found.append(f"game {i}: log has game {idx} in its place")
         if any(a.sign <= b.sign for a, b in pairwise(t.agent_side for t in traces)):
             found.append(f"game {i}: seat blocks repeated or out of order")
-        for trace in traces:
-            for t, step in enumerate(trace.steps):
-                if (outcome := game.outcome(step.leaf)) is not None:
+        for trace, outcomes in seats:
+            for t, (step, outcome) in enumerate(zip(trace.steps, outcomes)):
+                if outcome is not None:
                     leaf = step.leaf
                     expect_raw = terminal_score(outcome, leaf, len(step.pv)) * leaf.side_to_move.sign
                 else:
@@ -502,7 +505,8 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
                     found.append(f"game {i} step {t}: squashed value mismatch")
         return found, traces
 
-    mismatches, weights = [], initial
-    for _, found, weights in _learn(cfg, initial, len(blocks), play):
+    games, mismatches, weights = 0, [], initial
+    for i, found, weights in _learn(cfg, initial, blocks, play):
+        games = i + 1
         mismatches += found
-    return ReplayReport(not mismatches, len(blocks), weights, mismatches)
+    return ReplayReport(not mismatches, games, weights, mismatches)

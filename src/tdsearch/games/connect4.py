@@ -8,6 +8,7 @@ stones, so the encoding is mover-relative by construction.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from tdsearch.games.base import (
@@ -48,6 +49,24 @@ _OPEN_COLUMNS = {
         tuple(c for c in COLUMN_ORDER if not key >> c & 1)
     for key in range(1 << COLS)
 }
+
+# Text codec tables.  _TEXT_INDEX is the text character of each bit (rows
+# top first, joined by '/'; a guard bit names a '/').  to_text adds each
+# column's byte deltas, looked up by its 6 stone bits for column 0 and
+# shifted c bytes for column c, to the blank text read as a big-endian
+# integer; from_text gathers the characters into bit order and reads each
+# colour's as one binary number.
+TEXT_LEN = ROWS * (COLS + 1) - 1
+_TEXT_INDEX = [(ROWS - 1 - b % STRIDE) * (COLS + 1) + b // STRIDE if b % STRIDE < ROWS else COLS
+               for b in range(COLS * STRIDE)]
+_BLANK_TEXT = int.from_bytes(b"/".join([b"." * COLS] * ROWS), "big")
+_X_COLUMN, _O_COLUMN = (
+    tuple(sum(delta << 8 * (TEXT_LEN - 1 - _TEXT_INDEX[r]) for r in range(ROWS) if bits >> r & 1)
+          for bits in range(1 << ROWS))
+    for delta in (ord("X") - ord("."), ord("O") - ord(".")))
+_BIT_ORDER = itemgetter(*reversed(_TEXT_INDEX))
+_X_BIT = bytes.maketrans(b"XO./", b"1000")
+_O_BIT = bytes.maketrans(b"XO./", b"0100")
 
 
 def has_alignment(stones: int) -> bool:
@@ -123,39 +142,30 @@ class ConnectFour(Game):
     # -- text round trip: rows top-down, 'X' White, 'O' Black ------------
 
     def to_text(self, state: ConnectFourState) -> str:
-        white = state.mover if state.side_to_move is WHITE else state.opponent_stones
-        black = state.filled ^ white
-        rows = []
-        for r in range(ROWS - 1, -1, -1):
-            row = []
-            for c in range(COLS):
-                bit = 1 << (c * STRIDE + r)
-                row.append("X" if white & bit else "O" if black & bit else ".")
-            rows.append("".join(row))
-        return "/".join(rows)
+        filled = state.filled
+        white = filled ^ state.mover if filled.bit_count() & 1 else state.mover
+        black = filled & ~white
+        text = _BLANK_TEXT
+        for c in range(COLS):
+            shift = c * STRIDE
+            text += (_X_COLUMN[white >> shift & 63] + _O_COLUMN[black >> shift & 63]) >> 8 * c
+        return text.to_bytes(TEXT_LEN, "big").decode()
 
     def from_text(self, text: str) -> ConnectFourState:
-        rows = text.strip().split("/")
-        if len(rows) != ROWS or any(len(r) != COLS for r in rows):
+        s = text.strip()
+        if len(s) != TEXT_LEN or s.count("/") != ROWS - 1 or s[COLS::COLS + 1] != "/" * (ROWS - 1):
             raise ValueError(f"bad connect4 text: {text!r}")
-        white = black = 0
-        for i, row in enumerate(rows):
-            r = ROWS - 1 - i
-            for c, ch in enumerate(row):
-                bit = 1 << (c * STRIDE + r)
-                if ch == "X":
-                    white |= bit
-                elif ch == "O":
-                    black |= bit
-                elif ch != ".":
-                    raise ValueError(f"bad cell char {ch!r}")
-        nw, nb = white.bit_count(), black.bit_count()
+        cells = s.encode("ascii", "replace")  # a non-ASCII character becomes a bad '?'
+        if cells.translate(None, b"XO./"):
+            raise ValueError(f"bad cell char {next(ch for ch in s if ch not in 'XO./')!r}")
+        nw, nb = cells.count(b"X"), cells.count(b"O")
         if nb not in (nw, nw - 1):
             raise ValueError(f"unreachable stone counts in {text!r}")
+        bits = bytes(_BIT_ORDER(cells))
+        white, black = int(bits.translate(_X_BIT), 2), int(bits.translate(_O_BIT), 2)
         filled = white | black
-        for c in range(COLS):
-            col = (filled & COLUMN_MASK[c]) >> (c * STRIDE)
-            if col & (col + 1):  # stones must be a contiguous stack from the floor
-                raise ValueError(f"floating stones in column {c}")
-        mover = white if nw == nb else black
-        return ConnectFourState(mover, filled)
+        floating = (filled + BOTTOM_MASK) & filled  # a stack from the floor carries through
+        if floating:
+            column = ((floating & -floating).bit_length() - 1) // STRIDE  # the lowest one
+            raise ValueError(f"floating stones in column {column}")
+        return ConnectFourState(white if nw == nb else black, filled)

@@ -35,7 +35,6 @@ PLY_CAP = 50
 _FILES = "abcde"
 # Piece letters in the order of the state's kind boards: White's, then Black's.
 _LETTERS = "PNBRQKpnbrqk"
-_PIECES = {ch: (i % 6, i // 6) for i, ch in enumerate(_LETTERS)}  # letter -> (kind, colour)
 
 
 def _sq(file: int, rank: int) -> int:
@@ -275,6 +274,35 @@ def _successor(state: MinichessState, move) -> MinichessState:
                           side.opponent, ply + 1)
 
 
+# Text codec tables.  The placement is unpacked to one character per square,
+# "1" for an empty one, ranks top first and joined by '/'; runs of "1" are
+# packed to one digit in the text.
+_BLANK_PLACEMENT = "/".join(["1" * SIZE] * SIZE)
+_TEXT_CELL = {1 << sq: (SIZE - 1 - sq // SIZE) * (SIZE + 1) + sq % SIZE for sq in range(NSQUARES)}
+_EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(SIZE, 1, -1))
+# Text character -> its unpacked squares: a piece letter, or an ASCII digit's run.
+_TEXT_SQUARES = {**{ch: ch for ch in _LETTERS}, **{str(n): "1" * n for n in range(10)}}
+# Unpacked squares -> one binary digit each: White's pieces, Black's, each kind's.
+_WHITE_BIT, _BLACK_BIT, *_KIND_BIT = (
+    bytes.maketrans(b"1" + _LETTERS.encode(), bytes(b"01"[ch in letters] for ch in "1" + _LETTERS))
+    for letters in (_LETTERS[:6], _LETTERS[6:], *(_LETTERS[kind::6] for kind in range(6))))
+
+
+def _read_rank(rank_txt: str) -> str:
+    """A rank of the text with "1" per empty square, files a to e."""
+    row = ""
+    for ch in rank_txt:
+        squares = _TEXT_SQUARES.get(ch)
+        if squares is None:
+            if not ch.isdigit():
+                raise ValueError(f"bad piece char {ch!r}")
+            squares = "1" * int(ch)  # any other Unicode digit
+        row += squares
+    if len(row) != SIZE:
+        raise ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
+    return row
+
+
 class Minichess(Game):
     def initial_state(self) -> MinichessState:
         return self.from_text("rnbqk/ppppp/5/PPPPP/RNBQK w 0")
@@ -313,16 +341,15 @@ class Minichess(Game):
 
     def to_text(self, state: MinichessState) -> str:
         white = state.own if state.side_to_move is WHITE else state.opp
-        cells = ["1"] * NSQUARES  # one text cell per square, "1" while empty
+        cells = [*_BLANK_PLACEMENT]
         for kind, bits in enumerate(state[2:8]):
             while bits:
                 bit = bits & -bits
                 bits ^= bit
-                cells[bit.bit_length() - 1] = _LETTERS[kind if bit & white else kind + 6]
-        squares = "".join(cells)
-        placement = "/".join([squares[r:r + SIZE] for r in range(NSQUARES - SIZE, -1, -SIZE)])
-        for run in "5432":
-            placement = placement.replace("1" * int(run), run)
+                cells[_TEXT_CELL[bit]] = _LETTERS[kind if bit & white else kind + 6]
+        placement = "".join(cells)
+        for run, digit in _EMPTY_RUNS:
+            placement = placement.replace(run, digit)
         side = "w" if state.side_to_move is WHITE else "b"
         return f"{placement} {side} {state.ply}"
 
@@ -334,31 +361,20 @@ class Minichess(Game):
         ranks = placement.split("/")
         if len(ranks) != SIZE:
             raise ValueError(f"bad minichess text: {text!r}")
-        colours = [0, 0]  # White, Black
-        kinds = [0] * 6
-        for rank_txt, first in zip(ranks, range(NSQUARES - SIZE, -1, -SIZE)):
-            file = 0
-            for ch in rank_txt:
-                piece = _PIECES.get(ch)
-                if piece is None:
-                    if not ch.isdigit():
-                        raise ValueError(f"bad piece char {ch!r}")
-                    file += int(ch)
-                    continue
-                bit = 1 << first + file  # a file past the rank is rejected below
-                kinds[piece[0]] |= bit
-                colours[piece[1]] |= bit
-                file += 1
-            if file != SIZE:
-                raise ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
-        white, black = colours
+        # Squares 24..0 in order, so each bitboard reads as one binary number.
+        board = "".join([_read_rank(rank)[::-1] for rank in ranks]).encode()
+        white, black = int(board.translate(_WHITE_BIT), 2), int(board.translate(_BLACK_BIT), 2)
+        kinds = [int(board.translate(table), 2) for table in _KIND_BIT]
         if (kinds[5] & white).bit_count() != 1 or (kinds[5] & black).bit_count() != 1:
             raise ValueError("each side needs exactly one king")
         side = {"w": WHITE, "b": BLACK}.get(side_txt)
         if side is None:
             raise ValueError(f"bad side token {side_txt!r}")
         own, opp = (white, black) if side is WHITE else (black, white)
-        return MinichessState(own, opp, *kinds, side, int(ply_txt))
+        ply = int(ply_txt)
+        if in_check(MinichessState(opp, own, *kinds, side.opponent, ply)):
+            raise ValueError(f"side not to move is in check: {text!r}")
+        return MinichessState(own, opp, *kinds, side, ply)
 
     def action_to_str(self, action) -> str:
         frm, to = action

@@ -114,9 +114,9 @@ class StepRecord:
     opponent_rating_lower: bool = False
 
 
-def leaf_features_white(game, fs: FeatureSet, leaf) -> np.ndarray:
+def leaf_features_white(fs: FeatureSet, leaf, terminal: bool) -> np.ndarray:
     """A StepRecord's leaf_features: zeros at a terminal leaf, else features_white."""
-    return np.zeros(fs.k) if game.is_terminal(leaf) else features_white(fs, leaf)
+    return np.zeros(fs.k) if terminal else features_white(fs, leaf)
 
 
 @dataclass(frozen=True)
@@ -224,16 +224,29 @@ def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> s
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str):
+    """text.splitlines(), split about 8192 characters at a time, each cut
+    just after a newline, so the lines of a long log are not all held at once."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + 8192) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def traces_from_log(text: str, game, fs: FeatureSet):
-    """Parse a trace log; yields (game_index, opponent_id, GameTrace).
+    """Parse a trace log; yields (game_index, opponent_id, GameTrace, leaf_outcomes).
+
+    leaf_outcomes holds each step's leaf Outcome (None while play goes on),
+    the one terminal test of the step, for replay's check.
 
     Leaf states are rebuilt by replaying each stored PV from its root, and
     root hashes are verified, so a corrupted log fails loudly rather than
     replaying quietly wrong.
     """
     header = None
-    steps = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    steps, outcomes = [], []
+    for line_no, line in enumerate(_lines(text), start=1):
         line = line.strip()
         if not line:
             continue
@@ -250,7 +263,7 @@ def traces_from_log(text: str, game, fs: FeatureSet):
                 Side.WHITE if agent_txt == "agent=white" else Side.BLACK,
                 opp_txt.removeprefix("opponent="),
             )
-            steps = []
+            steps, outcomes = [], []
         elif kind == "step":
             if header is None:
                 raise ValueError(f"line {line_no}: step outside a game block")
@@ -264,12 +277,13 @@ def traces_from_log(text: str, game, fs: FeatureSet):
             if pv_txt != "-":
                 pv = tuple(game.action_from_str(tok) for tok in pv_txt.split(";"))
             leaf = game.replay(pv, root)
+            outcomes.append(outcome := game.outcome(leaf))
             steps.append(
                 StepRecord(
                     root=root,
                     leaf=leaf,
                     pv=pv,
-                    leaf_features=leaf_features_white(game, fs, leaf),
+                    leaf_features=leaf_features_white(fs, leaf, outcome is not None),
                     value=float(val_txt),
                     raw_value=float(raw_txt),
                     opponent_move_predicted=bool(int(pred)),
@@ -280,9 +294,9 @@ def traces_from_log(text: str, game, fs: FeatureSet):
             if header is None:
                 raise ValueError(f"line {line_no}: outcome outside a game block")
             idx, side, opp = header
-            yield idx, opp, GameTrace(side, tuple(steps), Outcome(float(rest)))
+            yield idx, opp, GameTrace(side, tuple(steps), Outcome(float(rest))), tuple(outcomes)
             header = None
-            steps = []
+            steps, outcomes = [], []
         else:
             raise ValueError(f"line {line_no}: unknown record {kind!r}")
     if header is not None:

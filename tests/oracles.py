@@ -334,6 +334,51 @@ def c4_mirror_lr(state):
     return ConnectFourState(flip(state.mover), flip(state.filled))
 
 
+# The cell-by-cell text codec connect4 ran before its table-driven one, kept
+# as the reference the tables must agree with, messages included.
+
+
+def c4_loop_to_text(state):
+    """Rows top-down, 'X' White, 'O' Black, '.' empty, one cell at a time."""
+    white = state.mover if state.side_to_move is Side.WHITE else state.opponent_stones
+    black = state.filled ^ white
+    rows = []
+    for r in range(c4.ROWS - 1, -1, -1):
+        row = []
+        for c in range(c4.COLS):
+            bit = 1 << (c * c4.STRIDE + r)
+            row.append("X" if white & bit else "O" if black & bit else ".")
+        rows.append("".join(row))
+    return "/".join(rows)
+
+
+def c4_loop_from_text(text):
+    rows = text.strip().split("/")
+    if len(rows) != c4.ROWS or any(len(r) != c4.COLS for r in rows):
+        raise ValueError(f"bad connect4 text: {text!r}")
+    white = black = 0
+    for i, row in enumerate(rows):
+        r = c4.ROWS - 1 - i
+        for c, ch in enumerate(row):
+            bit = 1 << (c * c4.STRIDE + r)
+            if ch == "X":
+                white |= bit
+            elif ch == "O":
+                black |= bit
+            elif ch != ".":
+                raise ValueError(f"bad cell char {ch!r}")
+    nw, nb = white.bit_count(), black.bit_count()
+    if nb not in (nw, nw - 1):
+        raise ValueError(f"unreachable stone counts in {text!r}")
+    filled = white | black
+    for c in range(c4.COLS):
+        col = (filled & c4.COLUMN_MASK[c]) >> (c * c4.STRIDE)
+        if col & (col + 1):  # stones must be a contiguous stack from the floor
+            raise ValueError(f"floating stones in column {c}")
+    mover = white if nw == nb else black
+    return ConnectFourState(mover, filled)
+
+
 # ---------------------------------------------------------------------------
 # Minichess legality oracle (2D coordinate walker)
 # ---------------------------------------------------------------------------
@@ -591,6 +636,23 @@ def mc_str_legal_moves(board, side):
             if not mc_str_in_check(mc_str_edit(board, m), side)]
 
 
+def mc_loop_to_text(state):
+    """Minichess text one square at a time: the to_text minichess ran before its tables."""
+    white = state.own if state.side_to_move is Side.WHITE else state.opp
+    cells = ["1"] * 25  # one text cell per square, "1" while empty
+    for kind, bits in enumerate(state[2:8]):
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            cells[bit.bit_length() - 1] = "PNBRQKpnbrqk"[kind if bit & white else kind + 6]
+    squares = "".join(cells)
+    placement = "/".join([squares[r:r + 5] for r in range(20, -1, -5)])
+    for run in "5432":
+        placement = placement.replace("1" * int(run), run)
+    side = "w" if state.side_to_move is Side.WHITE else "b"
+    return f"{placement} {side} {state.ply}"
+
+
 def mc_str_from_text(text):
     """(board, side, ply) from minichess text: the string-board engine's parser."""
     try:
@@ -618,7 +680,10 @@ def mc_str_from_text(text):
     side = {"w": Side.WHITE, "b": Side.BLACK}.get(side_txt)
     if side is None:
         raise ValueError(f"bad side token {side_txt!r}")
-    return board, side, int(ply_txt)
+    ply = int(ply_txt)
+    if mc_str_in_check(board, side.opponent):  # its king could be captured
+        raise ValueError(f"side not to move is in check: {text!r}")
+    return board, side, ply
 
 
 # ---------------------------------------------------------------------------

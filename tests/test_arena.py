@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,76 @@ def test_replay_flags_tampered_mate_distance(tmp_path):
     assert report.mismatches == [f"game {game} step {t}: raw {raw!r} != logged {tampered!r}"]
 
 
+class _CountingTicTacToe(type(T3)):
+    """Tictactoe that counts its outcome calls; is_terminal goes through outcome too."""
+
+    def __init__(self):
+        self.outcome_calls = 0
+
+    def outcome(self, state):
+        self.outcome_calls += 1
+        return super().outcome(state)
+
+
+def test_replay_runs_one_terminal_test_per_step(tmp_path):
+    # Two tampered steps, one with a decisive terminal leaf and one with a
+    # non-terminal leaf: both rules still report, with one outcome call per step.
+    cfg = small_cfg()
+    train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                 cfg, 6, 31, tmp_path)
+    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
+    lines = (tmp_path / "traces.log").read_text().splitlines()
+    targets = {}  # terminal? -> (line, game, step, logged raw)
+    for n, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "game":
+            game, t = int(parts[1]), -1
+        elif parts[0] == "step":
+            t += 1
+            root = T3.from_text(parts[3].replace("_", " "))
+            leaf = T3.replay([T3.action_from_str(a) for a in parts[4].split(";")], root)
+            outcome = T3.outcome(leaf)
+            if outcome is None or outcome.reward != 0.0:
+                targets.setdefault(outcome is not None, (n, game, t, float(parts[5])))
+    assert set(targets) == {True, False}
+    expected = []
+    for terminal, (n, game, t, raw) in sorted(targets.items(), key=lambda item: item[1]):
+        tampered = raw - math.copysign(2.0, raw)
+        parts = lines[n].split()
+        parts[5] = repr(tampered)
+        lines[n] = " ".join(parts)
+        expected.append(f"game {game} step {t}: raw {raw!r} != logged {tampered!r}")
+        if not terminal:  # a mate score's squashed value saturates; an evaluation's does not
+            expected.append(f"game {game} step {t}: squashed value mismatch")
+    counting = _CountingTicTacToe()
+    report = replay_traces(counting, FS3, cfg, initial, "\n".join(lines) + "\n")
+    assert report.mismatches == expected
+    assert counting.outcome_calls == sum(line.startswith("step") for line in lines)
+
+
+def test_replay_holds_one_game_at_a_time(tmp_path):
+    # tracemalloc peak of replaying 80 minichess games against the first 20:
+    # a replay that held every parsed game would need about four times more.
+    mc, fs = GAMES["minichess"], feature_set("minichess-material")
+    cfg = small_cfg()
+    train_selfplay(mc, SearchAgent("learner", fs, fs.weights_from({}), 1, tie_mode="random"),
+                   cfg, 80, 5, tmp_path, opening_plies=4, opening_epsilon=0.5)
+    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
+    text = (tmp_path / "traces.log").read_text()
+    first_20 = text[:text.index("game 20 ")]
+
+    def peak(log):
+        tracemalloc.start()
+        try:
+            assert replay_traces(mc, fs, cfg, initial, log).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    replay_traces(mc, fs, cfg, initial, text)  # one-time allocations, not counted
+    assert peak(text) < 1.5 * peak(first_20)
+
+
 def test_train_selfplay_records_and_replays(tmp_path):
     agent = fresh_agent()
     cfg = small_cfg()
@@ -499,7 +570,7 @@ def test_failed_run_keeps_finished_games_and_no_final_snapshot(tmp_path, mode):
     # `failure` still holds the run's frames, so only closing can have flushed the files
     rows = (tmp_path / "ratings.csv").read_text().splitlines()
     assert rows[0].startswith("game_index,") and len(rows) > 1
-    games = [idx for idx, _, _ in traces_from_log((tmp_path / "traces.log").read_text(), T3, FS3)]
+    games = [idx for idx, *_ in traces_from_log((tmp_path / "traces.log").read_text(), T3, FS3)]
     assert sorted(set(games)) == list(range(len(rows) - 1))
     assert {p.name for p in tmp_path.iterdir()} == {
         "ratings.csv", "traces.log", "weights_000000.snapshot"}

@@ -320,9 +320,9 @@ def test_minichess_features_initial_and_after_knight_move():
 
 def test_minichess_material_features_by_hand():
     fs = feature_set("minichess-material")
-    s = MC.from_text("k4/5/5/5/K3Q w 0")
+    s = MC.from_text("k4/5/5/5/K2Q1 w 0")
     assert np.array_equal(fs.extract(s), np.array([0, 0, 0, 0, 1.0]))
-    s2 = MC.from_text("k4/5/5/5/K3Q b 0")
+    s2 = MC.from_text("k4/5/5/5/K2Q1 b 0")
     assert np.array_equal(fs.extract(s2), np.array([0, 0, 0, 0, -1.0]))
 
 
@@ -364,12 +364,12 @@ def test_minichess_features_mirror_invariant():
 
 def test_features_white_flips_sign_for_black():
     fs = feature_set("minichess-material")
-    s = MC.from_text("k4/5/5/5/K3Q b 0")
+    s = MC.from_text("k4/5/5/5/K2Q1 b 0")
     phi = fs.extract(s)
     phi_w = features_white(fs, s)
     assert np.array_equal(phi_w, -phi)
     assert phi_w[4] == 1.0  # White is up a queen regardless of the mover
-    s_w = MC.from_text("k4/5/5/5/K3Q w 0")
+    s_w = MC.from_text("k4/5/5/5/K2Q1 w 0")
     assert np.array_equal(features_white(fs, s_w), fs.extract(s_w))
 
 

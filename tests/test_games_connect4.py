@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from oracles import (
     c4_fours,
     c4_has_alignment_loop,
     c4_legal_actions_scan,
+    c4_loop_to_text,
     c4_mirror_lr,
     c4_winning_squares,
     c4_wins_from_text,
@@ -101,11 +104,18 @@ def test_text_round_trip_random_positions():
         assert back == s
 
 
+def test_to_text_matches_the_cell_loop_on_random_playouts():
+    for states in islice(random_playouts(C4, np.random.default_rng(17)), 60):
+        for s in states:
+            assert C4.to_text(s) == c4_loop_to_text(s)
+
+
 def test_from_text_rejects_floating_stone():
-    rows = ["." * 7] * 6
-    rows[2] = "X......"  # stone with empty cells below
-    with pytest.raises(ValueError):
-        C4.from_text("/".join(rows))
+    for row, column in (("X......", 0), ("...X.O.", 3)):
+        rows = ["." * 7] * 6
+        rows[2] = row  # stones with empty cells below; the lowest such column is named
+        with pytest.raises(ValueError, match=f"^floating stones in column {column}$"):
+            C4.from_text("/".join(rows))
 
 
 def test_alignment_matches_text_scan():

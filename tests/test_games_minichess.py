@@ -8,6 +8,7 @@ from oracles import (
     mc_board,
     mc_in_check_oracle,
     mc_legal_moves_oracle,
+    mc_loop_to_text,
     mc_mirror,
     mc_str_from_text,
     mc_str_in_check,
@@ -138,6 +139,31 @@ def test_state_invariants_and_text_round_trip_on_random_playouts():
             assert mc_str_from_text(MC.to_text(s)) == (mc_board(s), s.side_to_move, s.ply)
 
 
+def test_to_text_matches_the_square_loop_on_random_playouts():
+    rng = np.random.default_rng(61)
+    for states in islice(random_playouts(MC, rng), 60):
+        for s in states:
+            assert MC.to_text(s) == mc_loop_to_text(s)
+
+
+# The side not to move is in check, so its king could be captured: no game
+# reaches such a root.  The second text mirrors the first (ranks flipped,
+# colours swapped, Black to move); with the other side to move, each is a
+# check to answer.
+@pytest.mark.parametrize("text, answerable", [
+    ("k3R/5/5/5/K4 w 0", "k3R/5/5/5/K4 b 0"),
+    ("k4/5/5/5/K3r b 0", "k4/5/5/5/K3r w 0"),
+])
+def test_from_text_rejects_the_side_not_to_move_in_check(text, answerable):
+    message = f"side not to move is in check: {text!r}"
+    with pytest.raises(ValueError) as engine:
+        MC.from_text(text)
+    with pytest.raises(ValueError) as reference:
+        mc_str_from_text(text)
+    assert str(engine.value) == str(reference.value) == message
+    assert in_check(MC.from_text(answerable))
+
+
 @pytest.mark.parametrize("text, square, expected", [
     # rook pin on a file: knight a2 cannot move at all
     ("r3k/5/5/N4/K4 w 0", "a2", set()),
@@ -155,9 +181,9 @@ def test_state_invariants_and_text_round_trip_on_random_playouts():
     ("k3b/3P1/2K2/5/5 w 0", "d4", {"d4e5"}),
     # black pins, mirrored
     ("k4/n4/5/5/R3K b 0", "a4", set()),
-    # in check from c3 with knight a2 pinned and rook e1 unable to help:
+    # in check from c3 with knight a2 pinned and rook d1 unable to help:
     # only the king moves
-    ("r3k/5/2b2/N4/K3R w 0", "", {"a1b1"}),
+    ("r3k/5/2b2/N4/K2R1 w 0", "", {"a1b1"}),
 ])
 def test_pin_aware_movegen_hand_built(text, square, expected):
     s = MC.from_text(text)

@@ -337,8 +337,9 @@ def test_trace_log_round_trip():
     text = trace_to_log(T3, trace, 7, "r")
     out = list(traces_from_log(text, T3, fs))
     assert len(out) == 1
-    idx, opponent, back = out[0]
+    idx, opponent, back, outcomes = out[0]
     assert idx == 7 and opponent == "r"
+    assert outcomes == tuple(T3.outcome(step.leaf) for step in back.steps)
     assert back.agent_side is trace.agent_side
     assert back.outcome == trace.outcome
     assert len(back.steps) == len(trace.steps)
