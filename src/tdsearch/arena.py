@@ -48,6 +48,7 @@ from tdsearch.learner import (
     trace_to_log,
     traces_from_log,
 )
+from tdsearch.rng import PCG64
 from tdsearch.search import alphabeta, terminal_score
 
 INITIAL_RATING = 1500.0
@@ -162,7 +163,7 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig =
     scores it as a loss for the offender.  Prediction flags are set once the
     game is over, from the moves actually played.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = rng if rng is not None else PCG64((0,))
     rating_lower = rating_lower or {}
     record_sides = tuple(record_sides)
     state = game.initial_state()
@@ -260,8 +261,8 @@ CSV_COLUMNS = (
 )
 
 
-def game_rng(seed: int, game_index: int):
-    return np.random.default_rng(np.random.SeedSequence((seed, game_index)))
+def game_rng(seed: int, game_index: int) -> PCG64:
+    return PCG64((seed, game_index))
 
 
 def weights_hash(fs: FeatureSet, weights: WeightVector) -> str:

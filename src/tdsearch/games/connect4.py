@@ -168,4 +168,7 @@ class ConnectFour(Game):
         if floating:
             column = ((floating & -floating).bit_length() - 1) // STRIDE  # the lowest one
             raise ValueError(f"floating stones in column {column}")
-        return ConnectFourState(white if nw == nb else black, filled)
+        mover = white if nw == nb else black
+        if has_alignment(mover):  # the game ended before its last move was made
+            raise ValueError(f"side to move already has four in a row: {text!r}")
+        return ConnectFourState(mover, filled)

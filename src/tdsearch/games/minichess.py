@@ -286,6 +286,8 @@ _TEXT_SQUARES = {**{ch: ch for ch in _LETTERS}, **{str(n): "1" * n for n in rang
 _WHITE_BIT, _BLACK_BIT, *_KIND_BIT = (
     bytes.maketrans(b"1" + _LETTERS.encode(), bytes(b"01"[ch in letters] for ch in "1" + _LETTERS))
     for letters in (_LETTERS[:6], _LETTERS[6:], *(_LETTERS[kind::6] for kind in range(6))))
+# The ply tokens a text may carry: 0 to PLY_CAP in ASCII decimal, as to_text writes them.
+_PLY_TOKENS = {str(ply): ply for ply in range(PLY_CAP + 1)}
 
 
 def _read_rank(rank_txt: str) -> str:
@@ -371,7 +373,9 @@ class Minichess(Game):
         if side is None:
             raise ValueError(f"bad side token {side_txt!r}")
         own, opp = (white, black) if side is WHITE else (black, white)
-        ply = int(ply_txt)
+        ply = _PLY_TOKENS.get(ply_txt)
+        if ply is None:
+            raise ValueError(f"bad ply token {ply_txt!r}")
         if in_check(MinichessState(opp, own, *kinds, side.opponent, ply)):
             raise ValueError(f"side not to move is in check: {text!r}")
         return MinichessState(own, opp, *kinds, side, ply)

@@ -376,6 +376,8 @@ def c4_loop_from_text(text):
         if col & (col + 1):  # stones must be a contiguous stack from the floor
             raise ValueError(f"floating stones in column {c}")
     mover = white if nw == nb else black
+    if c4_wins_from_text(text, "X" if nw == nb else "O"):
+        raise ValueError(f"side to move already has four in a row: {text!r}")
     return ConnectFourState(mover, filled)
 
 
@@ -680,6 +682,10 @@ def mc_str_from_text(text):
     side = {"w": Side.WHITE, "b": Side.BLACK}.get(side_txt)
     if side is None:
         raise ValueError(f"bad side token {side_txt!r}")
+    # ASCII decimal digits, no sign or leading zero, at most the ply cap
+    if not (ply_txt.isascii() and ply_txt.isdigit()) or str(int(ply_txt)) != ply_txt \
+            or int(ply_txt) > mc.PLY_CAP:
+        raise ValueError(f"bad ply token {ply_txt!r}")
     ply = int(ply_txt)
     if mc_str_in_check(board, side.opponent):  # its king could be captured
         raise ValueError(f"side not to move is in check: {text!r}")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tdsearch
 from tdsearch.cli import MODES, load_config, main
 from tdsearch.evaluation import feature_set, weights_to_text
 
@@ -356,6 +360,22 @@ def test_quiet_keeps_stdout_empty(tmp_path, capsys, mode):
     capsys.readouterr()
     assert main(["--config", p, "--quiet"]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_mode_imports_numpy_random(tmp_path, mode):
+    # Games draw from tdsearch.rng, so a run never loads numpy's random module
+    # (about 2 MB resident); a fresh interpreter shows what a run imports.
+    p = _quiet_run(tmp_path, mode)
+    script = ("import sys; from tdsearch.cli import main; "
+              "rc = main(['--config', sys.argv[1], '--quiet']); "
+              "print(rc, 'numpy.random' in sys.modules)")
+    src = str(Path(tdsearch.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script, p], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_quiet_verify_figures_failure_goes_to_stderr(tmp_path, capsys):

@@ -8,6 +8,7 @@ from oracles import (
     c4_fours,
     c4_has_alignment_loop,
     c4_legal_actions_scan,
+    c4_loop_from_text,
     c4_loop_to_text,
     c4_mirror_lr,
     c4_winning_squares,
@@ -116,6 +117,22 @@ def test_from_text_rejects_floating_stone():
         rows[2] = row  # stones with empty cells below; the lowest such column is named
         with pytest.raises(ValueError, match=f"^floating stones in column {column}$"):
             C4.from_text("/".join(rows))
+
+
+# The side to move holds a four, so the game ended before the last stone was
+# played: no game reaches such a text.  White to move with a bottom-row four,
+# then the colour mirror: Black to move with one.
+@pytest.mark.parametrize("text", [
+    "......./......./O....../O....../O....../OXXXX..",
+    "......./......./......./X....../XX...../XOOOOX.",
+])
+def test_from_text_rejects_a_four_for_the_side_to_move(text):
+    message = f"side to move already has four in a row: {text!r}"
+    with pytest.raises(ValueError) as engine:
+        C4.from_text(text)
+    with pytest.raises(ValueError) as reference:
+        c4_loop_from_text(text)
+    assert str(engine.value) == str(reference.value) == message
 
 
 def test_alignment_matches_text_scan():

@@ -164,6 +164,20 @@ def test_from_text_rejects_the_side_not_to_move_in_check(text, answerable):
     assert in_check(MC.from_text(answerable))
 
 
+# The ply token is the ASCII decimal to_text writes, from 0 to PLY_CAP: int()
+# would also read a sign, an underscore, other Unicode digits or a ply past
+# the cap, which no game reaches.
+@pytest.mark.parametrize("token", ["-5", "+3", "1_0", "\u0663", "77", "51", "07"])
+def test_from_text_rejects_a_bad_ply_token(token):
+    text = f"k4/1Q3/2K2/5/5 b {token}"
+    with pytest.raises(ValueError) as engine:
+        MC.from_text(text)
+    with pytest.raises(ValueError) as reference:
+        mc_str_from_text(text)
+    assert str(engine.value) == str(reference.value) == f"bad ply token {token!r}"
+    assert MC.from_text(f"k4/1Q3/2K2/5/5 b {PLY_CAP}").ply == PLY_CAP
+
+
 @pytest.mark.parametrize("text, square, expected", [
     # rook pin on a file: knight a2 cannot move at all
     ("r3k/5/5/N4/K4 w 0", "a2", set()),
