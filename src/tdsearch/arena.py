@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby, pairwise
 from pathlib import Path
@@ -277,20 +278,28 @@ class RunResult:
     games: int
 
 
+# The snapshot files a run writes: numbered, final, and the final one's temporary.
+_SNAPSHOT_NAME = re.compile(r"weights_(\d{6,}|final)\.snapshot(\.tmp)?")
+
+
 class _RunWriter:
     """Streams ratings.csv, traces.log and snapshots for a training run.
 
     A context manager: leaving it closes both streams, also when the run
     raises, so every finished game's row reaches disk.  weights_final.snapshot
     is written last and renamed into place whole, so it exists only once a
-    run has completed.
+    run has completed.  Snapshots an earlier run left in the directory are
+    removed first: a shorter run would otherwise keep later ones whose
+    hashes match no row of its ratings.csv.
     """
 
     def __init__(self, out_dir, fs: FeatureSet, weights: WeightVector, snapshot_every: int):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._final = self.out_dir / "weights_final.snapshot"
-        self._final.unlink(missing_ok=True)  # left by an earlier run in this directory
+        for path in self.out_dir.glob("weights_*.snapshot*"):
+            if _SNAPSHOT_NAME.fullmatch(path.name):
+                path.unlink()
         self.fs = fs
         self.snapshot_every = snapshot_every
         self._csv_fh = open(self.out_dir / "ratings.csv", "w", newline="", encoding="ascii")

@@ -366,6 +366,8 @@ def weights_from_text(text: str):
     for ln in lines[1:]:
         idx, name, val = ln.split(",")
         i = int(idx)
+        if i in seen:
+            raise ValueError(f"snapshot repeats index {i}")
         if fs.names[i] != name:
             raise ValueError(f"feature {i} is {fs.names[i]!r}, snapshot says {name!r}")
         values[i] = float(val)

@@ -11,11 +11,14 @@ A state is eight int bitboards, bit index = square = rank * 5 + file, rank
 and of its opponent, and one board per piece kind holds that kind for both
 colours.  Actions are (from, to) square pairs; promotion is implicit.  King
 safety is an attack test on the occupancy a move leaves, with no successor
-state built for it.
+state built for it, and apply checks a move against its piece's own reach
+without generating the side's moves.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from tdsearch.games.base import (
@@ -106,6 +109,22 @@ ROOK_UP, ROOK_DOWN = _ray_masks(ROOK_RAYS, True), _ray_masks(ROOK_RAYS, False)
 BISHOP_UP, BISHOP_DOWN = _ray_masks(BISHOP_RAYS, True), _ray_masks(BISHOP_RAYS, False)
 
 PROMOTION_SQUARES = 0b11111 | 0b11111 << 20  # a pawn only ever moves onto its last rank
+
+
+def _build_between_table():
+    """Per from * NSQUARES + to, the squares strictly between two squares on
+    one rook or bishop line, 0 for squares on no common line."""
+    table = [0] * NSQUARES * NSQUARES
+    for sq, rays in enumerate(QUEEN_RAYS):
+        for ray in rays:
+            between = 0
+            for t in ray:
+                table[sq * NSQUARES + t] = between
+                between |= 1 << t
+    return tuple(table)
+
+
+BETWEEN = _build_between_table()
 
 
 class MinichessState(NamedTuple):
@@ -201,6 +220,29 @@ def pseudo_moves(state: MinichessState):
                     yield (sq, t)
 
 
+def _reaches(state: MinichessState, frm: int, to: int) -> bool:
+    """True if (frm, to) is a pseudo-move of the side to move's piece on frm.
+
+    Read from that piece's own reach: a pawn's push and capture masks, a
+    knight's or king's mask, a slider's line with nothing between.
+    """
+    own, opp, pawns, knights, bishops, rooks, queens, kings, side, _ = state
+    source, target = 1 << frm, 1 << to
+    if target & own:
+        return False
+    if source & pawns:
+        push, caps = ((frm + SIZE, WHITE_PAWN_MASKS) if side is WHITE
+                      else (frm - SIZE, BLACK_PAWN_MASKS))
+        return to == push and not target & opp or bool(caps[frm] & target & opp)
+    if source & knights:
+        return bool(KNIGHT_MASKS[frm] & target)
+    if source & kings:
+        return bool(KING_MASKS[frm] & target)
+    lines = (ROOK_LINES[frm] if source & (rooks | queens) else 0) \
+        | (BISHOP_LINES[frm] if source & (bishops | queens) else 0)
+    return bool(lines & target) and not BETWEEN[frm * NSQUARES + to] & (own | opp)
+
+
 def _is_safe(move, state: MinichessState, occ: int, king: int) -> bool:
     """True if move leaves the mover's king, on bit king, unattacked."""
     frm, to = move
@@ -280,8 +322,16 @@ def _successor(state: MinichessState, move) -> MinichessState:
 _BLANK_PLACEMENT = "/".join(["1" * SIZE] * SIZE)
 _TEXT_CELL = {1 << sq: (SIZE - 1 - sq // SIZE) * (SIZE + 1) + sq % SIZE for sq in range(NSQUARES)}
 _EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(SIZE, 1, -1))
-# Text character -> its unpacked squares: a piece letter, or an ASCII digit's run.
-_TEXT_SQUARES = {**{ch: ch for ch in _LETTERS}, **{str(n): "1" * n for n in range(10)}}
+# Unpacks every ASCII digit of a text to its run; piece letters stay.
+_UNPACK = str.maketrans({str(n): "1" * n for n in range(10)})
+# The characters an unpacked rank may hold; deleting them leaves the bad ones.
+_DROP_SQUARES = str.maketrans("", "", "1" + _LETTERS)
+_SQUARE_BYTES = ("1" + _LETTERS).encode()
+# All that deleting them leaves of a well-formed unpacked placement.
+_SEPARATORS = b"/" * (SIZE - 1)
+# The unpacked placement's characters of squares 24..0, so each bitboard
+# reads as one binary number.
+_SQUARES_DOWN = itemgetter(*[_TEXT_CELL[1 << sq] for sq in reversed(range(NSQUARES))])
 # Unpacked squares -> one binary digit each: White's pieces, Black's, each kind's.
 _WHITE_BIT, _BLACK_BIT, *_KIND_BIT = (
     bytes.maketrans(b"1" + _LETTERS.encode(), bytes(b"01"[ch in letters] for ch in "1" + _LETTERS))
@@ -290,19 +340,37 @@ _WHITE_BIT, _BLACK_BIT, *_KIND_BIT = (
 _PLY_TOKENS = {str(ply): ply for ply in range(PLY_CAP + 1)}
 
 
-def _read_rank(rank_txt: str) -> str:
-    """A rank of the text with "1" per empty square, files a to e."""
-    row = ""
-    for ch in rank_txt:
-        squares = _TEXT_SQUARES.get(ch)
-        if squares is None:
+def _unpack(placement: str, text: str) -> bytes:
+    """The placement with "1" per empty square, files a to e, ranks joined by '/'.
+
+    A text of piece letters and the digits 1 to 5 whose ranks fill five
+    files needs only its runs unpacked.  Any other text is read rank by
+    rank, so the first bad rank reports its first bad character, or that it
+    does not fill the files; the digits 0 and 6 to 9 unpack to their runs,
+    and other Unicode digits are read with int().
+    """
+    rows = placement
+    for run, digit in _EMPTY_RUNS:
+        rows = rows.replace(digit, run)
+    if rows.isascii():
+        data = rows.encode()
+        if len(data) == len(_BLANK_PLACEMENT) \
+                and data[SIZE::SIZE + 1] == data.translate(None, _SQUARE_BYTES) == _SEPARATORS:
+            return data
+    ranks = placement.split("/")
+    if len(ranks) != SIZE:
+        raise ValueError(f"bad minichess text: {text!r}")
+    rows = []
+    for rank_txt in ranks:
+        row = rank_txt.translate(_UNPACK)
+        for ch in row.translate(_DROP_SQUARES):
             if not ch.isdigit():
                 raise ValueError(f"bad piece char {ch!r}")
-            squares = "1" * int(ch)  # any other Unicode digit
-        row += squares
-    if len(row) != SIZE:
-        raise ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
-    return row
+            row = row.replace(ch, "1" * int(ch), 1)  # any other Unicode digit
+        if len(row) != SIZE:
+            raise ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
+        rows.append(row)
+    return "/".join(rows).encode()
 
 
 class Minichess(Game):
@@ -323,7 +391,8 @@ class Minichess(Game):
             raise IllegalMoveError("game over: ply cap reached")
         if not (0 <= frm < NSQUARES and 0 <= to < NSQUARES) or not state.own >> frm & 1:
             raise IllegalMoveError(f"no movable piece on square {frm}")
-        if action not in pseudo_moves(state):
+        # A pair that is not a tuple, such as a list, is no move legal_actions lists.
+        if not (isinstance(action, tuple) and _reaches(state, frm, to)):
             raise IllegalMoveError(f"piece cannot reach square {to}")
         if not _is_safe(action, state, state.own | state.opp, state.kings & state.own):
             raise IllegalMoveError("move leaves the king in check")
@@ -360,11 +429,7 @@ class Minichess(Game):
             placement, side_txt, ply_txt = text.strip().split()
         except ValueError:
             raise ValueError(f"bad minichess text: {text!r}") from None
-        ranks = placement.split("/")
-        if len(ranks) != SIZE:
-            raise ValueError(f"bad minichess text: {text!r}")
-        # Squares 24..0 in order, so each bitboard reads as one binary number.
-        board = "".join([_read_rank(rank)[::-1] for rank in ranks]).encode()
+        board = bytes(_SQUARES_DOWN(_unpack(placement, text)))
         white, black = int(board.translate(_WHITE_BIT), 2), int(board.translate(_BLACK_BIT), 2)
         kinds = [int(board.translate(table), 2) for table in _KIND_BIT]
         if (kinds[5] & white).bit_count() != 1 or (kinds[5] & black).bit_count() != 1:
@@ -385,9 +450,17 @@ class Minichess(Game):
         return f"{_FILES[frm % SIZE]}{frm // SIZE + 1}{_FILES[to % SIZE]}{to // SIZE + 1}"
 
     def action_from_str(self, text: str):
+        move = _MOVE_TOKENS.get(text)
+        if move is not None:
+            return move
         text = text.strip()
         if len(text) != 4:
             raise ValueError(f"bad move token {text!r}")
         frm = _sq(_FILES.index(text[0]), int(text[1]) - 1)
         to = _sq(_FILES.index(text[2]), int(text[3]) - 1)
         return (frm, to)
+
+
+# The move tokens action_to_str writes, each to its (from, to) pair.
+_MOVE_TOKENS = {Minichess().action_to_str(move): move
+                for move in product(range(NSQUARES), repeat=2)}

@@ -19,7 +19,7 @@ from tdsearch.learner import tdleaf_delta
 from tdsearch.games import connect4 as c4
 from tdsearch.games.connect4 import ConnectFourState
 from tdsearch.games import minichess as mc
-from tdsearch.games.base import Side
+from tdsearch.games.base import IllegalMoveError, Side
 from tdsearch.games.minichess import MinichessState
 
 MATE = 1.0e6
@@ -690,6 +690,34 @@ def mc_str_from_text(text):
     if mc_str_in_check(board, side.opponent):  # its king could be captured
         raise ValueError(f"side not to move is in check: {text!r}")
     return board, side, ply
+
+
+def mc_apply_scan(state, action):
+    """Minichess.apply as it validated before its reach tables: the action
+    must be in the list pseudo_moves generates for the side to move."""
+    try:
+        frm, to = action
+    except (TypeError, ValueError):
+        raise IllegalMoveError(f"bad action: {action!r}") from None
+    if state.ply >= mc.PLY_CAP:
+        raise IllegalMoveError("game over: ply cap reached")
+    if not (0 <= frm < 25 and 0 <= to < 25) or not state.own >> frm & 1:
+        raise IllegalMoveError(f"no movable piece on square {frm}")
+    if action not in mc.pseudo_moves(state):
+        raise IllegalMoveError(f"piece cannot reach square {to}")
+    if not mc._is_safe(action, state, state.own | state.opp, state.kings & state.own):
+        raise IllegalMoveError("move leaves the king in check")
+    return mc._successor(state, action)
+
+
+def mc_action_from_str(text):
+    """The minichess move-token parser before its token table."""
+    text = text.strip()
+    if len(text) != 4:
+        raise ValueError(f"bad move token {text!r}")
+    frm = ("abcde".index(text[0])) + (int(text[1]) - 1) * 5
+    to = ("abcde".index(text[2])) + (int(text[3]) - 1) * 5
+    return (frm, to)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from tdsearch.evaluation import (
     raw_eval,
     squash,
 )
-from tdsearch.games import GAMES
+from tdsearch.games import GAMES, minichess
 from tdsearch.games.base import IllegalMoveError, Side
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig, traces_from_log
 
@@ -442,6 +444,28 @@ def test_replay_runs_one_terminal_test_per_step(tmp_path):
     assert counting.outcome_calls == sum(line.startswith("step") for line in lines)
 
 
+def test_minichess_replay_scans_moves_only_in_the_terminal_test(tmp_path, monkeypatch):
+    # apply checks a move by its piece's reach, so replay generates pseudo-
+    # moves only for the one terminal test of each step, never for apply.
+    mc, fs = GAMES["minichess"], feature_set("minichess-material")
+    cfg = small_cfg()
+    train_selfplay(mc, SearchAgent("learner", fs, fs.weights_from({}), 1, tie_mode="random"),
+                   cfg, 6, 5, tmp_path, opening_plies=4, opening_epsilon=0.5)
+    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
+    text = (tmp_path / "traces.log").read_text()
+    callers = Counter()
+    scan = minichess.pseudo_moves
+
+    def counting(state):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return scan(state)
+
+    monkeypatch.setattr(minichess, "pseudo_moves", counting)
+    assert replay_traces(mc, fs, cfg, initial, text).ok
+    assert set(callers) == {"has_any_legal"}
+    assert callers["has_any_legal"] <= sum(line.startswith("step") for line in text.splitlines())
+
+
 def test_replay_holds_one_game_at_a_time(tmp_path):
     # tracemalloc peak of replaying 80 minichess games against the first 20:
     # a replay that held every parsed game would need about four times more.
@@ -574,6 +598,19 @@ def test_failed_run_keeps_finished_games_and_no_final_snapshot(tmp_path, mode):
     assert sorted(set(games)) == list(range(len(rows) - 1))
     assert {p.name for p in tmp_path.iterdir()} == {
         "ratings.csv", "traces.log", "weights_000000.snapshot"}
+
+
+def test_rerun_in_a_used_directory_keeps_only_its_own_snapshots(tmp_path):
+    # A shorter second run must not leave the first run's later snapshots,
+    # whose hashes match no row of its ratings.csv, nor a stray temporary.
+    pool = OpponentPool([RandomAgent("rnd")], "uniform")
+    train_online(T3, fresh_agent(), pool, small_cfg(), 6, 5, tmp_path, snapshot_every=2)
+    (tmp_path / "weights_final.snapshot.tmp").write_text("left by a killed run\n")
+    (tmp_path / "notes.txt").write_text("kept\n")
+    train_online(T3, fresh_agent(), pool, small_cfg(), 2, 5, tmp_path, snapshot_every=2)
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "ratings.csv", "traces.log", "notes.txt", "weights_000000.snapshot",
+        "weights_000002.snapshot", "weights_final.snapshot"}
 
 
 def test_final_snapshot_is_renamed_into_place(tmp_path, monkeypatch):

@@ -126,6 +126,13 @@ def _nan_snapshot(tmp_path):
     return _fixed_opponent(tmp_path, {"path": "nan.snapshot"})
 
 
+def _repeated_index_snapshot(tmp_path):
+    fs = feature_set("tictactoe")
+    text = weights_to_text(fs, fs.weights_from({})) + "3,cell_3,99.0\n"
+    (tmp_path / "twice.snapshot").write_text(text)
+    return _fixed_opponent(tmp_path, {"path": "twice.snapshot"})
+
+
 def _replay_of_head_to_head(tmp_path):
     # a match run into an old training run's directory: every replay file is there
     assert main(["--config", online_cfg(tmp_path), "--out", str(tmp_path / "h2h"), "--quiet"]) == 0
@@ -153,6 +160,7 @@ HOLES = {
     "unknown-features": (lambda t: _online(t, features="no-such-set"), "no-such-set"),
     "unknown-preset": (lambda t: _fixed_opponent(t, "basline"), "basline"),
     "nan-snapshot": (_nan_snapshot, "finite"),
+    "repeated-index-snapshot": (_repeated_index_snapshot, "repeats index 3"),
     "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
     "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
 }

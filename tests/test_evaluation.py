@@ -486,6 +486,14 @@ def test_snapshot_text_rejects_wrong_names():
         weights_from_text(text.replace("cell_0", "cell_X"))
 
 
+def test_snapshot_text_rejects_a_repeated_index():
+    # A later line for the same index would otherwise win silently.
+    fs = feature_set("connect4")
+    text = weights_to_text(fs, preset_weights(fs, "baseline")) + "3,run2_v,99.0\n"
+    with pytest.raises(ValueError, match="snapshot repeats index 3"):
+        weights_from_text(text)
+
+
 def test_all_feature_sets_registered():
     assert set(FEATURE_SETS) == {"tictactoe", "connect4", "minichess",
                                  "minichess-material"}

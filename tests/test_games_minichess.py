@@ -1,10 +1,12 @@
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
 
 from oracles import (
+    mc_action_from_str,
+    mc_apply_scan,
     mc_board,
     mc_in_check_oracle,
     mc_legal_moves_oracle,
@@ -20,7 +22,7 @@ from oracles import (
 )
 from tdsearch.games import GAMES
 from tdsearch.games.base import IllegalMoveError, Side
-from tdsearch.games.minichess import PLY_CAP, in_check, legal_moves
+from tdsearch.games.minichess import NSQUARES, PLY_CAP, in_check, legal_moves
 
 MC = GAMES["minichess"]
 
@@ -144,6 +146,66 @@ def test_to_text_matches_the_square_loop_on_random_playouts():
     for states in islice(random_playouts(MC, rng), 60):
         for s in states:
             assert MC.to_text(s) == mc_loop_to_text(s)
+
+
+def _result(f, *args):
+    """What f returns, or the type and message of the ValueError it raises."""
+    try:
+        return "returned", f(*args)
+    except ValueError as e:  # IllegalMoveError is one
+        return type(e).__name__, str(e)
+
+
+def test_apply_matches_the_generator_scan_on_random_playouts():
+    # Every (from, to) pair, off-board squares included, on every state of
+    # seeded games: the same successor or the same IllegalMoveError message
+    # as the scan of pseudo_moves apply made before its reach tables.
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    squares = range(-1, NSQUARES + 1)
+    for states in islice(random_playouts(MC, rng), 8):
+        for s in states:
+            applied = set()
+            for action in product(squares, squares):
+                got = _result(MC.apply, s, action)
+                assert got == _result(mc_apply_scan, s, action), (MC.to_text(s), action)
+                if got[0] == "returned":
+                    applied.add(action)
+                seen[got[1].split(" on ")[0] if got[0] != "returned" else "applied"] += 1
+            assert applied == set(MC.legal_actions(s)), MC.to_text(s)
+    for bad in [None, 3, (1,), (1, 2, 3), "a1a2", [7, 12]]:
+        assert _result(MC.apply, MC.initial_state(), bad) == \
+            _result(mc_apply_scan, MC.initial_state(), bad)
+    assert set(seen) == {"applied", "game over: ply cap reached", "no movable piece",
+                         "move leaves the king in check"} | {
+        f"piece cannot reach square {to}" for to in range(NSQUARES)}, seen
+
+
+def test_action_from_str_matches_the_parser_on_every_token():
+    tokens = ["".join(t) for t in product("abcde", "12345", "abcde", "12345")]
+    assert [MC.action_to_str(MC.action_from_str(t)) for t in tokens] == tokens
+    malformed = ["a0a1", "f1a1", " a1a2", "a1a", "a1a2\n", "A1a2", "a6e5", "a\u0663a1", "", "a1a2a"]
+    for token in tokens + malformed:
+        assert _result(MC.action_from_str, token) == _result(mc_action_from_str, token), token
+
+
+# Placements that are not piece letters and the digits 1 to 5 filling five
+# files per rank: a long rank beside a short one of the same total length,
+# a rank too many, the digits 0 and 6, a Unicode digit int() reads and one it
+# does not, bad characters in two ranks, a lone surrogate.
+@pytest.mark.parametrize("placement", [
+    "rnbqk1/pppp/5/PPPPP/RNBQK", "rnbq/ppppp1/5/PPPPP/RNBQK", "rnbqk/ppppp/5/PPPPP/RNBQK/",
+    "rnbqk/pp0ppp/5/PPPPP/RNBQK", "rnbqk/ppppp/6/PPPPP/RNBQK", "r\u0663k/ppppp/5/PPPPP/RNBQK",
+    "r\u00b2qk/ppppp/5/PPPPP/RNBQK", "rnbqk/pp6/x4/PPPPP/RNBQK", "rnbqk/ppxpp/5/PP?PP/RNBQK",
+    "rnbqk/ppppp/5/PPPPP/RNBQ\ud800", "rnbqk/ppppp/5/PPPPP/RNBQK",
+])
+def test_from_text_reads_odd_placements_as_the_string_parser_does(placement):
+    def read(text):
+        s = MC.from_text(text)
+        return mc_board(s), s.side_to_move, s.ply
+
+    text = f"{placement} w 0"
+    assert _result(read, text) == _result(mc_str_from_text, text)
 
 
 # The side not to move is in check, so its king could be captured: no game
