@@ -113,7 +113,8 @@ class SearchAgent:
     tie_mode "random" draws a fresh tie-break seed per move from the game's
     generator, so tied PVs vary between games while staying reproducible.
     Agents are immutable: training plays each game with a copy carrying the
-    current weights and leaves the agent it was given as it was.
+    current weights and leaves the agent it was given as it was.  Each copy
+    builds its search evaluator once, when it is made.
     """
 
     id: str
@@ -121,6 +122,7 @@ class SearchAgent:
     weights: WeightVector
     depth: int
     tie_mode: str = "first"
+    evaluator: object = field(init=False, repr=False)  # callable(state) -> float
 
     def __post_init__(self):
         if self.depth < 1:
@@ -128,12 +130,11 @@ class SearchAgent:
         if self.tie_mode not in ("first", "random"):
             raise ValueError(f"bad tie_mode {self.tie_mode!r}")
         _check_id(self.id)
+        object.__setattr__(self, "evaluator", linear_evaluator(self.fs, self.weights))
 
     def select_move(self, game, state, rng):
         seed = int(rng.integers(2**63)) if self.tie_mode == "random" else None
-        result = alphabeta(
-            game, state, self.depth, linear_evaluator(self.fs, self.weights), seed
-        )
+        result = alphabeta(game, state, self.depth, self.evaluator, seed)
         return result.pv[0], result
 
 

@@ -222,7 +222,7 @@ def _minichess_features(state) -> np.ndarray:
     vals = _minichess_material(state)
     swapped = state._replace(own=state.opp, opp=state.own,
                              side_to_move=state.side_to_move.opponent)
-    mob = sum(1 for _ in mc.pseudo_moves(state)) - sum(1 for _ in mc.pseudo_moves(swapped))
+    mob = len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped))
     exposure = (_king_exposure(state.kings, state.opp)
                 - _king_exposure(state.kings, state.own))
     vals.append(float(mob))

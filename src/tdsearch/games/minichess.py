@@ -11,8 +11,12 @@ A state is eight int bitboards, bit index = square = rank * 5 + file, rank
 and of its opponent, and one board per piece kind holds that kind for both
 colours.  Actions are (from, to) square pairs; promotion is implicit.  King
 safety is an attack test on the occupancy a move leaves, with no successor
-state built for it, and apply checks a move against its piece's own reach
-without generating the side's moves.
+state built for it; out of check only the king's moves and those of a piece
+that alone blocks an enemy slider's line to the king get it.  Move lists
+are read from tables: step targets in table order, and each slider ray as
+the quiet prefix up to its first piece.  apply checks a move against its
+piece's own reach without generating the side's moves, and the terminal
+test generates them only when none of each piece's nearest moves is legal.
 """
 
 from __future__ import annotations
@@ -78,12 +82,6 @@ def _masks(table):
     return tuple(sum(1 << t for t in entry) for entry in table)
 
 
-def _ray_masks(table, up: bool):
-    """Per square, the masks of the rays that run towards higher (up) or lower squares."""
-    return tuple(tuple(sum(1 << t for t in ray) for ray in rays if (ray[0] > sq) == up)
-                 for sq, rays in enumerate(table))
-
-
 KNIGHT_TARGETS = _build_step_table(
     [(1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2)]
 )
@@ -105,8 +103,6 @@ WHITE_PAWN_MASKS = _masks(WHITE_PAWN_CAPS)
 BLACK_PAWN_MASKS = _masks(BLACK_PAWN_CAPS)
 ROOK_LINES = _masks(tuple(sum(rays, ()) for rays in ROOK_RAYS))
 BISHOP_LINES = _masks(tuple(sum(rays, ()) for rays in BISHOP_RAYS))
-ROOK_UP, ROOK_DOWN = _ray_masks(ROOK_RAYS, True), _ray_masks(ROOK_RAYS, False)
-BISHOP_UP, BISHOP_DOWN = _ray_masks(BISHOP_RAYS, True), _ray_masks(BISHOP_RAYS, False)
 
 PROMOTION_SQUARES = 0b11111 | 0b11111 << 20  # a pawn only ever moves onto its last rank
 
@@ -126,6 +122,43 @@ def _build_between_table():
 
 BETWEEN = _build_between_table()
 
+# Every (from, to) pair at from * NSQUARES + to, so move lists share one tuple per move.
+_MOVES = tuple(product(range(NSQUARES), repeat=2))
+
+
+def _build_quiet_table():
+    """Per from * NSQUARES + blocker, the moves of a slider on from to the
+    squares strictly between it and a piece on blocker, outwards: the quiet
+    prefix of the ray the blocker cuts; () for squares on no common line."""
+    table = [()] * NSQUARES * NSQUARES
+    for sq, rays in enumerate(QUEEN_RAYS):
+        for ray in rays:
+            for i, t in enumerate(ray):
+                table[sq * NSQUARES + t] = tuple(_MOVES[sq * NSQUARES + u] for u in ray[:i])
+    return tuple(table)
+
+
+_QUIET = _build_quiet_table()
+
+
+def _slides(table):
+    """Per square, each ray as (mask, runs up, the moves to all its squares)."""
+    return tuple(tuple((sum(1 << t for t in ray), ray[0] > sq,
+                        _QUIET[sq * NSQUARES + ray[-1]] + (_MOVES[sq * NSQUARES + ray[-1]],))
+                       for ray in rays)
+                 for sq, rays in enumerate(table))
+
+
+ROOK_SLIDES, BISHOP_SLIDES = _slides(ROOK_RAYS), _slides(BISHOP_RAYS)
+QUEEN_SLIDES = tuple(r + b for r, b in zip(ROOK_SLIDES, BISHOP_SLIDES))
+# A slider's squares next to it, on its own lines.
+ROOK_NEXT = tuple(k & r for k, r in zip(KING_MASKS, ROOK_LINES))
+BISHOP_NEXT = tuple(k & b for k, b in zip(KING_MASKS, BISHOP_LINES))
+# The square a pawn on sq pushes to, as a mask; 0 off the board.
+WHITE_PUSH_MASKS = tuple(1 << sq + SIZE if sq + SIZE < NSQUARES else 0 for sq in range(NSQUARES))
+BLACK_PUSH_MASKS = tuple(1 << sq - SIZE if sq >= SIZE else 0 for sq in range(NSQUARES))
+_new_tuple = tuple.__new__
+
 
 class MinichessState(NamedTuple):
     own: int      # pieces of the side to move
@@ -143,37 +176,50 @@ class MinichessState(NamedTuple):
 def _attacked(sq: int, occ: int, opp: int, state: MinichessState) -> bool:
     """True if a piece in opp attacks sq, with occ the occupied squares.
 
-    Kinds come from state, so a capture is a square left out of opp.  A
-    ray's first blocker is the lowest set bit of ray & occ if the ray runs
-    up, else the highest, which lies in sliders iff blockers & sliders
-    outweighs blockers & ~sliders.
+    Kinds come from state, so a capture is a square left out of opp.  An
+    enemy slider on one of sq's lines of its kind attacks sq iff no square
+    between them is occupied.
     """
-    pawn_masks = WHITE_PAWN_MASKS if state.side_to_move is WHITE else BLACK_PAWN_MASKS
-    if opp & (KNIGHT_MASKS[sq] & state.knights | KING_MASKS[sq] & state.kings
-              | pawn_masks[sq] & state.pawns):
+    _, _, pawns, knights, bishops, rooks, queens, kings, side, _ = state
+    if opp & (KNIGHT_MASKS[sq] & knights | KING_MASKS[sq] & kings
+              | (WHITE_PAWN_MASKS if side is WHITE else BLACK_PAWN_MASKS)[sq] & pawns):
         return True
-    queens = state.queens & opp
-    sliders = state.rooks & opp | queens
-    if sliders & ROOK_LINES[sq]:
-        for ray in ROOK_UP[sq]:
-            blockers = ray & occ
-            if blockers & -blockers & sliders:
-                return True
-        for ray in ROOK_DOWN[sq]:
-            blockers = ray & occ
-            if blockers & sliders > blockers & ~sliders:
-                return True
-    sliders = state.bishops & opp | queens
-    if sliders & BISHOP_LINES[sq]:
-        for ray in BISHOP_UP[sq]:
-            blockers = ray & occ
-            if blockers & -blockers & sliders:
-                return True
-        for ray in BISHOP_DOWN[sq]:
-            blockers = ray & occ
-            if blockers & sliders > blockers & ~sliders:
-                return True
+    sliders = opp & ((rooks | queens) & ROOK_LINES[sq] | (bishops | queens) & BISHOP_LINES[sq])
+    base = sq * NSQUARES
+    while sliders:
+        bit = sliders & -sliders
+        if not BETWEEN[base + bit.bit_length() - 1] & occ:
+            return True
+        sliders ^= bit
     return False
+
+
+def _unsafe(state: MinichessState) -> int:
+    """The own pieces whose moves may leave the king attacked.
+
+    In check that is every piece.  Otherwise it is the king and each piece
+    that is the only one between the king and an enemy slider of its line:
+    with two pieces between them, no single move opens the line.
+    """
+    own, opp, pawns, knights, bishops, rooks, queens, kings, side, _ = state
+    king = kings & own
+    ksq = king.bit_length() - 1
+    if opp & (KNIGHT_MASKS[ksq] & knights | KING_MASKS[ksq] & kings
+              | (WHITE_PAWN_MASKS if side is WHITE else BLACK_PAWN_MASKS)[ksq] & pawns):
+        return own
+    occ = own | opp
+    unsafe = king
+    sliders = opp & ((rooks | queens) & ROOK_LINES[ksq] | (bishops | queens) & BISHOP_LINES[ksq])
+    base = ksq * NSQUARES
+    while sliders:
+        bit = sliders & -sliders
+        sliders ^= bit
+        between = BETWEEN[base + bit.bit_length() - 1] & occ
+        if not between:
+            return own
+        if not between & (between - 1):
+            unsafe |= between & own
+    return unsafe
 
 
 def in_check(state: MinichessState) -> bool:
@@ -182,42 +228,55 @@ def in_check(state: MinichessState) -> bool:
     return _attacked((state.kings & own).bit_length() - 1, own | opp, opp, state)
 
 
-def pseudo_moves(state: MinichessState):
-    """Yield the side to move's (from, to) pairs ignoring king safety.
+def pseudo_moves(state: MinichessState, unsafe: int = 0) -> list:
+    """The side to move's (from, to) pairs ignoring king safety, except that
+    the moves of a piece on the bitboard unsafe are kept only if they leave
+    the king unattacked.
 
     Deterministic order: own pieces by ascending square, each piece's
     targets in table order (a pawn's push before its captures, a queen's
     rook rays before its bishop rays, each ray outwards to its first piece).
+    A slider ray adds its quiet prefix up to its first piece, then that
+    piece if it is an enemy.
     """
     own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
     occ = own | opp
-    white = side is WHITE
+    king = kings & own
+    step, caps = (SIZE, WHITE_PAWN_CAPS) if side is WHITE else (-SIZE, BLACK_PAWN_CAPS)
+    moves = []
+    append = moves.append
     rest = own
     while rest:
         bit = rest & -rest
         rest ^= bit
         sq = bit.bit_length() - 1
+        base = sq * NSQUARES
+        start = len(moves)
         if bit & pawns:
-            fwd = sq + SIZE if white else sq - SIZE
+            fwd = sq + step
             if 0 <= fwd < NSQUARES and not occ >> fwd & 1:
-                yield (sq, fwd)
-            for t in (WHITE_PAWN_CAPS if white else BLACK_PAWN_CAPS)[sq]:
+                append(_MOVES[base + fwd])
+            for t in caps[sq]:
                 if opp >> t & 1:
-                    yield (sq, t)
+                    append(_MOVES[base + t])
         elif bit & (knights | kings):
             for t in (KNIGHT_TARGETS if bit & knights else KING_TARGETS)[sq]:
                 if not own >> t & 1:
-                    yield (sq, t)
+                    append(_MOVES[base + t])
         else:
-            rays = (ROOK_RAYS if bit & rooks else BISHOP_RAYS if bit & bishops
-                    else QUEEN_RAYS)[sq]
-            for ray in rays:
-                for t in ray:
-                    if occ >> t & 1:
-                        if opp >> t & 1:
-                            yield (sq, t)
-                        break
-                    yield (sq, t)
+            for ray, up, full in (ROOK_SLIDES if bit & rooks else BISHOP_SLIDES if bit & bishops
+                                  else QUEEN_SLIDES)[sq]:
+                blockers = ray & occ
+                if not blockers:
+                    moves += full
+                    continue
+                t = (blockers & -blockers if up else blockers).bit_length() - 1
+                moves += _QUIET[base + t]
+                if opp >> t & 1:
+                    append(_MOVES[base + t])
+        if bit & unsafe:
+            moves[start:] = [move for move in moves[start:] if _is_safe(move, state, occ, king)]
+    return moves
 
 
 def _reaches(state: MinichessState, frm: int, to: int) -> bool:
@@ -251,37 +310,53 @@ def _is_safe(move, state: MinichessState, occ: int, king: int) -> bool:
     return not _attacked(ksq, occ ^ source | target, state.opp & ~target, state)
 
 
-def legal_moves(state: MinichessState):
-    """Legal (from, to) pairs, in pseudo_moves order.
-
-    Out of check, a move can expose the king only if it starts on the
-    king's square or on a rook or bishop ray from the king that holds an
-    enemy slider of that line's kind; only such moves get the attack test.
-    In check every move gets it.
-    """
-    own, opp = state.own, state.opp
-    occ = own | opp
-    king = state.kings & own
-    ksq = king.bit_length() - 1
-    if _attacked(ksq, occ, opp, state):
-        unsafe = own
-    else:
-        unsafe = king
-        queens = state.queens & opp
-        for rays, sliders in ((ROOK_UP[ksq] + ROOK_DOWN[ksq], state.rooks & opp | queens),
-                              (BISHOP_UP[ksq] + BISHOP_DOWN[ksq], state.bishops & opp | queens)):
-            unsafe |= sum(ray & own for ray in rays if ray & sliders)  # rays are disjoint
-    return [move for move in pseudo_moves(state)
-            if not unsafe >> move[0] & 1 or _is_safe(move, state, occ, king)]
+def legal_moves(state: MinichessState) -> list:
+    """Legal (from, to) pairs, in pseudo_moves order: only the moves of the
+    pieces _unsafe names get the attack test."""
+    return pseudo_moves(state, _unsafe(state))
 
 
 def has_any_legal(state: MinichessState) -> bool:
-    """True if the side to move has a legal move; stops at the first one."""
-    occ, king = state.own | state.opp, state.kings & state.own
-    for move in pseudo_moves(state):
-        if _is_safe(move, state, occ, king):
-            return True
-    return False
+    """True if the side to move has a legal move.
+
+    Each piece's cheap candidates come first, one attack test each: a
+    pawn's push and captures, a knight's or king's targets, a slider's
+    squares next to it.  Only if all of them leave the king attacked does
+    the full move list get scanned, for a slider's farther squares.
+    """
+    own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
+    occ = own | opp
+    king = kings & own
+    ksq = king.bit_length() - 1
+    pushes, caps = (WHITE_PUSH_MASKS, WHITE_PAWN_MASKS) if side is WHITE \
+        else (BLACK_PUSH_MASKS, BLACK_PAWN_MASKS)
+    rest = own
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        sq = bit.bit_length() - 1
+        if bit & pawns:
+            targets = pushes[sq] & ~occ | caps[sq] & opp
+        elif bit & knights:
+            targets = KNIGHT_MASKS[sq] & ~own
+        elif bit & kings:
+            targets = KING_MASKS[sq] & ~own
+            while targets:
+                t = targets & -targets
+                targets ^= t
+                if not _attacked(t.bit_length() - 1, occ ^ bit | t, opp & ~t, state):
+                    return True
+            continue
+        else:
+            targets = (ROOK_NEXT if bit & rooks else BISHOP_NEXT if bit & bishops
+                       else KING_MASKS)[sq] & ~own
+        vacated = occ ^ bit
+        while targets:
+            t = targets & -targets
+            targets ^= t
+            if not _attacked(ksq, vacated | t, opp & ~t, state):
+                return True
+    return any(_is_safe(move, state, occ, king) for move in pseudo_moves(state))
 
 
 def _successor(state: MinichessState, move) -> MinichessState:
@@ -312,20 +387,24 @@ def _successor(state: MinichessState, move) -> MinichessState:
         queens ^= path
     else:
         kings ^= path
-    return MinichessState(opp, own ^ path, pawns, knights, bishops, rooks, queens, kings,
-                          side.opponent, ply + 1)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return _new_tuple(MinichessState, (opp, own ^ path, pawns, knights, bishops, rooks, queens,
+                                       kings, side.opponent, ply + 1))
 
 
 # Text codec tables.  The placement is unpacked to one character per square,
-# "1" for an empty one, ranks top first and joined by '/'; runs of "1" are
-# packed to one digit in the text.
+# "1" for an empty one, ranks top first and joined by '/'; each run of "1"
+# is packed to one digit in the text.
 _BLANK_PLACEMENT = "/".join(["1" * SIZE] * SIZE)
 _TEXT_CELL = {1 << sq: (SIZE - 1 - sq // SIZE) * (SIZE + 1) + sq % SIZE for sq in range(NSQUARES)}
 _EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(SIZE, 1, -1))
-# Unpacks every ASCII digit of a text to its run; piece letters stay.
-_UNPACK = str.maketrans({str(n): "1" * n for n in range(10)})
-# The characters an unpacked rank may hold; deleting them leaves the bad ones.
-_DROP_SQUARES = str.maketrans("", "", "1" + _LETTERS)
+_EMPTY_RUN_BYTES = tuple((run.encode(), digit.encode()) for run, digit in _EMPTY_RUNS)
+# Every digit a text may hold to "1", so two digits in a row read b"11".
+_DIGITS_AS_ONE = bytes.maketrans(b"2345", b"1111")
+# Unpacks the digits of a rank to their runs; piece letters stay.
+_UNPACK = str.maketrans({digit: run for run, digit in _EMPTY_RUNS})
+# The characters a rank may hold; deleting them leaves the bad ones.
+_DROP_RANK_CHARS = str.maketrans("", "", "12345" + _LETTERS)
 _SQUARE_BYTES = ("1" + _LETTERS).encode()
 # All that deleting them leaves of a well-formed unpacked placement.
 _SEPARATORS = b"/" * (SIZE - 1)
@@ -343,34 +422,35 @@ _PLY_TOKENS = {str(ply): ply for ply in range(PLY_CAP + 1)}
 def _unpack(placement: str, text: str) -> bytes:
     """The placement with "1" per empty square, files a to e, ranks joined by '/'.
 
-    A text of piece letters and the digits 1 to 5 whose ranks fill five
-    files needs only its runs unpacked.  Any other text is read rank by
-    rank, so the first bad rank reports its first bad character, or that it
-    does not fill the files; the digits 0 and 6 to 9 unpack to their runs,
-    and other Unicode digits are read with int().
+    Only a placement to_text writes is read: piece letters and the digits 1
+    to 5, no two digits in a row, five ranks of five files.
     """
-    rows = placement
-    for run, digit in _EMPTY_RUNS:
-        rows = rows.replace(digit, run)
-    if rows.isascii():
-        data = rows.encode()
-        if len(data) == len(_BLANK_PLACEMENT) \
-                and data[SIZE::SIZE + 1] == data.translate(None, _SQUARE_BYTES) == _SEPARATORS:
-            return data
+    if placement.isascii():
+        data = placement.encode()
+        if b"11" not in data.translate(_DIGITS_AS_ONE):
+            for run, digit in _EMPTY_RUN_BYTES:
+                data = data.replace(digit, run)
+            if len(data) == len(_BLANK_PLACEMENT) \
+                    and data[SIZE::SIZE + 1] == data.translate(None, _SQUARE_BYTES) == _SEPARATORS:
+                return data
+    raise _placement_error(placement, text)
+
+
+def _placement_error(placement: str, text: str) -> ValueError:
+    """What is wrong first with a placement _unpack rejects, rank by rank: a
+    bad character, two digits in a row, or a rank that does not fill the
+    files; or, failing those, the text."""
     ranks = placement.split("/")
-    if len(ranks) != SIZE:
-        raise ValueError(f"bad minichess text: {text!r}")
-    rows = []
-    for rank_txt in ranks:
-        row = rank_txt.translate(_UNPACK)
-        for ch in row.translate(_DROP_SQUARES):
-            if not ch.isdigit():
-                raise ValueError(f"bad piece char {ch!r}")
-            row = row.replace(ch, "1" * int(ch), 1)  # any other Unicode digit
-        if len(row) != SIZE:
-            raise ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
-        rows.append(row)
-    return "/".join(rows).encode()
+    if len(ranks) == SIZE:
+        for rank_txt in ranks:
+            bad = rank_txt.translate(_DROP_RANK_CHARS)
+            if bad:
+                return ValueError(f"bad piece char {bad[0]!r}")
+            if b"11" in rank_txt.encode().translate(_DIGITS_AS_ONE):
+                return ValueError(f"rank {rank_txt!r} has adjacent digits")
+            if len(rank_txt.translate(_UNPACK)) != SIZE:
+                return ValueError(f"rank {rank_txt!r} does not fill {SIZE} files")
+    return ValueError(f"bad minichess text: {text!r}")
 
 
 class Minichess(Game):
@@ -462,5 +542,4 @@ class Minichess(Game):
 
 
 # The move tokens action_to_str writes, each to its (from, to) pair.
-_MOVE_TOKENS = {Minichess().action_to_str(move): move
-                for move in product(range(NSQUARES), repeat=2)}
+_MOVE_TOKENS = {Minichess().action_to_str(move): move for move in _MOVES}

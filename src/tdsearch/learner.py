@@ -198,10 +198,6 @@ def text_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def state_hash(game, state) -> str:
-    return text_hash(game.to_text(state))
-
-
 def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> str:
     side = "white" if trace.agent_side is Side.WHITE else "black"
     lines = [f"game {game_index} agent={side} opponent={opponent_id}"]
@@ -241,8 +237,8 @@ def traces_from_log(text: str, game, fs: FeatureSet):
     the one terminal test of the step, for replay's check.
 
     Leaf states are rebuilt by replaying each stored PV from its root, and
-    root hashes are verified, so a corrupted log fails loudly rather than
-    replaying quietly wrong.
+    each root text is checked against its logged hash before it is parsed,
+    so a corrupted log fails loudly rather than replaying quietly wrong.
     """
     header = None
     steps, outcomes = [], []
@@ -268,9 +264,10 @@ def traces_from_log(text: str, game, fs: FeatureSet):
             if header is None:
                 raise ValueError(f"line {line_no}: step outside a game block")
             ply_txt, digest, root_txt, pv_txt, raw_txt, val_txt, pred, lower = rest.split(" ")
-            root = game.from_text(root_txt.replace("_", " "))
-            if state_hash(game, root) != digest:
+            root_text = root_txt.replace("_", " ")
+            if text_hash(root_text) != digest:
                 raise ValueError(f"line {line_no}: root hash mismatch")
+            root = game.from_text(root_text)
             if root.ply != int(ply_txt):
                 raise ValueError(f"line {line_no}: ply mismatch")
             pv = ()

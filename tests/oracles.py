@@ -667,12 +667,15 @@ def mc_str_from_text(text):
     for rank_txt in ranks:
         row = ""
         for ch in rank_txt:
-            if ch.isdigit():
+            if ch in "12345":  # the ASCII digits to_text writes
                 row += "." * int(ch)
             elif ch.upper() in "PNBRQK":
                 row += ch
             else:
                 raise ValueError(f"bad piece char {ch!r}")
+        # to_text packs each run of empty squares into one digit
+        if any(a in "12345" and b in "12345" for a, b in zip(rank_txt, rank_txt[1:])):
+            raise ValueError(f"rank {rank_txt!r} has adjacent digits")
         if len(row) != 5:
             raise ValueError(f"rank {rank_txt!r} does not fill 5 files")
         rows.append(row)
@@ -769,3 +772,70 @@ def random_tree(rng, depth, branching=(2, 3), value_range=9):
         return int(rng.integers(-value_range, value_range + 1))
     width = int(rng.integers(branching[0], branching[1] + 1))
     return [random_tree(rng, depth - 1, branching, value_range) for _ in range(width)]
+
+
+# The move generator, legality filter and terminal test minichess ran before
+# its move-list tables, kept as references the table-driven forms must agree
+# with, move order included.
+
+
+def mc_pseudo_moves_gen(state):
+    """Yield the side to move's (from, to) pairs ignoring king safety, square by square."""
+    own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
+    occ = own | opp
+    white = side is Side.WHITE
+    rest = own
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        sq = bit.bit_length() - 1
+        if bit & pawns:
+            fwd = sq + 5 if white else sq - 5
+            if 0 <= fwd < 25 and not occ >> fwd & 1:
+                yield (sq, fwd)
+            for t in (mc.WHITE_PAWN_CAPS if white else mc.BLACK_PAWN_CAPS)[sq]:
+                if opp >> t & 1:
+                    yield (sq, t)
+        elif bit & (knights | kings):
+            for t in (mc.KNIGHT_TARGETS if bit & knights else mc.KING_TARGETS)[sq]:
+                if not own >> t & 1:
+                    yield (sq, t)
+        else:
+            rays = (mc.ROOK_RAYS if bit & rooks else mc.BISHOP_RAYS if bit & bishops
+                    else mc.QUEEN_RAYS)[sq]
+            for ray in rays:
+                for t in ray:
+                    if occ >> t & 1:
+                        if opp >> t & 1:
+                            yield (sq, t)
+                        break
+                    yield (sq, t)
+
+
+def mc_legal_moves_filter(state):
+    """Legal pairs, one move at a time: in check every move gets the attack
+    test, otherwise each move from the king's square or from a rook or
+    bishop ray of the king that holds an enemy slider of that kind."""
+    own, opp = state.own, state.opp
+    occ = own | opp
+    king = state.kings & own
+    ksq = king.bit_length() - 1
+    if mc.in_check(state):
+        unsafe = own
+    else:
+        unsafe = king
+        queens = state.queens & opp
+        for rays, sliders in ((mc.ROOK_RAYS[ksq], state.rooks & opp | queens),
+                              (mc.BISHOP_RAYS[ksq], state.bishops & opp | queens)):
+            for ray in rays:
+                mask = sum(1 << t for t in ray)
+                if mask & sliders:
+                    unsafe |= mask & own
+    return [move for move in mc_pseudo_moves_gen(state)
+            if not unsafe >> move[0] & 1 or mc._is_safe(move, state, occ, king)]
+
+
+def mc_has_any_legal_scan(state):
+    """True if some generated move leaves the king unattacked, scanning in order."""
+    occ, king = state.own | state.opp, state.kings & state.own
+    return any(mc._is_safe(move, state, occ, king) for move in mc_pseudo_moves_gen(state))

@@ -310,6 +310,28 @@ def test_replay_mode_fails_on_tampered_log(tmp_path, capsys):
     assert out == "" and "FAIL" in err
 
 
+def test_replay_mode_fails_on_a_root_text_to_text_never_writes(tmp_path, capsys):
+    # The first game of the minichess self-play config logs this root on
+    # line 4.  Spelling its empty rank 11111 names the same position, but
+    # it is not the logged text the hash was taken of, and from_text
+    # rejects it: replay fails and names the line.
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "mc_material_selfplay.json").read_text())
+    run = tmp_path / "run"
+    p = write_cfg(tmp_path / "train.json", **dict(cfg, games=1, out_dir=str(run)))
+    assert main(["--config", p, "--quiet"]) == 0
+    log = run / "traces.log"
+    text = log.read_text()
+    root = "rnb2/pp1pk/5/qPP1P/RNB1K_w_6"
+    assert text.splitlines()[3].split(" ")[3] == root
+    log.write_text(text.replace(root, "rnb2/pp1pk/11111/qPP1P/RNB1K_w_6", 1))
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "line 4: root hash mismatch" in err
+
+
 def test_replay_requires_run_artifacts(tmp_path, capsys):
     rp = write_cfg(tmp_path / "r.json", mode="replay",
                    run_dir=str(tmp_path / "empty"),

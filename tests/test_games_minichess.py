@@ -8,10 +8,13 @@ from oracles import (
     mc_action_from_str,
     mc_apply_scan,
     mc_board,
+    mc_has_any_legal_scan,
     mc_in_check_oracle,
+    mc_legal_moves_filter,
     mc_legal_moves_oracle,
     mc_loop_to_text,
     mc_mirror,
+    mc_pseudo_moves_gen,
     mc_str_from_text,
     mc_str_in_check,
     mc_str_legal_moves,
@@ -21,6 +24,7 @@ from oracles import (
     random_position,
 )
 from tdsearch.games import GAMES
+from tdsearch.games import minichess as mc
 from tdsearch.games.base import IllegalMoveError, Side
 from tdsearch.games.minichess import NSQUARES, PLY_CAP, in_check, legal_moves
 
@@ -181,6 +185,60 @@ def test_apply_matches_the_generator_scan_on_random_playouts():
         f"piece cannot reach square {to}" for to in range(NSQUARES)}, seen
 
 
+def test_move_lists_and_terminal_tests_match_the_generator_on_random_playouts(monkeypatch):
+    # Every state of seeded games and every child a pseudo-move leads to,
+    # legal or not: the same moves in the same order as the square-by-square
+    # generator and the per-move filter, and the verdict of the full scan.
+    # has_any_legal builds a move list only where no legal move is a pawn's,
+    # a knight's, a king's or a slider's next square.  The games must reach
+    # mates, stalemates and positions whose only legal moves are a slider's
+    # farther squares.
+    scans = Counter()
+    scan = mc.pseudo_moves
+
+    def counting(state, unsafe=0):
+        scans[state] += 1
+        return scan(state, unsafe)
+
+    monkeypatch.setattr(mc, "pseudo_moves", counting)
+    rng = np.random.default_rng(83)
+    seen = Counter()
+    for states in islice(random_playouts(MC, rng), 40):
+        for s in states:
+            for st in [s] + [mc._successor(s, move) for move in mc_pseudo_moves_gen(s)]:
+                assert scan(st) == list(mc_pseudo_moves_gen(st)), MC.to_text(st)
+                legal = legal_moves(st)
+                assert legal == mc_legal_moves_filter(st), MC.to_text(st)
+                scans.clear()
+                verdict = mc.has_any_legal(st)
+                assert verdict == mc_has_any_legal_scan(st) == bool(legal), MC.to_text(st)
+                sliders = st.own & (st.bishops | st.rooks | st.queens)
+                far_only = all(sliders >> frm & 1 and not mc.KING_MASKS[frm] >> to & 1
+                               for frm, to in legal)
+                assert scans[st] == far_only, MC.to_text(st)
+                if not verdict:
+                    seen["mate" if in_check(st) else "stalemate"] += 1
+                elif far_only:
+                    seen["far slider only"] += 1
+    assert all(seen[case] for case in ("mate", "stalemate", "far slider only")), seen
+
+
+# Positions with one legal move: a bishop's far square that also blocks the
+# check, a queen stepping into the check's line, and the king capturing.
+@pytest.mark.parametrize("text, only", [
+    ("q4/5/5/2k2/K1B2 w 0", "c1a3"),
+    ("4q/5/3QK/5/2k2 w 0", "d3e4"),
+    ("Kn3/5/k4/5/5 w 0", "a5b5"),
+])
+def test_the_only_legal_move_is_found(text, only):
+    s = MC.from_text(text)
+    assert [MC.action_to_str(m) for m in legal_moves(s)] == [only]
+    assert legal_moves(s) == mc_legal_moves_filter(s) == _full_filter(s)
+    assert mc.pseudo_moves(s) == list(mc_pseudo_moves_gen(s))
+    assert mc.has_any_legal(s) and mc_has_any_legal_scan(s)
+    assert MC.outcome(s) is None
+
+
 def test_action_from_str_matches_the_parser_on_every_token():
     tokens = ["".join(t) for t in product("abcde", "12345", "abcde", "12345")]
     assert [MC.action_to_str(MC.action_from_str(t)) for t in tokens] == tokens
@@ -189,23 +247,38 @@ def test_action_from_str_matches_the_parser_on_every_token():
         assert _result(MC.action_from_str, token) == _result(mc_action_from_str, token), token
 
 
-# Placements that are not piece letters and the digits 1 to 5 filling five
-# files per rank: a long rank beside a short one of the same total length,
-# a rank too many, the digits 0 and 6, a Unicode digit int() reads and one it
-# does not, bad characters in two ranks, a lone surrogate.
-@pytest.mark.parametrize("placement", [
-    "rnbqk1/pppp/5/PPPPP/RNBQK", "rnbq/ppppp1/5/PPPPP/RNBQK", "rnbqk/ppppp/5/PPPPP/RNBQK/",
-    "rnbqk/pp0ppp/5/PPPPP/RNBQK", "rnbqk/ppppp/6/PPPPP/RNBQK", "r\u0663k/ppppp/5/PPPPP/RNBQK",
-    "r\u00b2qk/ppppp/5/PPPPP/RNBQK", "rnbqk/pp6/x4/PPPPP/RNBQK", "rnbqk/ppxpp/5/PP?PP/RNBQK",
-    "rnbqk/ppppp/5/PPPPP/RNBQ\ud800", "rnbqk/ppppp/5/PPPPP/RNBQK",
-])
+# Placements to_text never writes: a long rank beside a short one of the
+# same total length, a rank too many, the digits 0 and 6, Unicode digits,
+# bad characters in two ranks, a lone surrogate, and runs of empty squares
+# split into several digits.  Both parsers reject each with one message.
+ODD_PLACEMENTS = {
+    "rnbqk1/pppp/5/PPPPP/RNBQK": "rank 'rnbqk1' does not fill 5 files",
+    "rnbq/ppppp1/5/PPPPP/RNBQK": "rank 'rnbq' does not fill 5 files",
+    "rnbqk/ppppp/5/PPPPP/RNBQK/": "bad minichess text: 'rnbqk/ppppp/5/PPPPP/RNBQK/ w 0'",
+    "rnbqk/pp0ppp/5/PPPPP/RNBQK": "bad piece char '0'",
+    "rnbqk/ppppp/6/PPPPP/RNBQK": "bad piece char '6'",
+    "r\u0663k/ppppp/5/PPPPP/RNBQK": "bad piece char '\u0663'",
+    "r\u00b2qk/ppppp/5/PPPPP/RNBQK": "bad piece char '\u00b2'",
+    "rnbqk/pp6/x4/PPPPP/RNBQK": "bad piece char '6'",
+    "rnbqk/ppxpp/5/PP?PP/RNBQK": "bad piece char 'x'",
+    "rnbqk/ppppp/5/PPPPP/RNBQ\ud800": "bad piece char '\\ud800'",
+    "rnbqk/ppppp/11111/PPPPP/RNBQK": "rank '11111' has adjacent digits",
+    "rnbqk/ppppp/23/PPPPP/RNBQK": "rank '23' has adjacent digits",
+    "rnb2/pp1pk/11111/qPP1P/RNB1K": "rank '11111' has adjacent digits",
+    "rnbqk/p13/5/PPPPP/RNBQK": "rank 'p13' has adjacent digits",
+    "rnbqk/pp21x/5/PPPPP/RNBQK": "bad piece char 'x'",
+}
+
+
+@pytest.mark.parametrize("placement", list(ODD_PLACEMENTS))
 def test_from_text_reads_odd_placements_as_the_string_parser_does(placement):
     def read(text):
         s = MC.from_text(text)
         return mc_board(s), s.side_to_move, s.ply
 
     text = f"{placement} w 0"
-    assert _result(read, text) == _result(mc_str_from_text, text)
+    message = ODD_PLACEMENTS[placement]
+    assert _result(read, text) == _result(mc_str_from_text, text) == ("ValueError", message)
 
 
 # The side not to move is in check, so its king could be captured: no game

@@ -22,9 +22,9 @@ from tdsearch.learner import (
     LearnerConfig,
     StepRecord,
     discounted_difference_sums,
-    state_hash,
     tdleaf_delta,
     temporal_differences,
+    text_hash,
     trace_to_log,
     traces_from_log,
 )
@@ -392,8 +392,9 @@ def test_trace_log_rejects_truncated_block():
 
 
 def test_state_hash_is_stable():
+    # A root's hash is text_hash of the text to_text writes for it.
     import hashlib
 
     s = T3.initial_state()
     want = hashlib.sha256(T3.to_text(s).encode()).hexdigest()[:16]
-    assert state_hash(T3, s) == want
+    assert text_hash(T3.to_text(s)) == want
