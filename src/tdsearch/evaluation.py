@@ -14,6 +14,7 @@ counts 1.0.  Win/loss/draw rewards themselves pass through unsquashed.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +121,21 @@ def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig
 # ---------------------------------------------------------------------------
 
 
-def _tictactoe_features(state) -> np.ndarray:
-    """9 cell-ownership values from the mover's side (+1 mine) plus a bias."""
-    s = state.side_to_move.sign
-    return np.array([s * v for v in state.board] + [1.0], dtype=np.float64)
+# Each extractor is a closure over its tables and a struct.Struct(f"{k}d")
+# pack, and returns np.frombuffer(pack(*values)): 'd' converts each value
+# with float(), as np.array(values, dtype=np.float64) did, so the read-only
+# vector has the same bits, without numpy's per-entry conversion.
+
+
+def _tictactoe_extractor():
+    pack, frombuffer = struct.Struct("10d").pack, np.frombuffer
+
+    def _tictactoe_features(state) -> np.ndarray:
+        """9 cell-ownership values from the mover's side (+1 mine) plus a bias."""
+        s = state.side_to_move.sign
+        return frombuffer(pack(*[s * v for v in state.board], 1.0))
+
+    return _tictactoe_features
 
 
 _C4_NAMES = (
@@ -149,67 +161,65 @@ _C4_NAMES = (
 # reach bit 72 at most, the opponent's bit 56 at least), which every count
 # masks away: one colour never reaches the other's squares.  Every packed
 # value stays below 2**160, so one popcount gives a mover-minus-opponent
-# difference: (x ^ _C4_HI).bit_count() - 80 counts the low half plus the
-# 80 - n zeros of the high half.
-_C4_GAP = 80
-_C4_HI = ((1 << _C4_GAP) - 1) << _C4_GAP
-_C4_CENTER, _C4_LOW, _C4_EVEN, _C4_ODD, _C4_BOTTOM, _C4_FULL = (
-    m | m << _C4_GAP for m in (c4.CENTER_MASK, c4.LOW_HALF_MASK, c4.EVEN_ROW_MASK,
-                               c4.ODD_ROW_MASK, c4.BOTTOM_MASK, c4.FULL_MASK))
+# difference: with HI the 80 bits from bit 80 up, (x ^ HI).bit_count() - 80
+# counts the low half plus the 80 - n zeros of the high half.
+def _connect4_extractor():
+    G, G2 = 80, 160
+    HI = ((1 << G) - 1) << G
+    CENTER, LOW, EVEN, ODD, BOTTOM, FULL = (
+        m | m << G for m in (c4.CENTER_MASK, c4.LOW_HALF_MASK, c4.EVEN_ROW_MASK,
+                             c4.ODD_ROW_MASK, c4.BOTTOM_MASK, c4.FULL_MASK))
+    pack, frombuffer = struct.Struct("12d").pack, np.frombuffer
 
+    def _connect4_features(state) -> np.ndarray:
+        """Bit-parallel Connect-4 features, mover minus opponent throughout.
 
-def _connect4_features(state) -> np.ndarray:
-    """Bit-parallel Connect-4 features, mover minus opponent throughout.
+        Runs are adjacent same-color pairs/triples per direction class (both
+        diagonals merged so the table is left-right mirror invariant); winning
+        squares are empty cells completing a four, split by row parity;
+        playable winning squares are those available this instant.
+        """
+        mine, filled = state
+        b = mine | (filled ^ mine) << G
+        filled |= filled << G
+        # Shift 1 is vertical, STRIDE = 7 horizontal, 6 and 8 the two diagonals.
+        v1, h1, a1, c1 = b >> 1, b >> 7, b >> 6, b >> 8
+        v2, h2, a2, c2 = v1 >> 1, h1 >> 7, a1 >> 6, c1 >> 8
+        H1, A1, C1 = b << 7, b << 6, b << 8
+        win = ((b << 1) & (b << 2) & (b << 3)  # winning squares of both colours
+               | H1 & (H1 << 7) & (b << 21 | h1) | h1 & h2 & (h2 >> 7 | H1)
+               | A1 & (A1 << 6) & (b << 18 | a1) | a1 & a2 & (a2 >> 6 | A1)
+               | C1 & (C1 << 8) & (b << 24 | c1) | c1 & c2 & (c2 >> 8 | C1)) & ~filled
+        ph, pv, pa, pc = b & h1, b & v1, b & a1, b & c1
+        th, tv, ta, tc = ph & h2, pv & v2, pa & a2, pc & c2
+        ev, od = win & EVEN, win & ODD
+        pl = win & (filled + BOTTOM) & FULL
+        return frombuffer(pack(
+            1.0,
+            (b & CENTER ^ HI).bit_count() - G,
+            (ph ^ HI).bit_count() - G,
+            (pv ^ HI).bit_count() - G,
+            (pa ^ HI).bit_count() + (pc ^ HI).bit_count() - G2,
+            (th ^ HI).bit_count() - G,
+            (tv ^ HI).bit_count() - G,
+            (ta ^ HI).bit_count() + (tc ^ HI).bit_count() - G2,
+            (ev ^ HI).bit_count() - G,
+            (od ^ HI).bit_count() - G,
+            (pl ^ HI).bit_count() - G,
+            (b & LOW ^ HI).bit_count() - G,
+        ))
 
-    Runs are adjacent same-color pairs/triples per direction class (both
-    diagonals merged so the table is left-right mirror invariant); winning
-    squares are empty cells completing a four, split by row parity;
-    playable winning squares are those available this instant.
-    """
-    G, HI = _C4_GAP, _C4_HI
-    mine, filled = state.mover, state.filled
-    b = mine | (filled ^ mine) << G
-    filled |= filled << G
-    # Shift 1 is vertical, STRIDE = 7 horizontal, 6 and 8 the two diagonals.
-    v1, h1, a1, c1 = b >> 1, b >> 7, b >> 6, b >> 8
-    v2, h2, a2, c2 = b >> 2, b >> 14, b >> 12, b >> 16
-    H1, A1, C1 = b << 7, b << 6, b << 8
-    win = ((b << 1) & (b << 2) & (b << 3)  # winning squares of both colours
-           | H1 & (b << 14) & (b << 21 | h1) | h1 & h2 & (b >> 21 | H1)
-           | A1 & (b << 12) & (b << 18 | a1) | a1 & a2 & (b >> 18 | A1)
-           | C1 & (b << 16) & (b << 24 | c1) | c1 & c2 & (b >> 24 | C1)) & ~filled
-    ph, pv, pa, pc = b & h1, b & v1, b & a1, b & c1
-    th, tv, ta, tc = ph & h2, pv & v2, pa & a2, pc & c2
-    ce, lw, ev, od = b & _C4_CENTER, b & _C4_LOW, win & _C4_EVEN, win & _C4_ODD
-    pl = win & (filled + _C4_BOTTOM) & _C4_FULL
-    return np.array([
-        1.0,
-        (ce ^ HI).bit_count() - G,
-        (ph ^ HI).bit_count() - G,
-        (pv ^ HI).bit_count() - G,
-        (pa ^ HI).bit_count() + (pc ^ HI).bit_count() - 2 * G,
-        (th ^ HI).bit_count() - G,
-        (tv ^ HI).bit_count() - G,
-        (ta ^ HI).bit_count() + (tc ^ HI).bit_count() - 2 * G,
-        (ev ^ HI).bit_count() - G,
-        (od ^ HI).bit_count() - G,
-        (pl ^ HI).bit_count() - G,
-        (lw ^ HI).bit_count() - G,
-    ], dtype=np.float64)
+    return _connect4_features
 
 
 def _minichess_material(state) -> list:
     """Side-to-move material differences, pawn, knight, bishop, rook, queen."""
     own, opp, pawns, knights, bishops, rooks, queens = state[:7]
-    return [float((pawns & own).bit_count() - (pawns & opp).bit_count()),
-            float((knights & own).bit_count() - (knights & opp).bit_count()),
-            float((bishops & own).bit_count() - (bishops & opp).bit_count()),
-            float((rooks & own).bit_count() - (rooks & opp).bit_count()),
-            float((queens & own).bit_count() - (queens & opp).bit_count())]
-
-
-def _minichess_material_features(state) -> np.ndarray:
-    return np.array(_minichess_material(state), dtype=np.float64)
+    return [(pawns & own).bit_count() - (pawns & opp).bit_count(),
+            (knights & own).bit_count() - (knights & opp).bit_count(),
+            (bishops & own).bit_count() - (bishops & opp).bit_count(),
+            (rooks & own).bit_count() - (rooks & opp).bit_count(),
+            (queens & own).bit_count() - (queens & opp).bit_count()]
 
 
 def _king_exposure(kings: int, pieces: int) -> int:
@@ -217,17 +227,27 @@ def _king_exposure(kings: int, pieces: int) -> int:
     return (mc.KING_MASKS[(kings & pieces).bit_length() - 1] & ~pieces).bit_count()
 
 
-def _minichess_features(state) -> np.ndarray:
-    """Material differences plus pseudo-mobility and king exposure."""
-    vals = _minichess_material(state)
-    swapped = state._replace(own=state.opp, opp=state.own,
-                             side_to_move=state.side_to_move.opponent)
-    mob = len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped))
-    exposure = (_king_exposure(state.kings, state.opp)
-                - _king_exposure(state.kings, state.own))
-    vals.append(float(mob))
-    vals.append(float(exposure))
-    return np.array(vals, dtype=np.float64)
+def _minichess_extractors():
+    pack5, pack7, frombuffer = struct.Struct("5d").pack, struct.Struct("7d").pack, np.frombuffer
+
+    def _minichess_material_features(state) -> np.ndarray:
+        return frombuffer(pack5(*_minichess_material(state)))
+
+    def _minichess_features(state) -> np.ndarray:
+        """Material differences plus pseudo-mobility and king exposure."""
+        swapped = state._replace(own=state.opp, opp=state.own,
+                                 side_to_move=state.side_to_move.opponent)
+        return frombuffer(pack7(
+            *_minichess_material(state),
+            len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped)),
+            _king_exposure(state.kings, state.opp) - _king_exposure(state.kings, state.own)))
+
+    return _minichess_material_features, _minichess_features
+
+
+_tictactoe_features = _tictactoe_extractor()
+_connect4_features = _connect4_extractor()
+_minichess_material_features, _minichess_features = _minichess_extractors()
 
 
 @dataclass(frozen=True)
@@ -237,7 +257,7 @@ class FeatureSet:
     id: str
     game_id: str
     names: tuple
-    extract: object  # callable(state) -> np.ndarray
+    extract: object  # callable(state) -> read-only float64 array of length k
     anchors: tuple = ()  # anchored (index, value) pairs for new weights
 
     @property
@@ -334,46 +354,40 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
 _G = "{:.17g}".format
 
 
+def _snapshot_lines(fs: FeatureSet, values, anchors):
+    """The lines of a snapshot: header (feature set, k, anchors), then index,name,value."""
+    yield f"game={fs.id} k={fs.k} anchors={';'.join(f'{i}:{_G(v)}' for i, v in anchors) or '-'}"
+    for i, name in enumerate(fs.names):
+        yield f"{i},{name},{_G(values[i])}"
+
+
 def weights_to_text(fs: FeatureSet, weights: WeightVector) -> str:
-    """Snapshot format: header (feature set, k, anchors), then index,name,value."""
     if len(weights) != fs.k:
         raise ValueError("weight length does not match the feature set")
-    anchors = ";".join(f"{i}:{_G(v)}" for i, v in weights.anchors) or "-"
-    lines = [f"game={fs.id} k={fs.k} anchors={anchors}"]
-    for i, name in enumerate(fs.names):
-        lines.append(f"{i},{name},{_G(weights.values[i])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_snapshot_lines(fs, weights.values, weights.anchors)) + "\n"
 
 
 def weights_from_text(text: str):
-    """Parse a snapshot; returns (feature_set_id, WeightVector)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a snapshot; returns (feature_set_id, WeightVector).
+
+    Each line must be the one weights_to_text writes for the values it
+    holds: header keys game, k, anchors in that order, index lines 0..k-1
+    in order, and every float token equal to _G(float(token)).
+    """
+    lines = text.splitlines()
     if not lines:
         raise ValueError("empty snapshot")
-    header = dict(part.split("=", 1) for part in lines[0].split())
+    header = dict(part.split("=", 1) for part in lines[0].split(" "))
     fs = feature_set(header["game"])
-    k = int(header["k"])
-    if k != fs.k:
-        raise ValueError(f"snapshot k={k} but {fs.id} has {fs.k} features")
-    anchors = ()
-    if header["anchors"] != "-":
-        anchors = tuple(
-            (int(i), float(v))
-            for i, v in (pair.split(":") for pair in header["anchors"].split(";"))
-        )
-    values = np.zeros(k)
-    seen = set()
-    for ln in lines[1:]:
-        idx, name, val = ln.split(",")
-        i = int(idx)
-        if i in seen:
-            raise ValueError(f"snapshot repeats index {i}")
-        if fs.names[i] != name:
-            raise ValueError(f"feature {i} is {fs.names[i]!r}, snapshot says {name!r}")
-        values[i] = float(val)
-        seen.add(i)
-    if seen != set(range(k)):
-        raise ValueError("snapshot does not cover every weight")
+    pairs = header["anchors"]
+    anchors = () if pairs == "-" else tuple(
+        (int(i), float(v)) for i, v in (pair.split(":") for pair in pairs.split(";")))
+    if len(lines) != fs.k + 1:
+        raise ValueError(f"snapshot has {len(lines) - 1} weight lines, {fs.id} has {fs.k}")
+    values = [float(row.rpartition(",")[2]) for row in lines[1:]]
+    for n, (got, want) in enumerate(zip(lines, _snapshot_lines(fs, values, anchors)), start=1):
+        if got != want:
+            raise ValueError(f"snapshot line {n} reads {got!r}; the writer writes {want!r}")
     return fs.id, WeightVector(values, anchors)
 
 

@@ -107,7 +107,11 @@ class Game:
         return str(action)
 
     def action_from_str(self, text: str):
-        return int(text)
+        """The action of a token action_to_str writes, 0|[1-9][0-9]*; no other spelling."""
+        action = int(text)
+        if action < 0 or str(action) != text:
+            raise ValueError(f"bad move token {text!r}")
+        return action
 
     def replay(self, actions, state=None):
         """Fold apply() over an action sequence from state (default initial)."""

@@ -67,6 +67,7 @@ _X_COLUMN, _O_COLUMN = (
 _BIT_ORDER = itemgetter(*reversed(_TEXT_INDEX))
 _X_BIT = bytes.maketrans(b"XO./", b"1000")
 _O_BIT = bytes.maketrans(b"XO./", b"0100")
+_new_tuple = tuple.__new__
 
 
 def has_alignment(stones: int) -> bool:
@@ -126,10 +127,11 @@ class ConnectFour(Game):
         return ConnectFourState(state.opponent_stones, state.filled | cell)
 
     def apply_trusted(self, state: ConnectFourState, action: int) -> ConnectFourState:
-        # Fast path for callers holding an action from legal_actions().
-        filled = state.filled
+        # Fast path for callers holding an action from legal_actions();
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        mover, filled = state
         cell = (filled + BOTTOM_BIT[action]) & COLUMN_MASK[action]
-        return ConnectFourState(filled ^ state.mover, filled | cell)
+        return _new_tuple(ConnectFourState, (filled ^ mover, filled | cell))
 
     def outcome(self, state: ConnectFourState) -> Outcome | None:
         # Only the player who just moved can have completed a four; an odd

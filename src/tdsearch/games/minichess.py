@@ -531,14 +531,9 @@ class Minichess(Game):
 
     def action_from_str(self, text: str):
         move = _MOVE_TOKENS.get(text)
-        if move is not None:
-            return move
-        text = text.strip()
-        if len(text) != 4:
+        if move is None:
             raise ValueError(f"bad move token {text!r}")
-        frm = _sq(_FILES.index(text[0]), int(text[1]) - 1)
-        to = _sq(_FILES.index(text[2]), int(text[3]) - 1)
-        return (frm, to)
+        return move
 
 
 # The move tokens action_to_str writes, each to its (from, to) pair.

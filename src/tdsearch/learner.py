@@ -270,10 +270,11 @@ def traces_from_log(text: str, game, fs: FeatureSet):
             root = game.from_text(root_text)
             if root.ply != int(ply_txt):
                 raise ValueError(f"line {line_no}: ply mismatch")
-            pv = ()
-            if pv_txt != "-":
-                pv = tuple(game.action_from_str(tok) for tok in pv_txt.split(";"))
-            leaf = game.replay(pv, root)
+            try:
+                pv = () if pv_txt == "-" else tuple(map(game.action_from_str, pv_txt.split(";")))
+                leaf = game.replay(pv, root)
+            except ValueError as e:  # a bad token, or an IllegalMoveError
+                raise ValueError(f"line {line_no}: {e}") from None
             outcomes.append(outcome := game.outcome(leaf))
             steps.append(
                 StepRecord(

@@ -638,6 +638,35 @@ def mc_str_legal_moves(board, side):
             if not mc_str_in_check(mc_str_edit(board, m), side)]
 
 
+def features_oracle(set_id, game, state):
+    """A feature set's vector as a list, read from the text or board string.
+
+    connect4 is c4_features_oracle; tictactoe reads the text grid;
+    minichess counts letters on the board string and its string move
+    generator's moves, and walks the king's neighbour squares.
+    """
+    if set_id == "connect4":
+        return c4_features_oracle(game, state)
+    side = state.side_to_move
+    if set_id == "tictactoe":
+        mine = "X" if side is Side.WHITE else "O"
+        cells = game.to_text(state).replace("/", "")
+        return [0 if ch == "." else 1 if ch == mine else -1 for ch in cells] + [1.0]
+    board = mc_board(state)
+    material = [side.sign * (board.count(w) - board.count(b)) for w, b in ("Pp", "Nn", "Bb", "Rr", "Qq")]
+    if set_id == "minichess-material":
+        return material
+
+    def exposure(king):  # the king's neighbour squares its own pieces leave open
+        mine = str.isupper if king == "K" else str.islower
+        return sum(1 for t in mc.KING_TARGETS[board.index(king)] if not mine(board[t]))
+
+    own_king, opp_king = ("K", "k") if side is Side.WHITE else ("k", "K")
+    mobility = (len(list(mc_str_pseudo_moves(board, side)))
+                - len(list(mc_str_pseudo_moves(board, side.opponent))))
+    return material + [mobility, exposure(opp_king) - exposure(own_king)]
+
+
 def mc_loop_to_text(state):
     """Minichess text one square at a time: the to_text minichess ran before its tables."""
     white = state.own if state.side_to_move is Side.WHITE else state.opp

@@ -160,7 +160,7 @@ HOLES = {
     "unknown-features": (lambda t: _online(t, features="no-such-set"), "no-such-set"),
     "unknown-preset": (lambda t: _fixed_opponent(t, "basline"), "basline"),
     "nan-snapshot": (_nan_snapshot, "finite"),
-    "repeated-index-snapshot": (_repeated_index_snapshot, "repeats index 3"),
+    "repeated-index-snapshot": (_repeated_index_snapshot, "snapshot has 11 weight lines"),
     "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
     "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
 }
@@ -330,6 +330,29 @@ def test_replay_mode_fails_on_a_root_text_to_text_never_writes(tmp_path, capsys)
     assert main(["--config", rp, "--quiet"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "line 4: root hash mismatch" in err
+
+
+def test_replay_mode_fails_on_an_action_token_action_to_str_never_writes(tmp_path, capsys):
+    # The first step of a 4-game connect4 pool run logs the PV 1;3;3 on
+    # line 2.  int() reads 01;+3;3 as the same columns, but action_to_str
+    # writes neither 01 nor +3: replay fails and names the line.
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "c4_pool_train.json").read_text())
+    run = tmp_path / "run"
+    p = write_cfg(tmp_path / "train.json", **dict(cfg, games=4, out_dir=str(run)))
+    assert main(["--config", p, "--quiet"]) == 0
+    log = run / "traces.log"
+    lines = log.read_text().split("\n")
+    step = lines[1].split(" ")
+    assert step[4] == "1;3;3"
+    step[4] = "01;+3;3"
+    lines[1] = " ".join(step)
+    log.write_text("\n".join(lines))
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "line 2: bad move token '01'" in err
 
 
 def test_replay_requires_run_artifacts(tmp_path, capsys):

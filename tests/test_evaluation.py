@@ -10,6 +10,7 @@ from oracles import (
     c4_mirror_lr,
     c4_winning_squares,
     fd_gradient,
+    features_oracle,
     mc_board,
     mc_mirror,
     mc_with_mover,
@@ -413,6 +414,26 @@ def test_linear_evaluator_matches_raw_eval():
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_leaf_value_has_the_bits_of_the_dot_over_the_oracle_array(set_id):
+    # extract packs the features into a float64 buffer.  The evaluator must
+    # still give, bit for bit, np.dot over the array np.array built from the
+    # oracle's features, with weights spanning many magnitudes so that
+    # rounding and summation order show.
+    fs = feature_set(set_id)
+    game = GAMES[fs.game_id]
+    rng = np.random.default_rng(35)
+    states = _walk_states(fs, seed=36, n=120)
+    for _ in range(4):
+        w = rng.normal(size=fs.k) * 10.0 ** rng.integers(-6, 7, size=fs.k)
+        ev = linear_evaluator(fs, WeightVector(w))
+        for s in states:
+            phi = fs.extract(s)
+            assert phi.dtype == np.float64 and phi.shape == (fs.k,)
+            ref = np.array(features_oracle(set_id, game, s), dtype=np.float64)
+            assert _bits(ev(s)) == _bits(float(np.dot(w, ref))), game.to_text(s)
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
 def test_zero_weight_evaluator_extracts_no_features(set_id):
     base = feature_set(set_id)
     calls = []
@@ -489,9 +510,50 @@ def test_snapshot_text_rejects_wrong_names():
 def test_snapshot_text_rejects_a_repeated_index():
     # A later line for the same index would otherwise win silently.
     fs = feature_set("connect4")
-    text = weights_to_text(fs, preset_weights(fs, "baseline")) + "3,run2_v,99.0\n"
-    with pytest.raises(ValueError, match="snapshot repeats index 3"):
-        weights_from_text(text)
+    text = weights_to_text(fs, preset_weights(fs, "baseline"))
+    with pytest.raises(ValueError, match="snapshot has 13 weight lines, connect4 has 12"):
+        weights_from_text(text + "3,run2_v,99\n")
+    lines = text.splitlines()
+    lines[12] = "3,run2_v,99"  # in place of index 11: the count still fits
+    with pytest.raises(ValueError, match="snapshot line 13 reads '3,run2_v,99'"):
+        weights_from_text("\n".join(lines) + "\n")
+
+
+def _snapshot_lines_of(set_id):
+    fs = feature_set(set_id)
+    w = preset_weights(fs, "baseline" if set_id == "connect4" else "material")
+    if set_id == "connect4":
+        w = w.with_values(w.values * np.where(np.arange(fs.k) % 2, -1.0, 1.0))
+    return weights_to_text(fs, w).splitlines()
+
+
+# Spellings of a snapshot that name the writer's very weights but that the
+# writer never writes: (feature set, edit of the writer's lines, the line
+# the error names).
+SNAPSHOT_SPELLINGS = {
+    "extra header key": ("connect4", lambda ls: [ls[0] + " note=x", *ls[1:]], 1),
+    "header keys reordered": ("connect4", lambda ls: ["game=connect4 anchors=- k=12", *ls[1:]], 1),
+    "k with a sign": ("connect4", lambda ls: [ls[0].replace("k=12", "k=+12"), *ls[1:]], 1),
+    "anchor as 1.0": ("minichess", lambda ls: [ls[0].replace("0:1", "0:1.0"), *ls[1:]], 1),
+    "index lines reversed": ("connect4", lambda ls: [ls[0], *reversed(ls[1:])], 2),
+    "index with a leading zero": ("connect4", lambda ls: [*ls[:3], "0" + ls[3], *ls[4:]], 4),
+    "float with a leading zero": ("connect4", lambda ls: [*ls[:2], ls[2].replace("-0.", "-00."),
+                                                          *ls[3:]], 3),
+    "float with a trailing zero": ("minichess", lambda ls: [*ls[:3], ls[3] + ".0", *ls[4:]], 4),
+    "float with a plus sign": ("connect4", lambda ls: [*ls[:7], ls[7].replace(",0", ",+0"),
+                                                       *ls[8:]], 8),
+}
+
+
+@pytest.mark.parametrize("spelling", SNAPSHOT_SPELLINGS)
+def test_snapshot_text_rejects_a_second_spelling(spelling):
+    set_id, edit, line = SNAPSHOT_SPELLINGS[spelling]
+    lines = _snapshot_lines_of(set_id)
+    weights_from_text("\n".join(lines) + "\n")  # the writer's own text loads
+    tampered = edit(lines)
+    assert tampered != lines
+    with pytest.raises(ValueError, match=f"snapshot line {line} reads "):
+        weights_from_text("\n".join(tampered) + "\n")
 
 
 def test_all_feature_sets_registered():

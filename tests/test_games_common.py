@@ -79,6 +79,20 @@ def test_action_text_round_trip(game):
         s = game.apply(s, acts[int(rng.integers(len(acts)))])
 
 
+@pytest.mark.parametrize("game", [GAMES["connect4"], GAMES["tictactoe"],
+                                  SyntheticTreeGame(UNIQUE_PV_TREE)],
+                         ids=["connect4", "tictactoe", "synthetic"])
+def test_integer_action_tokens_have_one_spelling(game):
+    # int() reads each of these as an action; action_to_str writes none.
+    assert [game.action_from_str(t) for t in ("0", "3", "10")] == [0, 3, 10]
+    for token in ("06", "+5", "-0", "-3", " 3", "3\n", "1_0", "\u0663"):
+        with pytest.raises(ValueError, match="bad move token"):
+            game.action_from_str(token)
+    for token in ("", "a", "3.0"):
+        with pytest.raises(ValueError):
+            game.action_from_str(token)
+
+
 def test_moves_text_round_trip_and_replay(game):
     rng = np.random.default_rng(23)
     states, moves = random_playout(game, rng)

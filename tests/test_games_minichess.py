@@ -242,9 +242,16 @@ def test_the_only_legal_move_is_found(text, only):
 def test_action_from_str_matches_the_parser_on_every_token():
     tokens = ["".join(t) for t in product("abcde", "12345", "abcde", "12345")]
     assert [MC.action_to_str(MC.action_from_str(t)) for t in tokens] == tokens
+    for token in tokens:
+        assert MC.action_from_str(token) == mc_action_from_str(token), token
+    # Spellings action_to_str never writes.  The parser reads some of them
+    # (a0a1 as (-5, 0), " a1a2" and "a1a2\n" as (0, 5)); each is a bad token.
     malformed = ["a0a1", "f1a1", " a1a2", "a1a", "a1a2\n", "A1a2", "a6e5", "a\u0663a1", "", "a1a2a"]
-    for token in tokens + malformed:
-        assert _result(MC.action_from_str, token) == _result(mc_action_from_str, token), token
+    assert mc_action_from_str("a0a1") == (-5, 0)
+    assert mc_action_from_str(" a1a2") == mc_action_from_str("a1a2\n") == (0, 5)
+    for token in malformed:
+        with pytest.raises(ValueError, match="bad move token"):
+            MC.action_from_str(token)
 
 
 # Placements to_text never writes: a long rank beside a short one of the

@@ -69,3 +69,51 @@ def terminal_rule_copies(root=SRC / "games"):
 def test_games_define_outcome_only():
     found = terminal_rule_copies()
     assert not found, "Game subclasses that define is_terminal again:\n" + "\n".join(found)
+
+
+# The functions that may take a dot product, as (file under src/tdsearch,
+# top-level function).  Search leaves and replay then share one reduction.
+DOT_OWNERS = {("evaluation.py", "raw_eval"), ("evaluation.py", "linear_evaluator")}
+DOT_NAMES = {"dot", "vdot", "inner", "matmul", "einsum"}
+
+
+def dot_products(root=SRC):
+    """The "file:line" of each dot product in src/ outside DOT_OWNERS.
+
+    A dot product is an attribute named in DOT_NAMES (np.dot, a bound
+    ndarray .dot, called or not), a name imported as one of them, or the
+    @ operator.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        module = ast.parse(path.read_text(), str(path))
+        owned = {id(n) for node in module.body
+                 if isinstance(node, ast.FunctionDef) and (rel, node.name) in DOT_OWNERS
+                 for n in ast.walk(node)}
+        for node in ast.walk(module):
+            if id(node) not in owned and (
+                    isinstance(node, ast.Attribute) and node.attr in DOT_NAMES
+                    or isinstance(node, ast.alias) and node.name in DOT_NAMES
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+                found.append((rel, node.lineno))
+    return [f"{rel}:{line}" for rel, line in sorted(found)]
+
+
+def test_only_raw_eval_and_linear_evaluator_take_dot_products():
+    found = dot_products()
+    assert not found, "dot products outside raw_eval and linear_evaluator:\n" + "\n".join(found)
+
+
+def test_dot_guard_finds_every_spelling(tmp_path):
+    (tmp_path / "evaluation.py").write_text(
+        "import numpy as np\n"
+        "def raw_eval(w, f):\n    return np.dot(w, f)\n"
+        "def linear_evaluator(w):\n    dot = w.dot\n    return lambda f: dot(f)\n"
+        "def other(w, f):\n    return w.dot(f)\n")
+    (tmp_path / "search.py").write_text(
+        "from numpy import dot\nimport numpy as np\n"
+        "def leaf(w, f):\n    return np.dot(w, f) + (w @ f) + np.inner(w, f)\n"
+        "bound = np.ones(3).dot\n")
+    assert dot_products(tmp_path) == ["evaluation.py:8", "search.py:1", "search.py:4",
+                                      "search.py:4", "search.py:4", "search.py:5"]
