@@ -3,26 +3,19 @@
 Runs are deterministic functions of (config, seed): every game draws its
 randomness from a generator seeded by (run_seed, game_index), agents get
 per-move tie-break seeds from that stream, and artifacts are written with
-fixed formatting, so repeating a run reproduces ratings.csv and every
-weight snapshot byte for byte.
+fixed formatting, so repeating a run reproduces its ratings, trace log and
+every weight snapshot byte for byte.
 
 Online training, self-play training and replay share one learning loop,
 _learn, which holds the weights and applies the batched TDLeaf(lambda)
 update; replay feeds it the logged games, so it matches training by
 construction.  Agents are immutable: games are played by copies carrying
 the current weights, and RunResult.weights holds the learned weights.
-
-A run directory contains config.json (written by the CLI), ratings.csv,
-traces.log, weights_000000.snapshot (the starting weights), periodic
-weights_NNNNNN.snapshot files, and weights_final.snapshot.
+tdsearch.rundir writes and reads the run directory.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import os
-import re
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby, pairwise
 from pathlib import Path
@@ -30,14 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from tdsearch.evaluation import (
-    _G,
     FeatureSet,
     SquashConfig,
     WeightVector,
     linear_evaluator,
     raw_eval,
     squash,
-    weights_to_text,
 )
 from tdsearch.games.base import IllegalMoveError, Outcome, Side
 from tdsearch.learner import (
@@ -50,6 +41,7 @@ from tdsearch.learner import (
     traces_from_log,
 )
 from tdsearch.rng import PCG64
+from tdsearch.rundir import RunWriter
 from tdsearch.search import alphabeta, terminal_score
 
 INITIAL_RATING = 1500.0
@@ -257,18 +249,9 @@ class OpponentPool:
 # Training runs
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "game_index", "opponent_id", "color", "outcome", "agent_rating",
-    "opponent_rating", "moves", "nodes_searched", "weight_snapshot_hash",
-)
-
 
 def game_rng(seed: int, game_index: int) -> PCG64:
     return PCG64((seed, game_index))
-
-
-def weights_hash(fs: FeatureSet, weights: WeightVector) -> str:
-    return hashlib.sha256(weights_to_text(fs, weights).encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -279,80 +262,8 @@ class RunResult:
     games: int
 
 
-# The snapshot files a run writes: numbered, final, and the final one's temporary.
-_SNAPSHOT_NAME = re.compile(r"weights_(\d{6,}|final)\.snapshot(\.tmp)?")
-
-
-class _RunWriter:
-    """Streams ratings.csv, traces.log and snapshots for a training run.
-
-    A context manager: leaving it closes both streams, also when the run
-    raises, so every finished game's row reaches disk.  weights_final.snapshot
-    is written last and renamed into place whole, so it exists only once a
-    run has completed.  Snapshots an earlier run left in the directory are
-    removed first: a shorter run would otherwise keep later ones whose
-    hashes match no row of its ratings.csv.
-    """
-
-    def __init__(self, out_dir, fs: FeatureSet, weights: WeightVector, snapshot_every: int):
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._final = self.out_dir / "weights_final.snapshot"
-        for path in self.out_dir.glob("weights_*.snapshot*"):
-            if _SNAPSHOT_NAME.fullmatch(path.name):
-                path.unlink()
-        self.fs = fs
-        self.snapshot_every = snapshot_every
-        self._csv_fh = open(self.out_dir / "ratings.csv", "w", newline="", encoding="ascii")
-        self._csv = csv.writer(self._csv_fh, lineterminator="\n")
-        self._csv.writerow(CSV_COLUMNS)
-        self._log_fh = open(self.out_dir / "traces.log", "w", encoding="ascii")
-        self.snapshot(weights, 0)
-
-    def snapshot(self, weights: WeightVector, game_count: int) -> None:
-        path = self.out_dir / f"weights_{game_count:06d}.snapshot"
-        path.write_text(weights_to_text(self.fs, weights), encoding="ascii")
-
-    def row(self, game_index, opponent_id, color, outcome_for_agent, agent_rating,
-            opponent_rating, moves, nodes, weights) -> None:
-        self._csv.writerow(
-            [
-                game_index,
-                opponent_id,
-                color,
-                _G(outcome_for_agent),
-                _G(agent_rating),
-                _G(opponent_rating),
-                moves,
-                nodes,
-                weights_hash(self.fs, weights),
-            ]
-        )
-
-    def trace(self, game, trace: GameTrace, game_index: int, opponent_id: str) -> None:
-        self._log_fh.write(trace_to_log(game, trace, game_index, opponent_id))
-
-    def maybe_periodic(self, weights: WeightVector, games_done: int) -> None:
-        if self.snapshot_every and games_done % self.snapshot_every == 0:
-            self.snapshot(weights, games_done)
-
-    def __enter__(self) -> "_RunWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._csv_fh.close()
-        self._log_fh.close()
-
-    def finish(self, weights: WeightVector) -> None:
-        self._csv_fh.flush()
-        self._log_fh.flush()
-        tmp = self._final.with_name(self._final.name + ".tmp")
-        tmp.write_text(weights_to_text(self.fs, weights), encoding="ascii")
-        os.replace(tmp, self._final)
-
-
 def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
-    """Fold a stream of games into the weights; yields (i, result, weights after game i).
+    """Fold a stream of games into the weights; yields (i, result, traces, weights after game i).
 
     play(item, weights) plays or reads back one item of games (never None)
     and returns (result, traces), the traces in accumulation order.  Deltas
@@ -368,7 +279,23 @@ def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
         if (i + 1) % cfg.update_every_n_games == 0 or upcoming is None:
             weights = weights.with_values(weights.values + acc)
             acc = np.zeros(len(weights))
-        yield i, result, weights
+        yield i, result, traces, weights
+
+
+def _train(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int, out_dir,
+           snapshot_every: int, table: RatingTable, play) -> RunResult:
+    """Learn from n_games games of play, writing each game as it finishes.
+
+    play(i, weights) plays game i and returns its ratings row (opponent id,
+    color, outcome for the agent, agent rating, opponent rating, moves,
+    nodes searched) and its recorded traces.
+    """
+    weights = agent.weights
+    with RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
+        for i, row, traces, weights in _learn(cfg, weights, range(n_games), play):
+            writer.write_game(i, *row, weights, [trace_to_log(game, t, i, row[0]) for t in traces])
+        writer.finish(weights)
+    return RunResult(Path(out_dir), weights, table, n_games)
 
 
 def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfig,
@@ -392,22 +319,11 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
         white, black = (me, opp) if side is Side.WHITE else (opp, me)
         rec = play_game(game, white, black, record_sides=(side,), squash_cfg=cfg.squash, rng=rng,
                         rating_lower={side: table.rating(opp.id) < table.rating(agent.id)})
-        return (rec, opp, side), (rec.traces[side],)
+        elo_update(table, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
+        return (opp.id, side.name.lower(), rec.outcome.for_side(side), table.rating(agent.id),
+                table.rating(opp.id), rec.moves, rec.nodes[side]), (rec.traces[side],)
 
-    weights = agent.weights
-    with _RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
-        for i, (rec, opp, side), weights in _learn(cfg, weights, range(n_games), play):
-            elo_update(table, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
-            writer.row(
-                i, opp.id, "white" if side is Side.WHITE else "black",
-                rec.outcome.for_side(side),
-                table.rating(agent.id), table.rating(opp.id),
-                rec.moves, rec.nodes[side], weights,
-            )
-            writer.trace(game, rec.traces[side], i, opp.id)
-            writer.maybe_periodic(weights, i + 1)
-        writer.finish(weights)
-    return RunResult(Path(out_dir), weights, table, n_games)
+    return _train(game, agent, cfg, n_games, out_dir, snapshot_every, table, play)
 
 
 def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
@@ -425,6 +341,7 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
     """
     table = RatingTable()
     table.register(agent.id)
+    rating = table.rating(agent.id)
     sides = (Side.WHITE, Side.BLACK) if record_both else (Side.WHITE,)
 
     def play(i, weights):
@@ -432,21 +349,10 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
         rec = play_game(game, me, me, record_sides=sides, squash_cfg=cfg.squash,
                         rng=game_rng(seed, i), opening_plies=opening_plies,
                         opening_epsilon=opening_epsilon)
-        return rec, [rec.traces[side] for side in sides]
+        return ((agent.id, "white", rec.outcome.reward, rating, rating, rec.moves,
+                 sum(rec.nodes.values())), [rec.traces[side] for side in sides])
 
-    weights = agent.weights
-    with _RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
-        for i, rec, weights in _learn(cfg, weights, range(n_games), play):
-            writer.row(
-                i, agent.id, "white", rec.outcome.reward,
-                table.rating(agent.id), table.rating(agent.id),
-                rec.moves, rec.nodes[Side.WHITE] + rec.nodes[Side.BLACK], weights,
-            )
-            for side in sides:
-                writer.trace(game, rec.traces[side], i, agent.id)
-            writer.maybe_periodic(weights, i + 1)
-        writer.finish(weights)
-    return RunResult(Path(out_dir), weights, table, n_games)
+    return _train(game, agent, cfg, n_games, out_dir, snapshot_every, table, play)
 
 
 def head_to_head(game, agent_a, agent_b, n_games: int, seed: int):
@@ -482,17 +388,17 @@ class ReplayReport:
 
 
 def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVector,
-                  traces_text: str) -> ReplayReport:
-    """Recompute the weight trajectory from a trace log, through training's loop.
+                  log) -> ReplayReport:
+    """Recompute the weight trajectory from a trace log's lines, through training's loop.
 
     Blocks must come in training order: games 0, 1, ..., n-1, one block per
     recorded seat, White's first.  Every step's raw and squashed values are
     recomputed from the replayed leaf and the weights current at that point
     of the trajectory; any disagreement or out-of-order block is reported.
     """
-    # One game's blocks at a time: the log is parsed as the replay reaches it.
+    # One game's blocks at a time: the log is read and parsed as the replay reaches it.
     blocks = enumerate((idx, [block[2:] for block in group])
-                       for idx, group in groupby(traces_from_log(traces_text, game, fs),
+                       for idx, group in groupby(traces_from_log(log, game, fs),
                                                  key=lambda block: block[0]))
 
     def play(block, weights):
@@ -517,7 +423,7 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
         return found, traces
 
     games, mismatches, weights = 0, [], initial
-    for i, found, weights in _learn(cfg, initial, blocks, play):
+    for i, found, _, weights in _learn(cfg, initial, blocks, play):
         games = i + 1
         mismatches += found
     return ReplayReport(not mismatches, games, weights, mismatches)

@@ -8,11 +8,11 @@ seed and out_dir.  A run parses first and writes second: one pass reads
 each config section, checks its types and ranges (unknown keys are
 rejected), and builds the object it configures, resolving every preset,
 snapshot and run directory the config names.  Only then is the resolved
-config echoed to out_dir/config.json and the run started, so a config error
-writes nothing, and feeding the echoed file back reproduces the run's
-artifacts byte for byte.  Exit codes: 0 on success, 1 on a runtime fault
-(including failed replay/verification), 2 on a config error.  No mode
-writes outside its out_dir.
+config echoed into out_dir (tdsearch.rundir names the files) and the run
+started, so a config error writes nothing, and feeding the echoed file back
+reproduces the run's artifacts byte for byte.  Exit codes: 0 on success, 1
+on a runtime fault (including failed replay/verification), 2 on a config
+error.  No mode writes outside its out_dir.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from tdsearch.evaluation import SquashConfig, load_weights
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
 from tdsearch.presets import preset_weights, resolve_feature_set
+from tdsearch.rundir import open_log, read_config, snapshot_path, write_config, write_json
 from tdsearch.search import alphabeta, minimax
 
 MODES = ("train-online", "train-selfplay", "head-to-head", "replay", "verify-figures")
@@ -162,8 +163,10 @@ def parse(cfg: dict, config_dir: Path):
                           f"{str(existing)!r} is not a directory")
     seed = top.get("seed", int, 0, lo=0)
     if mode == "replay":
-        run = _parse_replay(top.path("run_dir", config_dir), out_dir)
-    elif mode == "verify-figures":
+        run_dir = top.path("run_dir", config_dir)
+        top.done()  # before the replay opens its log
+        return _parse_replay(run_dir, out_dir)
+    if mode == "verify-figures":
         top.choice("game", ("synthetic-tree",))
         run = partial(_run_verify_figures, seed, top.get("trials", int, 200, lo=1), out_dir)
     else:
@@ -261,29 +264,23 @@ def _alpha(where: str, value) -> AlphaSchedule:
 
 def _parse_replay(run_dir: Path, out_dir: Path):
     """The replay of run_dir, with the game, features and learner of its stored config."""
-    stored = run_dir / "config.json"
+    where = f"run_dir {run_dir}"
     try:
-        run_cfg = _Section(json.loads(stored.read_text(encoding="utf-8")), str(stored))
+        run_cfg = _Section(read_config(run_dir), f"{where} config")
         run_cfg.choice("mode", ("train-online", "train-selfplay"))
-        traces = (run_dir / "traces.log").read_text(encoding="ascii")
+        game_id = run_cfg.choice("game", tuple(GAMES))
+        fs = run_cfg.call(resolve_feature_set, game_id, run_cfg.get("features", str, None))
+        learner = _learner(_Section(run_cfg.get("learner", dict), f"{where} config learner"), fs)
+        initial, final = (_snapshot(snapshot_path(run_dir, k), fs, where) for k in (0, None))
+        log = open_log(run_dir)  # last, once nothing else can fail; the replay closes it
     except (OSError, ValueError) as e:
-        raise ConfigError(f"run_dir {run_dir}: {e}") from None
-    game_id = run_cfg.choice("game", tuple(GAMES))
-    fs = run_cfg.call(resolve_feature_set, game_id, run_cfg.get("features", str, None))
-    learner = _learner(_Section(run_cfg.get("learner", dict), f"{stored} learner"), fs)
-    initial, final = (_snapshot(run_dir / f"weights_{name}.snapshot", fs, "run_dir")
-                      for name in ("000000", "final"))
-    return partial(_run_replay, run_dir, GAMES[game_id], fs, learner, initial, final,
-                   traces, out_dir)
+        raise ConfigError(f"{where}: {e}") from None
+    return partial(_run_replay, run_dir, GAMES[game_id], fs, learner, initial, final, log, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _run_training(game, agent, learner, games, seed, out_dir, snapshot_every, quiet,
@@ -305,18 +302,19 @@ def _run_training(game, agent, learner, games, seed, out_dir, snapshot_every, qu
 
 def _run_head_to_head(game, a, b, games, seed, out_dir, quiet) -> int:
     score, tally = head_to_head(game, a, b, games, seed)
-    _write_json(out_dir / "result.json",
-                {"agent_a": a.id, "agent_b": b.id, "games": games, "score_a": score, **tally})
+    write_json(out_dir / "result.json",
+               {"agent_a": a.id, "agent_b": b.id, "games": games, "score_a": score, **tally})
     if not quiet:
         print(f"{a.id} vs {b.id}: score {score:.4f} over {games} games "
               f"(+{tally['wins']} ={tally['draws']} -{tally['losses']})")
     return 0
 
 
-def _run_replay(run_dir, game, fs, learner, initial, final, traces, out_dir, quiet) -> int:
-    report = replay_traces(game, fs, learner, initial, traces)
+def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir, quiet) -> int:
+    with log:
+        report = replay_traces(game, fs, learner, initial, log)
     weights_match = bool(np.array_equal(report.weights.values, final.values))
-    _write_json(out_dir / "replay.json", {
+    write_json(out_dir / "replay.json", {
         "run_dir": str(run_dir),
         "games_replayed": report.games,
         "step_values_match": report.ok,
@@ -325,8 +323,7 @@ def _run_replay(run_dir, game, fs, learner, initial, final, traces, out_dir, qui
     })
     if report.ok and weights_match:
         if not quiet:
-            print(f"PASS: replayed {report.games} games; recomputed weights match "
-                  f"weights_final.snapshot")
+            print(f"PASS: replayed {report.games} games; recomputed weights match the final snapshot")
         return 0
     print(f"FAIL: replay diverged ({len(report.mismatches)} step mismatches; "
           f"final weights match: {weights_match})", file=sys.stderr)
@@ -364,7 +361,7 @@ def _run_verify_figures(seed, trials, out_dir, quiet) -> int:
         (f"tied-pv tree: random tie-breaking reaches both H and L within {trials} trials",
          seen == {"H", "L"}))
 
-    _write_json(out_dir / "verify.json", {name: bool(ok) for name, ok in checks})
+    write_json(out_dir / "verify.json", {name: bool(ok) for name, ok in checks})
     for name, ok in checks:
         if not ok:
             print(f"FAIL: {name}", file=sys.stderr)
@@ -392,9 +389,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "config.json", cfg)
+        write_config(cfg["out_dir"], cfg)
         return run(args.quiet)
     except Exception as e:  # noqa: BLE001 - map any runtime fault to exit 1
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -220,82 +220,79 @@ def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> s
     return "\n".join(lines) + "\n"
 
 
-def _lines(text: str):
-    """text.splitlines(), split about 8192 characters at a time, each cut
-    just after a newline, so the lines of a long log are not all held at once."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + 8192) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
-def traces_from_log(text: str, game, fs: FeatureSet):
+def traces_from_log(lines, game, fs: FeatureSet):
     """Parse a trace log; yields (game_index, opponent_id, GameTrace, leaf_outcomes).
 
-    leaf_outcomes holds each step's leaf Outcome (None while play goes on),
-    the one terminal test of the step, for replay's check.
+    lines is any iterable of the log's lines, such as the open file, so a
+    long log is read one line at a time.  leaf_outcomes holds each step's
+    leaf Outcome (None while play goes on), the one terminal test of the
+    step, for replay's check.
 
     Leaf states are rebuilt by replaying each stored PV from its root, and
     each root text is checked against its logged hash before it is parsed,
     so a corrupted log fails loudly rather than replaying quietly wrong.
+    Every error in a line names the line.
     """
     header = None
     steps, outcomes = [], []
-    for line_no, line in enumerate(_lines(text), start=1):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        kind, rest = line.split(" ", 1)
-        if kind == "game":
-            if header is not None:
-                raise ValueError(f"line {line_no}: previous game missing outcome")
-            idx_txt, agent_txt, opp_txt = rest.split(" ")
-            if (agent_txt not in ("agent=white", "agent=black")
-                    or not opp_txt.startswith("opponent=")):
-                raise ValueError(f"line {line_no}: bad game header")
-            header = (
-                int(idx_txt),
-                Side.WHITE if agent_txt == "agent=white" else Side.BLACK,
-                opp_txt.removeprefix("opponent="),
-            )
-            steps, outcomes = [], []
-        elif kind == "step":
-            if header is None:
-                raise ValueError(f"line {line_no}: step outside a game block")
-            ply_txt, digest, root_txt, pv_txt, raw_txt, val_txt, pred, lower = rest.split(" ")
-            root_text = root_txt.replace("_", " ")
-            if text_hash(root_text) != digest:
-                raise ValueError(f"line {line_no}: root hash mismatch")
-            root = game.from_text(root_text)
-            if root.ply != int(ply_txt):
-                raise ValueError(f"line {line_no}: ply mismatch")
-            try:
-                pv = () if pv_txt == "-" else tuple(map(game.action_from_str, pv_txt.split(";")))
-                leaf = game.replay(pv, root)
-            except ValueError as e:  # a bad token, or an IllegalMoveError
-                raise ValueError(f"line {line_no}: {e}") from None
-            outcomes.append(outcome := game.outcome(leaf))
-            steps.append(
-                StepRecord(
-                    root=root,
-                    leaf=leaf,
-                    pv=pv,
-                    leaf_features=leaf_features_white(fs, leaf, outcome is not None),
-                    value=float(val_txt),
-                    raw_value=float(raw_txt),
-                    opponent_move_predicted=bool(int(pred)),
-                    opponent_rating_lower=bool(int(lower)),
+        try:
+            if not line.isascii():
+                raise ValueError("non-ASCII byte")
+            kind, rest = line.split(" ", 1)
+            if kind == "game":
+                if header is not None:
+                    raise ValueError("previous game missing outcome")
+                idx_txt, agent_txt, opp_txt = rest.split(" ")
+                if (agent_txt not in ("agent=white", "agent=black")
+                        or not opp_txt.startswith("opponent=")):
+                    raise ValueError("bad game header")
+                header = (
+                    int(idx_txt),
+                    Side.WHITE if agent_txt == "agent=white" else Side.BLACK,
+                    opp_txt.removeprefix("opponent="),
                 )
-            )
-        elif kind == "outcome":
-            if header is None:
-                raise ValueError(f"line {line_no}: outcome outside a game block")
-            idx, side, opp = header
-            yield idx, opp, GameTrace(side, tuple(steps), Outcome(float(rest))), tuple(outcomes)
-            header = None
-            steps, outcomes = [], []
-        else:
-            raise ValueError(f"line {line_no}: unknown record {kind!r}")
+                steps, outcomes = [], []
+            elif kind == "step":
+                if header is None:
+                    raise ValueError("step outside a game block")
+                ply_txt, digest, root_txt, pv_txt, raw_txt, val_txt, pred, lower = rest.split(" ")
+                root_text = root_txt.replace("_", " ")
+                if text_hash(root_text) != digest:
+                    raise ValueError("root hash mismatch")
+                root = game.from_text(root_text)
+                if root.ply != int(ply_txt):
+                    raise ValueError("ply mismatch")
+                if not {pred, lower} <= {"0", "1"}:
+                    raise ValueError(f"flags must be 0 or 1, got {pred} {lower}")
+                pv = () if pv_txt == "-" else tuple(map(game.action_from_str, pv_txt.split(";")))
+                leaf = game.replay(pv, root)  # raises IllegalMoveError, a ValueError
+                outcomes.append(outcome := game.outcome(leaf))
+                steps.append(
+                    StepRecord(
+                        root=root,
+                        leaf=leaf,
+                        pv=pv,
+                        leaf_features=leaf_features_white(fs, leaf, outcome is not None),
+                        value=float(val_txt),
+                        raw_value=float(raw_txt),
+                        opponent_move_predicted=pred == "1",
+                        opponent_rating_lower=lower == "1",
+                    )
+                )
+            elif kind == "outcome":
+                if header is None:
+                    raise ValueError("outcome outside a game block")
+                idx, side, opp = header
+                yield idx, opp, GameTrace(side, tuple(steps), Outcome(float(rest))), tuple(outcomes)
+                header = None
+                steps, outcomes = [], []
+            else:
+                raise ValueError(f"unknown record {kind!r}")
+        except ValueError as e:
+            raise ValueError(f"line {line_no}: {e}") from None
     if header is not None:
         raise ValueError("log ended inside a game block")

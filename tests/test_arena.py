@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsearch import arena, cli
+from tdsearch import arena, cli, rundir
 from tdsearch.arena import (
     INITIAL_RATING,
     K_FACTOR,
@@ -24,7 +25,6 @@ from tdsearch.arena import (
     replay_traces,
     train_online,
     train_selfplay,
-    weights_hash,
 )
 from tdsearch.evaluation import (
     SquashConfig,
@@ -38,6 +38,7 @@ from tdsearch.evaluation import (
 from tdsearch.games import GAMES, minichess
 from tdsearch.games.base import IllegalMoveError, Side
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig, traces_from_log
+from tdsearch.rundir import open_log, weights_hash
 
 T3 = GAMES["tictactoe"]
 FS3 = feature_set("tictactoe")
@@ -340,8 +341,8 @@ def test_replay_recovers_online_run_exactly(tmp_path):
     cfg = small_cfg(update_every_n_games=3)
     result = train_online(T3, agent, pool, cfg, 11, 99, tmp_path)
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
-    report = replay_traces(T3, FS3, cfg, initial,
-                           (tmp_path / "traces.log").read_text())
+    with open_log(tmp_path) as log:
+        report = replay_traces(T3, FS3, cfg, initial, log)
     assert report.ok
     assert report.games == 11
     assert report.mismatches == []
@@ -361,7 +362,7 @@ def _tampered_replay(tmp_path, field):
     logged = float(parts[field])
     parts[field] = "0.12345" if parts[field] != "0.12345" else "0.54321"
     lines[n] = " ".join(parts)
-    report = replay_traces(T3, FS3, cfg, initial, "\n".join(lines) + "\n")
+    report = replay_traces(T3, FS3, cfg, initial, io.StringIO("\n".join(lines) + "\n"))
     return report, logged, float(parts[field])
 
 
@@ -408,7 +409,7 @@ def test_replay_flags_tampered_mate_distance(tmp_path):
     parts = lines[n].split()
     parts[5] = repr(tampered)
     lines[n] = " ".join(parts)
-    report = replay_traces(T3, FS3, cfg, initial, "\n".join(lines) + "\n")
+    report = replay_traces(T3, FS3, cfg, initial, io.StringIO("\n".join(lines) + "\n"))
     assert not report.ok
     assert report.mismatches == [f"game {game} step {t}: raw {raw!r} != logged {tampered!r}"]
 
@@ -455,7 +456,7 @@ def test_replay_runs_one_terminal_test_per_step(tmp_path):
         if not terminal:  # a mate score's squashed value saturates; an evaluation's does not
             expected.append(f"game {game} step {t}: squashed value mismatch")
     counting = _CountingTicTacToe()
-    report = replay_traces(counting, FS3, cfg, initial, "\n".join(lines) + "\n")
+    report = replay_traces(counting, FS3, cfg, initial, io.StringIO("\n".join(lines) + "\n"))
     assert report.mismatches == expected
     assert counting.outcome_calls == sum(line.startswith("step") for line in lines)
 
@@ -478,32 +479,39 @@ def test_minichess_replay_scans_moves_only_in_the_terminal_test(tmp_path, monkey
         return scan(state, unsafe)
 
     monkeypatch.setattr(minichess, "pseudo_moves", counting)
-    assert replay_traces(mc, fs, cfg, initial, text).ok
+    assert replay_traces(mc, fs, cfg, initial, io.StringIO(text)).ok
     assert set(callers) <= {"has_any_legal"}
     assert callers["has_any_legal"] <= sum(line.startswith("step") for line in text.splitlines())
 
 
 def test_replay_holds_one_game_at_a_time(tmp_path):
-    # tracemalloc peak of replaying 80 minichess games against the first 20:
-    # a replay that held every parsed game would need about four times more.
+    # tracemalloc peak of replaying 80 minichess games against the first 20,
+    # each read from its run directory's log: a replay that held every parsed
+    # game, or the whole log text, would need about four times more.  The
+    # window opens before the log does, so the text read is counted too.
     mc, fs = GAMES["minichess"], feature_set("minichess-material")
     cfg = small_cfg()
+    run, first_20 = tmp_path / "run", tmp_path / "first-20"
     train_selfplay(mc, SearchAgent("learner", fs, fs.weights_from({}), 1, tie_mode="random"),
-                   cfg, 80, 5, tmp_path, opening_plies=4, opening_epsilon=0.5)
-    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
-    text = (tmp_path / "traces.log").read_text()
-    first_20 = text[:text.index("game 20 ")]
+                   cfg, 80, 5, run, opening_plies=4, opening_epsilon=0.5)
+    _, initial = load_weights(run / "weights_000000.snapshot")
+    text = (run / "traces.log").read_text()
+    first_20.mkdir()
+    (first_20 / "traces.log").write_text(text[:text.index("game 20 ")])
+    del text
 
-    def peak(log):
+    def peak(run_dir):
         tracemalloc.start()
         try:
-            assert replay_traces(mc, fs, cfg, initial, log).ok
+            with open_log(run_dir) as log:
+                assert replay_traces(mc, fs, cfg, initial, log).ok
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    replay_traces(mc, fs, cfg, initial, text)  # one-time allocations, not counted
-    assert peak(text) < 1.5 * peak(first_20)
+    with open_log(run) as log:
+        replay_traces(mc, fs, cfg, initial, log)  # one-time allocations, not counted
+    assert peak(run) < 1.5 * peak(first_20)
 
 
 def test_train_selfplay_records_and_replays(tmp_path):
@@ -515,7 +523,7 @@ def test_train_selfplay_records_and_replays(tmp_path):
     text = (tmp_path / "traces.log").read_text()
     assert text.count("game ") == 16  # two traces per game
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
-    report = replay_traces(T3, FS3, cfg, initial, text)
+    report = replay_traces(T3, FS3, cfg, initial, io.StringIO(text))
     assert report.ok
     assert report.games == 8 and report.mismatches == []
     assert np.array_equal(report.weights.values, result.weights.values)
@@ -553,7 +561,7 @@ def test_replay_flags_blocks_out_of_training_order(tmp_path, edit):
                      cfg, 5, 31, tmp_path)
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
     text = "".join(change(_log_blocks((tmp_path / "traces.log").read_text())))
-    report = replay_traces(T3, FS3, cfg, initial, text)
+    report = replay_traces(T3, FS3, cfg, initial, io.StringIO(text))
     assert not report.ok
     assert report.mismatches[0] == f"game {game}: {says}"
 
@@ -587,7 +595,8 @@ def test_loops_reach_the_module_globals_the_bench_patches(tmp_path, monkeypatch)
     train_selfplay(T3, fresh_agent(), cfg, 3, 1, tmp_path / "self", record_both=True)
     assert calls == {"play_game": 6, "tdleaf_delta": 9, "trace_to_log": 9, "traces_from_log": 0}
     _, initial = load_weights(tmp_path / "self" / "weights_000000.snapshot")
-    assert replay_traces(T3, FS3, cfg, initial, (tmp_path / "self" / "traces.log").read_text()).ok
+    with open_log(tmp_path / "self") as log:
+        assert replay_traces(T3, FS3, cfg, initial, log).ok
     assert calls == {"play_game": 6, "tdleaf_delta": 15, "trace_to_log": 9, "traces_from_log": 1}
     for loop in ("train_online", "train_selfplay", "head_to_head", "replay_traces"):
         assert getattr(cli, loop) is getattr(arena, loop)
@@ -611,7 +620,8 @@ def test_failed_run_keeps_finished_games_and_no_final_snapshot(tmp_path, mode):
     # `failure` still holds the run's frames, so only closing can have flushed the files
     rows = (tmp_path / "ratings.csv").read_text().splitlines()
     assert rows[0].startswith("game_index,") and len(rows) > 1
-    games = [idx for idx, *_ in traces_from_log((tmp_path / "traces.log").read_text(), T3, FS3)]
+    with open_log(tmp_path) as log:
+        games = [idx for idx, *_ in traces_from_log(log, T3, FS3)]
     assert sorted(set(games)) == list(range(len(rows) - 1))
     assert {p.name for p in tmp_path.iterdir()} == {
         "ratings.csv", "traces.log", "weights_000000.snapshot"}
@@ -632,7 +642,7 @@ def test_rerun_in_a_used_directory_keeps_only_its_own_snapshots(tmp_path):
 
 def test_final_snapshot_is_renamed_into_place(tmp_path, monkeypatch):
     replaced = []
-    monkeypatch.setattr(arena.os, "replace", lambda src, dst: replaced.append((src, dst)))
+    monkeypatch.setattr(rundir.os, "replace", lambda src, dst: replaced.append((src, dst)))
     train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
                  small_cfg(), 2, 5, tmp_path)
     final = tmp_path / "weights_final.snapshot"

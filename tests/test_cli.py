@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -355,11 +356,43 @@ def test_replay_mode_fails_on_an_action_token_action_to_str_never_writes(tmp_pat
     assert out == "" and "line 2: bad move token '01'" in err
 
 
+def test_replay_mode_fails_on_a_non_ascii_byte_and_names_its_line(tmp_path, capsys):
+    # The log is read one line at a time, so a byte the ASCII writer never
+    # writes is found mid-replay: replay fails and names the line.
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    log = tmp_path / "run" / "traces.log"
+    lines = log.read_bytes().split(b"\n")
+    lines[2] = b"\xe9" + lines[2]
+    log.write_bytes(b"\n".join(lines))
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(tmp_path / "run"),
+                   out_dir=str(tmp_path / "replay"))
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "line 3: non-ASCII byte" in err
+
+
 def test_replay_requires_run_artifacts(tmp_path, capsys):
     rp = write_cfg(tmp_path / "r.json", mode="replay",
                    run_dir=str(tmp_path / "empty"),
                    out_dir=str(tmp_path / "replay"))
     assert main(["--config", rp]) == 2
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_replay_with_a_bad_final_snapshot_leaves_no_open_file(tmp_path, capsys):
+    # The log opens, but the final snapshot does not parse: a config error,
+    # with no file left open for the garbage collector to close and warn about.
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    run = tmp_path / "run"
+    (run / "weights_final.snapshot").write_text("not a snapshot\n")
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    capsys.readouterr()
+    assert main(["--config", rp, "--quiet"]) == 2
+    gc.collect()
+    assert "weights_final.snapshot" in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
 
 
 def test_head_to_head_writes_result(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -335,7 +336,7 @@ def _played_trace():
 def test_trace_log_round_trip():
     fs, trace = _played_trace()
     text = trace_to_log(T3, trace, 7, "r")
-    out = list(traces_from_log(text, T3, fs))
+    out = list(traces_from_log(io.StringIO(text), T3, fs))
     assert len(out) == 1
     idx, opponent, back, outcomes = out[0]
     assert idx == 7 and opponent == "r"
@@ -360,7 +361,7 @@ def test_trace_log_detects_corruption():
     parts[2] = "0" * len(parts[2])  # clobber the position hash
     lines[step_line] = " ".join(parts)
     with pytest.raises(ValueError):
-        list(traces_from_log("\n".join(lines) + "\n", T3, fs))
+        list(traces_from_log(io.StringIO("\n".join(lines) + "\n"), T3, fs))
 
 
 # line index -> edit of its space-separated tokens
@@ -378,7 +379,7 @@ def test_trace_log_malformed_field_raises_value_error(field):
     lines = trace_to_log(T3, trace, 0, "r").splitlines()
     lines[line] = " ".join(edit(lines[line].split(" ")))
     with pytest.raises(ValueError):
-        list(traces_from_log("\n".join(lines) + "\n", T3, fs))
+        list(traces_from_log(io.StringIO("\n".join(lines) + "\n"), T3, fs))
 
 
 def test_trace_log_rejects_truncated_block():
@@ -388,7 +389,41 @@ def test_trace_log_rejects_truncated_block():
         line + "\n" for line in text.splitlines() if not line.startswith("outcome")
     )
     with pytest.raises(ValueError):
-        list(traces_from_log(no_outcome, T3, fs))
+        list(traces_from_log(io.StringIO(no_outcome), T3, fs))
+
+
+def _rehashed_floating_root(tokens):
+    # A root text whose hash matches but which from_text rejects: one stone
+    # in the top-left cell of an empty connect4 board floats.
+    tokens[3] = "X....../......./......./......./......./......."
+    tokens[2] = text_hash(tokens[3])
+
+
+# name -> (line index, edit of its space-separated tokens in place, error after "line N: ")
+LINE_EDITS = {
+    "root-from-text-rejects": (1, _rehashed_floating_root, "floating stones in column 0"),
+    "raw-not-a-float": (1, lambda t: t.__setitem__(5, "abc"), "could not convert string"),
+    "squashed-not-a-float": (1, lambda t: t.__setitem__(6, "abc"), "could not convert string"),
+    "predicted-flag-2": (1, lambda t: t.__setitem__(7, "2"), "flags must be 0 or 1"),
+    "lower-flag-2": (1, lambda t: t.__setitem__(8, "2"), "flags must be 0 or 1"),
+    "outcome-not-a-float": (-1, lambda t: t.__setitem__(1, "abc"), "could not convert string"),
+}
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+def test_trace_log_error_names_its_line(edit):
+    from tdsearch.arena import RandomAgent, SearchAgent, play_game
+
+    c4, fs = GAMES["connect4"], feature_set("connect4")
+    agent = SearchAgent("a", fs, fs.weights_from({}), 1)
+    rec = play_game(c4, agent, RandomAgent("r"), record_sides=(Side.WHITE,))
+    lines = trace_to_log(c4, rec.traces[Side.WHITE], 0, "r").splitlines()
+    at, change, says = LINE_EDITS[edit]
+    tokens = lines[at].split(" ")
+    change(tokens)
+    lines[at] = " ".join(tokens)
+    with pytest.raises(ValueError, match=f"^line {at % len(lines) + 1}: {says}"):
+        list(traces_from_log(io.StringIO("\n".join(lines) + "\n"), c4, fs))
 
 
 def test_state_hash_is_stable():

@@ -9,6 +9,7 @@ alive.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tdsearch"
@@ -117,3 +118,38 @@ def test_dot_guard_finds_every_spelling(tmp_path):
         "bound = np.ones(3).dot\n")
     assert dot_products(tmp_path) == ["evaluation.py:8", "search.py:1", "search.py:4",
                                       "search.py:4", "search.py:4", "search.py:5"]
+
+
+# The run directory's file names.  tdsearch.rundir owns the layout, so no
+# other module of src/ may spell one, not even in a comment or docstring.
+RUN_FILE_NAME = re.compile(r"traces\.log|ratings\.csv|config\.json|weights_\S*snapshot")
+
+
+def run_file_names(root=SRC):
+    """The "file:line" of each run-directory file name spelt outside rundir.py."""
+    return [f"{rel}:{n}"
+            for path in sorted(root.rglob("*.py"))
+            if (rel := path.relative_to(root).as_posix()) != "rundir.py"
+            for n, line in enumerate(path.read_text().splitlines(), start=1)
+            if RUN_FILE_NAME.search(line)]
+
+
+def test_only_rundir_names_the_run_directory_files():
+    found = run_file_names()
+    assert not found, "run-directory file names outside rundir.py:\n" + "\n".join(found)
+
+
+def test_run_file_guard_finds_every_spelling(tmp_path):
+    (tmp_path / "rundir.py").write_text('LOG = "traces.log"\n')
+    (tmp_path / "games").mkdir()
+    (tmp_path / "games" / "rundir.py").write_text('name = "config.json"\n')
+    (tmp_path / "cli.py").write_text(
+        '"""Echoes out_dir/config.json."""\n'
+        'path = run / "traces.log"\n'
+        "rows = 'ratings.csv'\n"
+        'numbered = f"weights_{k:06d}.snapshot"\n'
+        'final = "weights_final.snapshot"  # written last\n'
+        'other = re.compile(r"weights_(\\d+)\\.snapshot")\n'
+        'kept = "traces" + ".txt", "weights", "ratings"\n')
+    assert run_file_names(tmp_path) == ["cli.py:1", "cli.py:2", "cli.py:3", "cli.py:4",
+                                        "cli.py:5", "cli.py:6", "games/rundir.py:1"]

@@ -5,6 +5,8 @@ replaced, deleted, inserted or swapped) must either parse or raise
 ValueError: a corrupted log is rejected as a bad log, never as a crash.
 """
 
+import io
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -81,6 +83,7 @@ def test_edited_log_parses_or_raises_value_error(logs, game_id, data):
         if lines:
             _edit(data, lines)
     try:
-        list(traces_from_log("\n".join(lines) + "\n", GAMES[game_id], feature_set(RUNS[game_id][0])))
+        list(traces_from_log(io.StringIO("\n".join(lines) + "\n"), GAMES[game_id],
+                             feature_set(RUNS[game_id][0])))
     except ValueError:
         pass
