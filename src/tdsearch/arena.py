@@ -7,17 +7,18 @@ fixed formatting, so repeating a run reproduces its ratings, trace log and
 every weight snapshot byte for byte.
 
 Online training, self-play training and replay share one learning loop,
-_learn, which holds the weights and applies the batched TDLeaf(lambda)
-update; replay feeds it the logged games, so it matches training by
-construction.  Agents are immutable: games are played by copies carrying
-the current weights, and RunResult.weights holds the learned weights.
-tdsearch.rundir writes and reads the run directory.
+_learn, which holds the weights and adds each game's TDLeaf(lambda)
+update before the next game; replay feeds it the logged games, so it
+matches training by construction.  Agents are immutable: games are played
+by copies carrying the current weights, and RunResult.weights holds the
+learned weights.  tdsearch.rundir writes and reads the run directory.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby, pairwise
+from itertools import groupby, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,9 @@ def elo_update(table: RatingTable, white_id: str, black_id: str, score_white: fl
 
 
 def _check_id(agent_id: str) -> None:
-    if not agent_id or any(ch.isspace() for ch in agent_id):
-        raise ValueError(f"agent id must be non-empty without spaces: {agent_id!r}")
+    # Ids are written into the ASCII run files, as one space-free field.
+    if not re.fullmatch("[!-~]+", agent_id):
+        raise ValueError(f"agent id must be printable ASCII without spaces: {agent_id!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,20 +267,15 @@ class RunResult:
 def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
     """Fold a stream of games into the weights; yields (i, result, traces, weights after game i).
 
-    play(item, weights) plays or reads back one item of games (never None)
-    and returns (result, traces), the traces in accumulation order.  Deltas
-    are taken at the weights a game was played with and applied every
-    cfg.update_every_n_games games and after the last, which one item of
-    lookahead tells apart, so games may be a generator of unknown length.
+    play(item, weights) plays or reads back one item of games and returns
+    (result, traces).  Each trace's delta is taken at the weights the game
+    was played with; their sum, in trace order, is added before the next game.
     """
-    acc = np.zeros(len(weights))
-    for i, (item, upcoming) in enumerate(pairwise(chain(games, [None]))):
+    for i, item in enumerate(games):
         result, traces = play(item, weights)
-        for trace in traces:
-            acc += tdleaf_delta(trace, cfg, weights, game_index=i)
-        if (i + 1) % cfg.update_every_n_games == 0 or upcoming is None:
-            weights = weights.with_values(weights.values + acc)
-            acc = np.zeros(len(weights))
+        delta = sum((tdleaf_delta(trace, cfg, weights, game_index=i) for trace in traces),
+                    np.zeros(len(weights)))
+        weights = weights.with_values(weights.values + delta)
         yield i, result, traces, weights
 
 
@@ -303,8 +300,7 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
     """Learn from rated games against a pool of fixed opponents.
 
     The learning agent alternates colors; opponents are matched per the
-    pool's policy; weights update every cfg.update_every_n_games games with
-    deltas computed against the weights those games were played with.
+    pool's policy; the weights learn from each game before the next.
     """
     table = RatingTable()
     table.register(agent.id)
@@ -333,7 +329,7 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
     """Learn by playing both seats of every game.
 
     The White seat's trace is recorded by default (record_both adds the
-    Black seat, applied after White's within the same batch).  Without an
+    Black seat, whose delta is added after White's).  Without an
     exploration source, identical weights play identical games; exploration
     comes from random PV tie-breaking and the optional epsilon-random
     opening plies.  Ratings are not meaningful against oneself and stay at

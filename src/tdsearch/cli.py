@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -146,13 +147,14 @@ def load_config(path: str, seed_override=None, out_override=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def parse(cfg: dict, config_dir: Path):
+def parse(cfg: dict, config_dir: Path, owned: ExitStack):
     """Check a loaded config and build what it configures.  Raises ConfigError.
 
     Returns the run as a callable taking `quiet` and returning the exit
     code.  Relative snapshot and run_dir paths are resolved against
-    config_dir and stored back into cfg in absolute form.  Nothing is
-    written.
+    config_dir and stored back into cfg in absolute form.  A file the run
+    reads is opened here and entered into owned, which closes it on every
+    path.  Nothing is written.
     """
     top = _Section(cfg)
     mode = top.choice("mode", MODES)
@@ -165,7 +167,7 @@ def parse(cfg: dict, config_dir: Path):
     if mode == "replay":
         run_dir = top.path("run_dir", config_dir)
         top.done()  # before the replay opens its log
-        return _parse_replay(run_dir, out_dir)
+        return _parse_replay(run_dir, out_dir, owned)
     if mode == "verify-figures":
         top.choice("game", ("synthetic-tree",))
         run = partial(_run_verify_figures, seed, top.get("trials", int, 200, lo=1), out_dir)
@@ -247,7 +249,6 @@ def _learner(sec: _Section, fs) -> LearnerConfig:
         lambda_=("lambda", NUMBER, float),
         alpha=("alpha", NUMBER + (dict,), partial(_alpha, f"{sec.where}.alpha")),
         clipping=("clipping", str, ClipPolicy),
-        update_every_n_games=("update_every_n_games", int),
     ))
 
 
@@ -262,7 +263,7 @@ def _alpha(where: str, value) -> AlphaSchedule:
     ))
 
 
-def _parse_replay(run_dir: Path, out_dir: Path):
+def _parse_replay(run_dir: Path, out_dir: Path, owned: ExitStack):
     """The replay of run_dir, with the game, features and learner of its stored config."""
     where = f"run_dir {run_dir}"
     try:
@@ -272,7 +273,7 @@ def _parse_replay(run_dir: Path, out_dir: Path):
         fs = run_cfg.call(resolve_feature_set, game_id, run_cfg.get("features", str, None))
         learner = _learner(_Section(run_cfg.get("learner", dict), f"{where} config learner"), fs)
         initial, final = (_snapshot(snapshot_path(run_dir, k), fs, where) for k in (0, None))
-        log = open_log(run_dir)  # last, once nothing else can fail; the replay closes it
+        log = owned.enter_context(open_log(run_dir))  # last, once nothing else can fail
     except (OSError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from None
     return partial(_run_replay, run_dir, GAMES[game_id], fs, learner, initial, final, log, out_dir)
@@ -311,8 +312,7 @@ def _run_head_to_head(game, a, b, games, seed, out_dir, quiet) -> int:
 
 
 def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir, quiet) -> int:
-    with log:
-        report = replay_traces(game, fs, learner, initial, log)
+    report = replay_traces(game, fs, learner, initial, log)
     weights_match = bool(np.array_equal(report.weights.values, final.values))
     write_json(out_dir / "replay.json", {
         "run_dir": str(run_dir),
@@ -381,19 +381,20 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        run = parse(cfg, Path(args.config).parent)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    with ExitStack() as owned:
+        try:
+            cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
+            run = parse(cfg, Path(args.config).parent, owned)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
 
-    try:
-        write_config(cfg["out_dir"], cfg)
-        return run(args.quiet)
-    except Exception as e:  # noqa: BLE001 - map any runtime fault to exit 1
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        try:
+            write_config(cfg["out_dir"], cfg)
+            return run(args.quiet)
+        except Exception as e:  # noqa: BLE001 - map any runtime fault to exit 1
+            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

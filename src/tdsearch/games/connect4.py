@@ -154,12 +154,12 @@ class ConnectFour(Game):
         return text.to_bytes(TEXT_LEN, "big").decode()
 
     def from_text(self, text: str) -> ConnectFourState:
-        s = text.strip()
-        if len(s) != TEXT_LEN or s.count("/") != ROWS - 1 or s[COLS::COLS + 1] != "/" * (ROWS - 1):
+        if (len(text) != TEXT_LEN or text.count("/") != ROWS - 1
+                or text[COLS::COLS + 1] != "/" * (ROWS - 1)):
             raise ValueError(f"bad connect4 text: {text!r}")
-        cells = s.encode("ascii", "replace")  # a non-ASCII character becomes a bad '?'
+        cells = text.encode("ascii", "replace")  # a non-ASCII character becomes a bad '?'
         if cells.translate(None, b"XO./"):
-            raise ValueError(f"bad cell char {next(ch for ch in s if ch not in 'XO./')!r}")
+            raise ValueError(f"bad cell char {next(ch for ch in text if ch not in 'XO./')!r}")
         nw, nb = cells.count(b"X"), cells.count(b"O")
         if nb not in (nw, nw - 1):
             raise ValueError(f"unreachable stone counts in {text!r}")

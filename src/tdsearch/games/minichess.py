@@ -506,7 +506,7 @@ class Minichess(Game):
 
     def from_text(self, text: str) -> MinichessState:
         try:
-            placement, side_txt, ply_txt = text.strip().split()
+            placement, side_txt, ply_txt = text.split(" ")
         except ValueError:
             raise ValueError(f"bad minichess text: {text!r}") from None
         board = bytes(_SQUARES_DOWN(_unpack(placement, text)))

@@ -143,7 +143,6 @@ class SyntheticTreeGame(Game):
         return "/".join(str(i) for i in state.path) if state.path else "root"
 
     def from_text(self, text: str) -> SyntheticState:
-        text = text.strip()
         if text == "root":
             return SyntheticState(())
-        return SyntheticState(tuple(int(t) for t in text.split("/")))
+        return SyntheticState(tuple(map(self.action_from_str, text.split("/"))))

@@ -74,7 +74,7 @@ class TicTacToe(Game):
         return "/".join(rows)
 
     def from_text(self, text: str) -> TicTacToeState:
-        rows = text.strip().split("/")
+        rows = text.split("/")
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError(f"bad tictactoe text: {text!r}")
         try:

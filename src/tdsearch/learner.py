@@ -83,13 +83,10 @@ class LearnerConfig:
     alpha: AlphaSchedule = field(default_factory=AlphaSchedule)
     squash: SquashConfig = field(default_factory=SquashConfig)
     clipping: ClipPolicy = ClipPolicy.NONE
-    update_every_n_games: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
-        if self.update_every_n_games < 1:
-            raise ValueError("update_every_n_games must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,33 +188,39 @@ def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
 # '_', the PV is ';'-joined move tokens ('-' when empty), floats use 17
 # significant digits, flags are 0/1.  The root hash is the first 16 hex
 # digits of the sha256 of the root text, and the stored PV replays from the
-# root text to the leaf, so updates can be recomputed offline.
+# root text to the leaf, so updates can be recomputed offline.  Writer and
+# reader share one formatter per line kind.
 
 
 def text_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _game_line(game_index: int, side: Side, opponent_id: str) -> str:
+    agent = "white" if side is Side.WHITE else "black"
+    return f"game {game_index} agent={agent} opponent={opponent_id}\n"
+
+
+def _step_line(ply: int, digest: str, root_field: str, pv_field: str, raw: float, value: float,
+               predicted: bool, lower: bool) -> str:
+    return (f"step {ply} {digest} {root_field} {pv_field} {_G(raw)} {_G(value)} "
+            f"{int(predicted)} {int(lower)}\n")
+
+
+def _outcome_line(reward: float) -> str:
+    return f"outcome {_G(reward)}\n"
+
+
 def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> str:
-    side = "white" if trace.agent_side is Side.WHITE else "black"
-    lines = [f"game {game_index} agent={side} opponent={opponent_id}"]
+    lines = [_game_line(game_index, trace.agent_side, opponent_id)]
     for step in trace.steps:
         root_text = game.to_text(step.root)
-        pv = ";".join(game.action_to_str(a) for a in step.pv) or "-"
-        lines.append(
-            "step {} {} {} {} {} {} {} {}".format(
-                step.root.ply,
-                text_hash(root_text),
-                root_text.replace(" ", "_"),
-                pv,
-                _G(step.raw_value),
-                _G(step.value),
-                int(step.opponent_move_predicted),
-                int(step.opponent_rating_lower),
-            )
-        )
-    lines.append(f"outcome {_G(trace.outcome.reward)}")
-    return "\n".join(lines) + "\n"
+        lines.append(_step_line(
+            step.root.ply, text_hash(root_text), root_text.replace(" ", "_"),
+            ";".join(game.action_to_str(a) for a in step.pv) or "-",
+            step.raw_value, step.value, step.opponent_move_predicted, step.opponent_rating_lower))
+    lines.append(_outcome_line(trace.outcome.reward))
+    return "".join(lines)
 
 
 def traces_from_log(lines, game, fs: FeatureSet):
@@ -228,71 +231,66 @@ def traces_from_log(lines, game, fs: FeatureSet):
     leaf Outcome (None while play goes on), the one terminal test of the
     step, for replay's check.
 
-    Leaf states are rebuilt by replaying each stored PV from its root, and
-    each root text is checked against its logged hash before it is parsed,
-    so a corrupted log fails loudly rather than replaying quietly wrong.
-    Every error in a line names the line.
+    Each line must be the one the writer writes for the values read from
+    it, newline included.  Leaf states are rebuilt by replaying each stored
+    PV from its root, and each root text is checked against its logged hash
+    before it is parsed, so a corrupted log fails loudly rather than
+    replaying quietly wrong.  Every error in a line names the line.
     """
     header = None
-    steps, outcomes = [], []
     for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
             if not line.isascii():
                 raise ValueError("non-ASCII byte")
-            kind, rest = line.split(" ", 1)
+            # Missing fields fail to unpack; extra ones are left out of the rendered line.
+            kind, *fields = line[:-1].split(" ")
             if kind == "game":
                 if header is not None:
                     raise ValueError("previous game missing outcome")
-                idx_txt, agent_txt, opp_txt = rest.split(" ")
-                if (agent_txt not in ("agent=white", "agent=black")
-                        or not opp_txt.startswith("opponent=")):
-                    raise ValueError("bad game header")
-                header = (
-                    int(idx_txt),
-                    Side.WHITE if agent_txt == "agent=white" else Side.BLACK,
-                    opp_txt.removeprefix("opponent="),
-                )
+                idx_txt, agent_txt, opp_txt = fields[:3]
+                header = (int(idx_txt), Side.WHITE if agent_txt == "agent=white" else Side.BLACK,
+                          opp_txt.removeprefix("opponent="))
                 steps, outcomes = [], []
+                written = _game_line(*header)
             elif kind == "step":
                 if header is None:
                     raise ValueError("step outside a game block")
-                ply_txt, digest, root_txt, pv_txt, raw_txt, val_txt, pred, lower = rest.split(" ")
+                _, digest, root_txt, pv_txt, raw_txt, val_txt, pred, lower = fields[:8]
                 root_text = root_txt.replace("_", " ")
                 if text_hash(root_text) != digest:
                     raise ValueError("root hash mismatch")
                 root = game.from_text(root_text)
-                if root.ply != int(ply_txt):
-                    raise ValueError("ply mismatch")
-                if not {pred, lower} <= {"0", "1"}:
-                    raise ValueError(f"flags must be 0 or 1, got {pred} {lower}")
                 pv = () if pv_txt == "-" else tuple(map(game.action_from_str, pv_txt.split(";")))
                 leaf = game.replay(pv, root)  # raises IllegalMoveError, a ValueError
                 outcomes.append(outcome := game.outcome(leaf))
-                steps.append(
-                    StepRecord(
-                        root=root,
-                        leaf=leaf,
-                        pv=pv,
-                        leaf_features=leaf_features_white(fs, leaf, outcome is not None),
-                        value=float(val_txt),
-                        raw_value=float(raw_txt),
-                        opponent_move_predicted=pred == "1",
-                        opponent_rating_lower=lower == "1",
-                    )
+                step = StepRecord(
+                    root=root,
+                    leaf=leaf,
+                    pv=pv,
+                    leaf_features=leaf_features_white(fs, leaf, outcome is not None),
+                    value=float(val_txt),
+                    raw_value=float(raw_txt),
+                    opponent_move_predicted=pred == "1",
+                    opponent_rating_lower=lower == "1",
                 )
+                steps.append(step)
+                written = _step_line(root.ply, digest, root_txt, pv_txt, step.raw_value, step.value,
+                                     step.opponent_move_predicted, step.opponent_rating_lower)
             elif kind == "outcome":
                 if header is None:
                     raise ValueError("outcome outside a game block")
-                idx, side, opp = header
-                yield idx, opp, GameTrace(side, tuple(steps), Outcome(float(rest))), tuple(outcomes)
-                header = None
-                steps, outcomes = [], []
+                (reward_txt,) = fields[:1]
+                final = Outcome(float(reward_txt))
+                written = _outcome_line(final.reward)
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as e:
             raise ValueError(f"line {line_no}: {e}") from None
+        if line != written:
+            raise ValueError(f"line {line_no} reads {line!r}; the writer writes {written!r}")
+        if kind == "outcome":
+            idx, side, opp = header
+            yield idx, opp, GameTrace(side, tuple(steps), final), tuple(outcomes)
+            header = None
     if header is not None:
         raise ValueError("log ended inside a game block")

@@ -49,8 +49,10 @@ def read_config(run_dir) -> dict:
 
 
 def open_log(run_dir):
-    """traces.log, read one line at a time; a non-ASCII byte reaches the parser, which names its line."""
-    return open(Path(run_dir) / "traces.log", encoding="ascii", errors="surrogateescape")
+    """traces.log, read one line at a time, each line as written: a non-ASCII
+    byte or a carriage return reaches the parser, which names its line."""
+    return open(Path(run_dir) / "traces.log", encoding="ascii", errors="surrogateescape",
+                newline="\n")
 
 
 class RunWriter:

@@ -353,7 +353,7 @@ def c4_loop_to_text(state):
 
 
 def c4_loop_from_text(text):
-    rows = text.strip().split("/")
+    rows = text.split("/")
     if len(rows) != c4.ROWS or any(len(r) != c4.COLS for r in rows):
         raise ValueError(f"bad connect4 text: {text!r}")
     white = black = 0
@@ -687,7 +687,7 @@ def mc_loop_to_text(state):
 def mc_str_from_text(text):
     """(board, side, ply) from minichess text: the string-board engine's parser."""
     try:
-        placement, side_txt, ply_txt = text.strip().split()
+        placement, side_txt, ply_txt = text.split(" ")
         ranks = placement.split("/")
         assert len(ranks) == 5
     except (ValueError, AssertionError):

@@ -48,7 +48,6 @@ def small_cfg(**kw):
     defaults = dict(
         lambda_=0.7, alpha=AlphaSchedule(base=0.05),
         squash=SquashConfig(), clipping=ClipPolicy.NONE,
-        update_every_n_games=1,
     )
     defaults.update(kw)
     return LearnerConfig(**defaults)
@@ -322,23 +321,10 @@ def test_train_online_is_reproducible(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_train_online_batching_defers_updates(tmp_path):
-    agent = fresh_agent()
-    pool = OpponentPool([RandomAgent("rnd")], "uniform")
-    train_online(T3, agent, pool, small_cfg(update_every_n_games=2), 4, 7, tmp_path)
-    rows = (tmp_path / "ratings.csv").read_text().strip().split("\n")[1:]
-    hashes = [r.split(",")[-1] for r in rows]
-    w0 = weights_hash(FS3, FS3.weights_from({}))
-    assert hashes[0] == w0          # game 0 accumulated, not applied
-    assert hashes[1] != w0          # applied after game 1
-    assert hashes[2] == hashes[1]   # game 2 accumulated again
-    assert hashes[3] != hashes[2]
-
-
 def test_replay_recovers_online_run_exactly(tmp_path):
     agent = fresh_agent()
     pool = OpponentPool([RandomAgent("rnd")], "uniform")
-    cfg = small_cfg(update_every_n_games=3)
+    cfg = small_cfg()
     result = train_online(T3, agent, pool, cfg, 11, 99, tmp_path)
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
     with open_log(tmp_path) as log:
@@ -407,7 +393,7 @@ def test_replay_flags_tampered_mate_distance(tmp_path):
     n, game, t, raw = target
     tampered = raw - math.copysign(2.0, raw)
     parts = lines[n].split()
-    parts[5] = repr(tampered)
+    parts[5] = f"{tampered:.17g}"  # the writer's spelling
     lines[n] = " ".join(parts)
     report = replay_traces(T3, FS3, cfg, initial, io.StringIO("\n".join(lines) + "\n"))
     assert not report.ok
@@ -450,7 +436,7 @@ def test_replay_runs_one_terminal_test_per_step(tmp_path):
     for terminal, (n, game, t, raw) in sorted(targets.items(), key=lambda item: item[1]):
         tampered = raw - math.copysign(2.0, raw)
         parts = lines[n].split()
-        parts[5] = repr(tampered)
+        parts[5] = f"{tampered:.17g}"  # the writer's spelling
         lines[n] = " ".join(parts)
         expected.append(f"game {game} step {t}: raw {raw!r} != logged {tampered!r}")
         if not terminal:  # a mate score's squashed value saturates; an evaluation's does not
@@ -553,7 +539,7 @@ BLOCK_EDITS = {
 @pytest.mark.parametrize("edit", sorted(BLOCK_EDITS))
 def test_replay_flags_blocks_out_of_training_order(tmp_path, edit):
     change, game, says = BLOCK_EDITS[edit]
-    cfg = small_cfg(update_every_n_games=5)  # one batch: every logged value still matches
+    cfg = small_cfg()
     if edit == "seats-swapped":  # both seats of game 0, Black's block first
         train_selfplay(T3, fresh_agent(), cfg, 4, 3, tmp_path, record_both=True)
     else:

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import tdsearch
+from tdsearch import cli
 from tdsearch.cli import MODES, load_config, main
 from tdsearch.evaluation import feature_set, weights_to_text
+from tdsearch.learner import text_hash
 
 
 def write_cfg(path, **kw):
@@ -27,8 +30,7 @@ def online_cfg(tmp_path, **overrides):
         out_dir=str(tmp_path / "run"),
         agent=dict(id="learner", depth=2, tie_break="random",
                    initial_weights="zero"),
-        learner=dict(alpha=0.05, squash=True, clipping="none",
-                     update_every_n_games=1),
+        learner=dict(alpha=0.05, squash=True, clipping="none"),
         pool=dict(matching="uniform",
                   opponents=[dict(id="rnd", type="random")]),
     )
@@ -151,6 +153,20 @@ def _learner_named(tmp_path, agent_id):
     return cfg
 
 
+def _opponent_named(tmp_path, opponent_id):
+    # ids are written into the ASCII ratings.csv and traces.log
+    cfg = _online(tmp_path)
+    cfg["pool"]["opponents"][0]["id"] = opponent_id
+    return cfg
+
+
+def _batched_learner(tmp_path):
+    # updates are per game; the key that batched them is gone
+    cfg = _online(tmp_path)
+    cfg["learner"]["update_every_n_games"] = 2
+    return cfg
+
+
 # hole -> (config maker, text stderr must contain)
 HOLES = {
     "seed": (lambda t: _online(t, seed=-1), "seed"),
@@ -164,6 +180,8 @@ HOLES = {
     "repeated-index-snapshot": (_repeated_index_snapshot, "snapshot has 11 weight lines"),
     "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
     "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
+    "non-ascii-opponent-id": (lambda t: _opponent_named(t, "r\u00f1d"), "printable ASCII"),
+    "update_every_n_games": (_batched_learner, "update_every_n_games"),
 }
 
 
@@ -371,6 +389,94 @@ def test_replay_mode_fails_on_a_non_ascii_byte_and_names_its_line(tmp_path, caps
     assert out == "" and "line 3: non-ASCII byte" in err
 
 
+def _rehashed(line, root_field):
+    """A step line whose root field is root_field, under that field's own hash."""
+    fields = line.split(" ")
+    fields[2], fields[3] = text_hash(root_field.replace("_", " ")), root_field
+    return " ".join(fields)
+
+
+def _with_field(line, k, edit):
+    fields = line[:-1].split(" ")
+    fields[k] = edit(fields[k])
+    return " ".join(fields) + "\n"
+
+
+def _first(lines, test):
+    return next(n for n, line in enumerate(lines) if test(line))
+
+
+def _edit_first(lines, test, edit):
+    n = _first(lines, test)
+    lines[n] = edit(lines[n])
+    return n + 1
+
+
+def _insert_blank(lines):
+    n = _first(lines, lambda line: line.startswith("game 1 "))
+    lines.insert(n, "\n")
+    return n + 1
+
+
+# edit -> (run, edit of the log's lines in place returning the 1-based line it
+# breaks).  Each spells a value the parse reads as the writer's, or pads a root
+# text whose hash is taken again; the writer writes none of them.
+LOG_SPELLINGS = {
+    "ply-plus-3": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("step 3 "), lambda line: "step +3 " + line[7:])),
+    "squashed-leading-0": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("step "),
+        lambda line: _with_field(line, 6, lambda v: re.sub("^-?", r"\g<0>0", v)))),
+    "game-index-00": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("game 0 "), lambda line: "game 00 " + line[7:])),
+    "outcome-1.000": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line == "outcome 1\n", lambda line: "outcome 1.000\n")),
+    "trailing-space": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("step "), lambda line: line[:-1] + " \n")),
+    "blank-line": ("tictactoe", _insert_blank),
+    "crlf": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("outcome "), lambda line: line[:-1] + "\r\n")),
+    "connect4-root-leading-space": ("connect4", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("step "),
+        lambda line: _rehashed(line, "_" + line.split(" ")[3]))),
+    "tictactoe-root-trailing-space": ("tictactoe", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("step "),
+        lambda line: _rehashed(line, line.split(" ")[3] + "_"))),
+    "minichess-root-double-space": ("minichess", lambda lines: _edit_first(
+        lines, lambda line: line.startswith("step "),
+        lambda line: _rehashed(line, line.split(" ")[3].replace("_", "__", 1)))),
+}
+
+
+def _logged_run(tmp_path, game):
+    """The run directory of a short training run of game."""
+    if game == "tictactoe":
+        assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+        return tmp_path / "run"
+    name = {"connect4": "c4_pool_train.json", "minichess": "mc_material_selfplay.json"}[game]
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
+    run = tmp_path / "run"
+    p = write_cfg(tmp_path / "train.json", **dict(cfg, games=2, out_dir=str(run)))
+    assert main(["--config", p, "--quiet"]) == 0
+    return run
+
+
+@pytest.mark.parametrize("spelling", LOG_SPELLINGS)
+def test_replay_reads_only_the_writers_spelling(tmp_path, capsys, spelling):
+    game, edit = LOG_SPELLINGS[spelling]
+    run = _logged_run(tmp_path, game)
+    log = run / "traces.log"
+    lines = log.read_bytes().decode().splitlines(keepends=True)
+    n = edit(lines)
+    log.write_bytes("".join(lines).encode())
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    capsys.readouterr()
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(f"line {n}[ :]", err), err
+
+
 def test_replay_requires_run_artifacts(tmp_path, capsys):
     rp = write_cfg(tmp_path / "r.json", mode="replay",
                    run_dir=str(tmp_path / "empty"),
@@ -393,6 +499,25 @@ def test_replay_with_a_bad_final_snapshot_leaves_no_open_file(tmp_path, capsys):
     gc.collect()
     assert "weights_final.snapshot" in capsys.readouterr().err
     assert not (tmp_path / "replay").exists()
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_replay_closes_its_log_when_the_config_echo_fails(tmp_path, capsys, monkeypatch):
+    # The parse has opened the log when the echo raises: the run fails with
+    # exit 1, and the log is closed then, not by the garbage collector.
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(tmp_path / "run"),
+                   out_dir=str(tmp_path / "replay"))
+
+    def refuse(out_dir, cfg):
+        raise OSError("no room for the config")
+
+    monkeypatch.setattr(cli, "write_config", refuse)
+    capsys.readouterr()
+    assert main(["--config", rp, "--quiet"]) == 1
+    gc.collect()
+    assert "OSError: no room for the config" in capsys.readouterr().err
 
 
 def test_head_to_head_writes_result(tmp_path, capsys):

@@ -7,6 +7,7 @@ nothing.  Only the parse pass runs, so no games are played.
 
 import copy
 import json
+from contextlib import ExitStack
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -84,7 +85,8 @@ def listing(root: Path):
 def test_edited_config_parses_or_raises_config_error(base, name, data):
     root, configs = base
     cfg = copy.deepcopy(configs[name])
-    parse(copy.deepcopy(cfg), root)  # the unedited config parses
+    with ExitStack() as owned:
+        parse(copy.deepcopy(cfg), root, owned)  # the unedited config parses
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         path = data.draw(st.sampled_from(list(key_paths(cfg))), label="path")
         node = reduce(getitem, path, cfg)
@@ -97,7 +99,8 @@ def test_edited_config_parses_or_raises_config_error(base, name, data):
             reduce(getitem, path[:-1], cfg)[path[-1]] = data.draw(VALUES, label="value")
     before = listing(root)
     try:
-        parse(cfg, root)
+        with ExitStack() as owned:
+            parse(cfg, root, owned)
     except ConfigError:
         pass
     assert listing(root) == before

@@ -210,8 +210,8 @@ def test_black_agent_update_mirrors_white():
 
 
 def test_gradient_uses_stored_value_not_current_weights():
-    # batching replays old traces against moved weights; the derivative
-    # factor must come from the recorded value
+    # the derivative factor must come from the recorded value, not from
+    # the weights passed in
     cfg = cfg_of(squash_cfg=SquashConfig())
     step = mkstep([2.0, 0.0], 0.6)
     tr = GameTrace(Side.WHITE, (step,), WIN)
@@ -399,14 +399,19 @@ def _rehashed_floating_root(tokens):
     tokens[2] = text_hash(tokens[3])
 
 
-# name -> (line index, edit of its space-separated tokens in place, error after "line N: ")
+# name -> (line index, edit of its space-separated tokens in place, error after "line N")
 LINE_EDITS = {
-    "root-from-text-rejects": (1, _rehashed_floating_root, "floating stones in column 0"),
-    "raw-not-a-float": (1, lambda t: t.__setitem__(5, "abc"), "could not convert string"),
-    "squashed-not-a-float": (1, lambda t: t.__setitem__(6, "abc"), "could not convert string"),
-    "predicted-flag-2": (1, lambda t: t.__setitem__(7, "2"), "flags must be 0 or 1"),
-    "lower-flag-2": (1, lambda t: t.__setitem__(8, "2"), "flags must be 0 or 1"),
-    "outcome-not-a-float": (-1, lambda t: t.__setitem__(1, "abc"), "could not convert string"),
+    "root-from-text-rejects": (1, _rehashed_floating_root, ": floating stones in column 0"),
+    "raw-not-a-float": (1, lambda t: t.__setitem__(5, "abc"), ": could not convert string"),
+    "squashed-not-a-float": (1, lambda t: t.__setitem__(6, "abc"), ": could not convert string"),
+    # A flag other than 1 reads as 0, which the writer spells 0.
+    "predicted-flag-2": (1, lambda t: t.__setitem__(7, "2"),
+                         r" reads '[^']* 2 [01]\\n'; the writer writes '[^']* 0 [01]\\n'$"),
+    "lower-flag-2": (1, lambda t: t.__setitem__(8, "2"),
+                     r" reads '[^']* 2\\n'; the writer writes '[^']* 0\\n'$"),
+    "lower-flag-00": (1, lambda t: t.__setitem__(8, "00"),
+                      r" reads '[^']* 00\\n'; the writer writes '[^']* 0\\n'$"),
+    "outcome-not-a-float": (-1, lambda t: t.__setitem__(1, "abc"), ": could not convert string"),
 }
 
 
@@ -422,7 +427,7 @@ def test_trace_log_error_names_its_line(edit):
     tokens = lines[at].split(" ")
     change(tokens)
     lines[at] = " ".join(tokens)
-    with pytest.raises(ValueError, match=f"^line {at % len(lines) + 1}: {says}"):
+    with pytest.raises(ValueError, match=f"^line {at % len(lines) + 1}{says}"):
         list(traces_from_log(io.StringIO("\n".join(lines) + "\n"), c4, fs))
 
 

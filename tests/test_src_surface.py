@@ -153,3 +153,56 @@ def test_run_file_guard_finds_every_spelling(tmp_path):
         'kept = "traces" + ".txt", "weights", "ratings"\n')
     assert run_file_names(tmp_path) == ["cli.py:1", "cli.py:2", "cli.py:3", "cli.py:4",
                                         "cli.py:5", "cli.py:6", "games/rundir.py:1"]
+
+
+# A reader of text the program writes takes only the writer's spelling, so
+# it drops no whitespace: no strip, and no split on runs of whitespace.
+STRIPS = {"strip", "lstrip", "rstrip"}
+SPLITS = {"split", "rsplit"}
+
+
+def _splits_on_whitespace(call):
+    sep = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "sep"), None)
+    return sep is None or isinstance(sep, ast.Constant) and sep.value is None
+
+
+def whitespace_tolerant_readers(root=SRC):
+    """The "file:line function call" of each strip, or split without a
+    separator, in a src/ function whose name ends in from_text or from_log."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.endswith(("from_text", "from_log"))):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and (node.func.attr in STRIPS
+                             or node.func.attr in SPLITS and _splits_on_whitespace(node))):
+                    found.append(f"{rel}:{node.lineno} {fn.name} {node.func.attr}")
+    return sorted(found)
+
+
+def test_readers_take_only_the_writers_spelling():
+    found = whitespace_tolerant_readers()
+    assert not found, "readers that drop whitespace:\n" + "\n".join(found)
+
+
+def test_reader_guard_finds_every_spelling(tmp_path):
+    (tmp_path / "games").mkdir()
+    (tmp_path / "games" / "g.py").write_text(
+        "class G:\n"
+        "    def from_text(self, text):\n"
+        "        return text.strip().split()\n"
+        "def traces_from_log(lines):\n"
+        "    return [line.rstrip('\\n').rsplit(sep=None) for line in lines]\n"
+        "def weights_from_text(text):\n"
+        "    return text.lstrip(), text.split(None, 1), text.split(' '), text.split(sep=';')\n"
+        "def to_text(text):\n"
+        "    return text.strip().split()\n")
+    assert whitespace_tolerant_readers(tmp_path) == [
+        "games/g.py:3 from_text split", "games/g.py:3 from_text strip",
+        "games/g.py:5 traces_from_log rsplit", "games/g.py:5 traces_from_log rstrip",
+        "games/g.py:7 weights_from_text lstrip", "games/g.py:7 weights_from_text split"]

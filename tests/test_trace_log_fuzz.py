@@ -2,7 +2,9 @@
 
 Random edits of real traces.log text (characters, tokens and whole lines
 replaced, deleted, inserted or swapped) must either parse or raise
-ValueError: a corrupted log is rejected as a bad log, never as a crash.
+ValueError: a corrupted log is rejected as a bad log, never as a crash.  A
+log that parses is one the writer writes: writing back its parsed blocks
+gives the same bytes.
 """
 
 import io
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from tdsearch.arena import OpponentPool, RandomAgent, SearchAgent, train_online  # noqa: E402
 from tdsearch.evaluation import feature_set  # noqa: E402
 from tdsearch.games import GAMES  # noqa: E402
-from tdsearch.learner import LearnerConfig, traces_from_log  # noqa: E402
+from tdsearch.learner import LearnerConfig, trace_to_log, traces_from_log  # noqa: E402
 
 RUNS = {  # game -> (feature set, games played)
     "tictactoe": ("tictactoe", 3),
@@ -82,8 +84,10 @@ def test_edited_log_parses_or_raises_value_error(logs, game_id, data):
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         if lines:
             _edit(data, lines)
+    text = "\n".join(lines) + "\n"
+    game = GAMES[game_id]
     try:
-        list(traces_from_log(io.StringIO("\n".join(lines) + "\n"), GAMES[game_id],
-                             feature_set(RUNS[game_id][0])))
+        blocks = list(traces_from_log(io.StringIO(text), game, feature_set(RUNS[game_id][0])))
     except ValueError:
-        pass
+        return
+    assert "".join(trace_to_log(game, trace, idx, opp) for idx, opp, trace, _ in blocks) == text
