@@ -121,19 +121,24 @@ def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig
 # ---------------------------------------------------------------------------
 
 
-# Each extractor is a closure over its tables and a struct.Struct(f"{k}d")
-# pack, and returns np.frombuffer(pack(*values)): 'd' converts each value
-# with float(), as np.array(values, dtype=np.float64) did, so the read-only
-# vector has the same bits, without numpy's per-entry conversion.
+# Each extractor closes over its tables and a struct.Struct(f"{k}d").  Given
+# out, a writable float64 array of length k, it fills out with pack_into and
+# returns it; else it returns np.frombuffer(pack(*values)), fresh and read-only.
+# 'd' converts each value with float(), as np.array(values, dtype=np.float64) did.
 
 
 def _tictactoe_extractor():
-    pack, frombuffer = struct.Struct("10d").pack, np.frombuffer
+    st = struct.Struct("10d")
+    pack, pack_into, frombuffer = st.pack, st.pack_into, np.frombuffer
 
-    def _tictactoe_features(state) -> np.ndarray:
+    def _tictactoe_features(state, out=None) -> np.ndarray:
         """9 cell-ownership values from the mover's side (+1 mine) plus a bias."""
         s = state.side_to_move.sign
-        return frombuffer(pack(*[s * v for v in state.board], 1.0))
+        cells = [s * v for v in state.board]
+        if out is None:
+            return frombuffer(pack(*cells, 1.0))
+        pack_into(out, 0, *cells, 1.0)
+        return out
 
     return _tictactoe_features
 
@@ -158,7 +163,7 @@ _C4_NAMES = (
 # opponent's in bits 80..128, so each shift, AND and OR below acts on both
 # at once.  No shift exceeds 3 * (STRIDE + 1) = 24 bits, so a stone shifted
 # off its own colour's squares lands in the free bits 49..79 (the mover's
-# reach bit 72 at most, the opponent's bit 56 at least), which every count
+# reach bit 72 at most, the opponent's bit 64 at least), which every count
 # masks away: one colour never reaches the other's squares.  Every packed
 # value stays below 2**160, so one popcount gives a mover-minus-opponent
 # difference: with HI the 80 bits from bit 80 up, (x ^ HI).bit_count() - 80
@@ -169,9 +174,10 @@ def _connect4_extractor():
     CENTER, LOW, EVEN, ODD, BOTTOM, FULL = (
         m | m << G for m in (c4.CENTER_MASK, c4.LOW_HALF_MASK, c4.EVEN_ROW_MASK,
                              c4.ODD_ROW_MASK, c4.BOTTOM_MASK, c4.FULL_MASK))
-    pack, frombuffer = struct.Struct("12d").pack, np.frombuffer
+    st = struct.Struct("12d")
+    pack, pack_into, frombuffer = st.pack, st.pack_into, np.frombuffer
 
-    def _connect4_features(state) -> np.ndarray:
+    def _connect4_features(state, out=None) -> np.ndarray:
         """Bit-parallel Connect-4 features, mover minus opponent throughout.
 
         Runs are adjacent same-color pairs/triples per direction class (both
@@ -184,30 +190,25 @@ def _connect4_extractor():
         filled |= filled << G
         # Shift 1 is vertical, STRIDE = 7 horizontal, 6 and 8 the two diagonals.
         v1, h1, a1, c1 = b >> 1, b >> 7, b >> 6, b >> 8
-        v2, h2, a2, c2 = v1 >> 1, h1 >> 7, a1 >> 6, c1 >> 8
-        H1, A1, C1 = b << 7, b << 6, b << 8
-        win = ((b << 1) & (b << 2) & (b << 3)  # winning squares of both colours
-               | H1 & (H1 << 7) & (b << 21 | h1) | h1 & h2 & (h2 >> 7 | H1)
-               | A1 & (A1 << 6) & (b << 18 | a1) | a1 & a2 & (a2 >> 6 | A1)
-               | C1 & (C1 << 8) & (b << 24 | c1) | c1 & c2 & (c2 >> 8 | C1)) & ~filled
-        ph, pv, pa, pc = b & h1, b & v1, b & a1, b & c1
-        th, tv, ta, tc = ph & h2, pv & v2, pa & a2, pc & c2
-        ev, od = win & EVEN, win & ODD
-        pl = win & (filled + BOTTOM) & FULL
-        return frombuffer(pack(
-            1.0,
-            (b & CENTER ^ HI).bit_count() - G,
-            (ph ^ HI).bit_count() - G,
-            (pv ^ HI).bit_count() - G,
-            (pa ^ HI).bit_count() + (pc ^ HI).bit_count() - G2,
-            (th ^ HI).bit_count() - G,
-            (tv ^ HI).bit_count() - G,
-            (ta ^ HI).bit_count() + (tc ^ HI).bit_count() - G2,
-            (ev ^ HI).bit_count() - G,
-            (od ^ HI).bit_count() - G,
-            (pl ^ HI).bit_count() - G,
-            (b & LOW ^ HI).bit_count() - G,
-        ))
+        pv, ph, pa, pc = b & v1, b & h1, b & a1, b & c1  # a pair starts here
+        tv, th, ta, tc = pv & v1 >> 1, ph & h1 >> 7, pa & a1 >> 6, pc & c1 >> 8  # a triple
+        # Empty squares completing a four: below a vertical triple, or in direction s
+        # after a triple (t << 3s), before one (t >> s), or between a pair and a stone.
+        win = (tv << 3
+               | th << 21 | th >> 7 | ph << 14 & b >> 7 | b << 7 & ph >> 7
+               | ta << 18 | ta >> 6 | pa << 12 & b >> 6 | b << 6 & pa >> 6
+               | tc << 24 | tc >> 8 | pc << 16 & b >> 8 | b << 8 & pc >> 8) & ~filled
+        ctr, low = (b & CENTER ^ HI).bit_count() - G, (b & LOW ^ HI).bit_count() - G
+        r2h, r2v = (ph ^ HI).bit_count() - G, (pv ^ HI).bit_count() - G
+        r2d = (pa ^ HI).bit_count() + (pc ^ HI).bit_count() - G2
+        r3h, r3v = (th ^ HI).bit_count() - G, (tv ^ HI).bit_count() - G
+        r3d = (ta ^ HI).bit_count() + (tc ^ HI).bit_count() - G2
+        ev, od = (win & EVEN ^ HI).bit_count() - G, (win & ODD ^ HI).bit_count() - G
+        pl = (win & (filled + BOTTOM) & FULL ^ HI).bit_count() - G
+        if out is None:
+            return frombuffer(pack(1.0, ctr, r2h, r2v, r2d, r3h, r3v, r3d, ev, od, pl, low))
+        pack_into(out, 0, 1.0, ctr, r2h, r2v, r2d, r3h, r3v, r3d, ev, od, pl, low)
+        return out
 
     return _connect4_features
 
@@ -228,19 +229,26 @@ def _king_exposure(kings: int, pieces: int) -> int:
 
 
 def _minichess_extractors():
-    pack5, pack7, frombuffer = struct.Struct("5d").pack, struct.Struct("7d").pack, np.frombuffer
+    st5, st7, frombuffer = struct.Struct("5d"), struct.Struct("7d"), np.frombuffer
+    pack5, pack5_into, pack7, pack7_into = st5.pack, st5.pack_into, st7.pack, st7.pack_into
 
-    def _minichess_material_features(state) -> np.ndarray:
-        return frombuffer(pack5(*_minichess_material(state)))
+    def _minichess_material_features(state, out=None) -> np.ndarray:
+        if out is None:
+            return frombuffer(pack5(*_minichess_material(state)))
+        pack5_into(out, 0, *_minichess_material(state))
+        return out
 
-    def _minichess_features(state) -> np.ndarray:
+    def _minichess_features(state, out=None) -> np.ndarray:
         """Material differences plus pseudo-mobility and king exposure."""
         swapped = state._replace(own=state.opp, opp=state.own,
                                  side_to_move=state.side_to_move.opponent)
-        return frombuffer(pack7(
-            *_minichess_material(state),
-            len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped)),
-            _king_exposure(state.kings, state.opp) - _king_exposure(state.kings, state.own)))
+        values = [*_minichess_material(state),
+                  len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped)),
+                  _king_exposure(state.kings, state.opp) - _king_exposure(state.kings, state.own)]
+        if out is None:
+            return frombuffer(pack7(*values))
+        pack7_into(out, 0, *values)
+        return out
 
     return _minichess_material_features, _minichess_features
 
@@ -257,7 +265,7 @@ class FeatureSet:
     id: str
     game_id: str
     names: tuple
-    extract: object  # callable(state) -> read-only float64 array of length k
+    extract: object  # callable(state, out=None) -> out filled, or a fresh read-only array
     anchors: tuple = ()  # anchored (index, value) pairs for new weights
 
     @property
@@ -336,11 +344,10 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
         raise ValueError(f"need {fs.k} weights for {fs.id}, got {len(weights)}")
     if not weights.values.any():
         return lambda state: 0.0
-    extract = fs.extract
-    dot = weights.values.dot
+    extract, dot, out = fs.extract, weights.values.dot, np.empty(fs.k)
 
     def evaluator(state) -> float:
-        return float(dot(extract(state)))
+        return float(dot(extract(state, out)))
 
     return evaluator
 
@@ -372,16 +379,15 @@ def weights_from_text(text: str):
 
     Each line must be the one weights_to_text writes for the values it
     holds: header keys game, k, anchors in that order, index lines 0..k-1
-    in order, and every float token equal to _G(float(token)).
+    in order, every float token equal to _G(float(token)), and "\n" ending each.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty snapshot")
+    *lines, tail = text.split("\n")
+    if tail or not lines:
+        raise ValueError(f"snapshot does not end in a newline: ...{text[-24:]!r}")
     header = dict(part.split("=", 1) for part in lines[0].split(" "))
     fs = feature_set(header["game"])
-    pairs = header["anchors"]
-    anchors = () if pairs == "-" else tuple(
-        (int(i), float(v)) for i, v in (pair.split(":") for pair in pairs.split(";")))
+    pairs = (pair.partition(":") for pair in header["anchors"].split(";"))
+    anchors = tuple((int(i), float(v)) for i, colon, v in pairs if colon)  # none in "-"
     if len(lines) != fs.k + 1:
         raise ValueError(f"snapshot has {len(lines) - 1} weight lines, {fs.id} has {fs.k}")
     values = [float(row.rpartition(",")[2]) for row in lines[1:]]
@@ -392,5 +398,5 @@ def weights_from_text(text: str):
 
 
 def load_weights(path):
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii", newline="\n") as fh:
         return weights_from_text(fh.read())

@@ -145,4 +145,7 @@ class SyntheticTreeGame(Game):
     def from_text(self, text: str) -> SyntheticState:
         if text == "root":
             return SyntheticState(())
-        return SyntheticState(tuple(map(self.action_from_str, text.split("/"))))
+        try:
+            return self.replay(map(self.action_from_str, text.split("/")))
+        except IllegalMoveError as e:
+            raise ValueError(f"path {text!r} leaves the tree: {e}") from None

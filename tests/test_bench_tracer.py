@@ -47,7 +47,7 @@ def test_tracer_spans_record_trace_writes_parses_and_replay(tmp_path, monkeypatc
     assert cli.main(_config(
         tmp_path / "train.json", mode="train-online", game="connect4", seed=3, games=2,
         out_dir=str(run),
-        agent={"id": "learner", "depth": 1, "tie_break": "random", "initial_weights": "zero"},
+        agent={"id": "learner", "depth": 1, "tie_break": "random", "initial_weights": "baseline"},
         learner={"lambda": 0.7, "alpha": 0.05},
         pool={"opponents": [{"type": "random", "id": "rnd"}]})) == 0
     tracer.phase = "replay"
@@ -59,3 +59,7 @@ def test_tracer_spans_record_trace_writes_parses_and_replay(tmp_path, monkeypatc
     assert calls[("replay", "arena.replay_traces")] == 1
     assert calls[("replay", "learner.traces_from_log")] == 3  # two game blocks, then the end
     assert calls[("play", "games.is_terminal")] > 0 and calls[("replay", "games.outcome")] > 0
+    # The learner's baseline weights score leaves through the wrapped extract
+    # too, not only each recorded step's PV leaf.
+    steps = sum(line.startswith("step ") for line in (run / "traces.log").open(encoding="ascii"))
+    assert calls[("play", "evaluation.extract")] > steps > 0

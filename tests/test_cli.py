@@ -136,6 +136,22 @@ def _repeated_index_snapshot(tmp_path):
     return _fixed_opponent(tmp_path, {"path": "twice.snapshot"})
 
 
+# snapshot spelling -> (edit of the writer's text, text stderr must contain)
+SNAPSHOT_EDITS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), "snapshot line 1 reads"),
+    "no-final-newline": (lambda text: text[:-1], "does not end in a newline"),
+}
+
+
+def _initial_snapshot(tmp_path, spelling):
+    fs = feature_set("tictactoe")
+    edit, _ = SNAPSHOT_EDITS[spelling]
+    (tmp_path / "w.snapshot").write_bytes(edit(weights_to_text(fs, fs.weights_from({}))).encode())
+    cfg = _online(tmp_path)
+    cfg["agent"]["initial_weights"] = {"path": "w.snapshot"}
+    return cfg
+
+
 def _replay_of_head_to_head(tmp_path):
     # a match run into an old training run's directory: every replay file is there
     assert main(["--config", online_cfg(tmp_path), "--out", str(tmp_path / "h2h"), "--quiet"]) == 0
@@ -178,6 +194,9 @@ HOLES = {
     "unknown-preset": (lambda t: _fixed_opponent(t, "basline"), "basline"),
     "nan-snapshot": (_nan_snapshot, "finite"),
     "repeated-index-snapshot": (_repeated_index_snapshot, "snapshot has 11 weight lines"),
+    "crlf-initial-snapshot": (lambda t: _initial_snapshot(t, "crlf"), "snapshot line 1 reads"),
+    "unterminated-initial-snapshot": (lambda t: _initial_snapshot(t, "no-final-newline"),
+                                      "does not end in a newline"),
     "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
     "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
     "non-ascii-opponent-id": (lambda t: _opponent_named(t, "r\u00f1d"), "printable ASCII"),
@@ -482,6 +501,21 @@ def test_replay_requires_run_artifacts(tmp_path, capsys):
                    run_dir=str(tmp_path / "empty"),
                    out_dir=str(tmp_path / "replay"))
     assert main(["--config", rp]) == 2
+
+
+@pytest.mark.parametrize("name", ["weights_000000.snapshot", "weights_final.snapshot"])
+@pytest.mark.parametrize("spelling", SNAPSHOT_EDITS)
+def test_replay_reads_only_the_snapshot_writers_spelling(tmp_path, capsys, spelling, name):
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    edit, needle = SNAPSHOT_EDITS[spelling]
+    path = tmp_path / "run" / name
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(tmp_path / "run"),
+                   out_dir=str(tmp_path / "replay"))
+    capsys.readouterr()
+    assert main(["--config", rp, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and needle in err, err
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     mc_board,
     mc_mirror,
     mc_with_mover,
+    random_playouts,
     random_position,
 )
 from tdsearch.evaluation import (
@@ -259,6 +261,32 @@ def test_connect4_features_equal_references_on_random_walks():
     _assert_c4_features_exact(random_position(C4, rng, 42) for _ in range(5000))
 
 
+def _playout_states(game, seed, n):
+    """Every state of n seeded random playouts, and every child of each."""
+    states = []
+    for played in islice(random_playouts(game, np.random.default_rng(seed)), n):
+        for s in played:
+            states.append(s)
+            states += [game.apply(s, a) for a in game.legal_actions(s)]
+    return states
+
+
+def test_connect4_leaf_values_equal_the_oracle_on_every_playout_state_and_child():
+    # Fresh and buffered extraction, and the evaluator's leaf value, against the
+    # cell-walking oracle on every position a game reaches and every child of it.
+    fs = feature_set("connect4")
+    w = np.random.default_rng(37).normal(size=fs.k) * 10.0 ** np.arange(-5, 7)
+    ev = linear_evaluator(fs, WeightVector(w))
+    out = np.empty(fs.k)
+    states = _playout_states(C4, seed=38, n=60)
+    assert len(states) > 8000
+    for s in states:
+        ref = c4_features_oracle(C4, s)
+        assert fs.extract(s).tolist() == ref, C4.to_text(s)
+        assert fs.extract(s, out).tolist() == ref, C4.to_text(s)
+        assert _bits(ev(s)) == _bits(float(np.dot(w, np.array(ref)))), C4.to_text(s)
+
+
 def test_connect4_features_equal_references_at_the_bit_range_edges():
     # Both colours share one packed int; stones in the top row, in the edge
     # columns and on near-full boards sit at the ends of each colour's bits.
@@ -438,9 +466,9 @@ def test_zero_weight_evaluator_extracts_no_features(set_id):
     base = feature_set(set_id)
     calls = []
 
-    def counting_extract(state):
+    def counting_extract(state, out=None):
         calls.append(state)
-        return base.extract(state)
+        return base.extract(state, out)
 
     fs = dataclasses.replace(base, extract=counting_extract)
     states = _walk_states(fs, seed=34, n=20)
@@ -453,6 +481,50 @@ def test_zero_weight_evaluator_extracts_no_features(set_id):
     for s in states:
         ev(s)
     assert len(calls) == len(states)
+
+
+def _two_states(fs, seed):
+    """Two walk states whose feature vectors differ."""
+    a, *rest = _walk_states(fs, seed, n=20)
+    return a, next(b for b in rest if fs.extract(b).tobytes() != fs.extract(a).tobytes())
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_evaluator_scores_every_leaf_in_one_buffer_with_fresh_extraction_bits(set_id):
+    base = feature_set(set_id)
+    outs = []
+
+    def recording_extract(state, out=None):
+        outs.append(out)
+        return base.extract(state, out)
+
+    fs = dataclasses.replace(base, extract=recording_extract)
+    w = np.random.default_rng(41).normal(size=fs.k) * 10.0 ** np.arange(-3, fs.k - 3)
+    ev = linear_evaluator(fs, WeightVector(w))
+    a, b = _two_states(base, seed=42)
+    got = [ev(s) for s in (a, b, a)]
+    assert len(outs) == 3 and outs[0] is not None and all(o is outs[0] for o in outs)
+    assert [_bits(v) for v in got] == [_bits(float(np.dot(w, base.extract(s)))) for s in (a, b, a)]
+    assert outs[0].tobytes() == base.extract(a).tobytes()
+    linear_evaluator(fs, WeightVector(w))(a)  # a second evaluator owns a second buffer
+    assert outs[3] is not outs[0] and not np.shares_memory(outs[3], outs[0])
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_fresh_extraction_is_read_only_and_never_aliases_a_buffer(set_id):
+    fs = feature_set(set_id)
+    a, b = _two_states(fs, seed=43)
+    out = np.empty(fs.k)
+    assert fs.extract(a, out) is out
+    fresh, again = fs.extract(b), fs.extract(b)
+    assert fresh.dtype == np.float64 and fresh.shape == (fs.k,)
+    assert not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        fresh[0] = 2.0
+    assert not np.shares_memory(fresh, out) and not np.shares_memory(fresh, again)
+    want = fresh.tobytes()
+    fs.extract(a, out)  # refilling the buffer leaves an earlier fresh array alone
+    assert fresh.tobytes() == want == again.tobytes() != out.tobytes()
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
@@ -554,6 +626,30 @@ def test_snapshot_text_rejects_a_second_spelling(spelling):
     assert tampered != lines
     with pytest.raises(ValueError, match=f"snapshot line {line} reads "):
         weights_from_text("\n".join(tampered) + "\n")
+
+
+@pytest.mark.parametrize("set_id", ["connect4", "minichess"])
+def test_snapshot_text_ends_every_line_with_a_newline_alone(set_id, tmp_path):
+    # connect4 has no anchors ("anchors=-") and minichess has one, so a "\r"
+    # after the header's last token reaches each parse path.
+    lines = _snapshot_lines_of(set_id)
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "w.snapshot"
+    path.write_bytes(text.encode())
+    assert load_weights(path)[0] == set_id
+    spellings = (
+        (text.replace("\n", "\r\n"), "snapshot line 1 reads '[^']*\\\\r'"),
+        (text[:-1] + "\r\n", f"snapshot line {len(lines)} reads '[^']*\\\\r'"),
+        (text[:-1], "does not end in a newline"),
+        (text + "\n", f"snapshot has {len(lines)} weight lines"),
+        ("", "does not end in a newline"),
+    )
+    for bad, match in spellings:
+        with pytest.raises(ValueError, match=match):
+            weights_from_text(bad)
+        path.write_bytes(bad.encode())
+        with pytest.raises(ValueError, match=match):
+            load_weights(path)
 
 
 def test_all_feature_sets_registered():

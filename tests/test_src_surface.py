@@ -156,8 +156,9 @@ def test_run_file_guard_finds_every_spelling(tmp_path):
 
 
 # A reader of text the program writes takes only the writer's spelling, so
-# it drops no whitespace: no strip, and no split on runs of whitespace.
-STRIPS = {"strip", "lstrip", "rstrip"}
+# it drops no whitespace: no strip, no split on runs of whitespace, and no
+# splitlines, which also ends a line at "\r\n", "\r" and a missing final "\n".
+STRIPS = {"strip", "lstrip", "rstrip", "splitlines"}
 SPLITS = {"split", "rsplit"}
 
 
@@ -168,8 +169,8 @@ def _splits_on_whitespace(call):
 
 
 def whitespace_tolerant_readers(root=SRC):
-    """The "file:line function call" of each strip, or split without a
-    separator, in a src/ function whose name ends in from_text or from_log."""
+    """The "file:line function call" of each strip or splitlines, or split without
+    a separator, in a src/ function whose name ends in from_text or from_log."""
     found = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
@@ -201,8 +202,11 @@ def test_reader_guard_finds_every_spelling(tmp_path):
         "def weights_from_text(text):\n"
         "    return text.lstrip(), text.split(None, 1), text.split(' '), text.split(sep=';')\n"
         "def to_text(text):\n"
-        "    return text.strip().split()\n")
+        "    return text.strip().split()\n"
+        "def snapshot_from_text(text):\n"
+        "    return text.splitlines(), text.split('\\n')\n")
     assert whitespace_tolerant_readers(tmp_path) == [
+        "games/g.py:11 snapshot_from_text splitlines",
         "games/g.py:3 from_text split", "games/g.py:3 from_text strip",
         "games/g.py:5 traces_from_log rsplit", "games/g.py:5 traces_from_log rstrip",
         "games/g.py:7 weights_from_text lstrip", "games/g.py:7 weights_from_text split"]

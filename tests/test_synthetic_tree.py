@@ -80,3 +80,12 @@ def test_ragged_tree_leaves():
     assert not g.is_terminal(shallow)
     assert g.leaf_value(shallow) == 1.0
     assert g.max_depth() == 2
+
+
+@pytest.mark.parametrize("text", ["7/7/7/7", "2", "0/2", "0/0/0/0", "1/1/1/0/0"])
+def test_from_text_rejects_a_path_that_leaves_the_tree(text):
+    # A child index past a node's children, or any step below a leaf, names the text.
+    g = SyntheticTreeGame(UNIQUE_PV_TREE)
+    with pytest.raises(ValueError, match=f"path '{text}' leaves the tree"):
+        g.from_text(text)
+
