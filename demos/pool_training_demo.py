@@ -3,8 +3,8 @@ A small training run against a rated opponent pool
 ==================================================
 
 Trains a depth-2 connect4 evaluator for a few hundred games against a mixed
-pool, then checks the result against an untrained copy.  Takes around a
-minute on one core.
+pool, then checks the result against an untrained copy.  Takes a few
+seconds on one core.
 """
 
 import tempfile
@@ -38,7 +38,7 @@ cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=0.05),
 out = Path(tempfile.mkdtemp(prefix="pool-demo-"))
 result = train_online(game, agent, pool, cfg, 300, seed=3, out_dir=out)
 
-print(f"trained 300 games; final rating {result.table.rating('learner'):.0f}")
+print(f"trained 300 games; final rating {result.ratings['learner']:.0f}")
 print("weights by feature:")
 for name, value in zip(fs.names, result.weights.values):
     print(f"  {name:16s} {value:+.3f}")

@@ -11,7 +11,8 @@ _learn, which holds the weights and adds each game's TDLeaf(lambda)
 update before the next game; replay feeds it the logged games, so it
 matches training by construction.  Agents are immutable: games are played
 by copies carrying the current weights, and RunResult.weights holds the
-learned weights.  tdsearch.rundir writes and reads the run directory.
+learned weights.  Ratings are a plain {agent id: Elo rating} dict.
+tdsearch.rundir writes and reads the run directory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from itertools import groupby, pairwise
-from pathlib import Path
 
 import numpy as np
 
@@ -49,30 +49,16 @@ INITIAL_RATING = 1500.0
 K_FACTOR = 32.0
 
 
-@dataclass
-class RatingTable:
-    """Elo ratings, K=32, everyone starts at 1500."""
-
-    ratings: dict = field(default_factory=dict)
-
-    def register(self, agent_id: str, rating: float = INITIAL_RATING) -> None:
-        self.ratings.setdefault(agent_id, rating)
-
-    def rating(self, agent_id: str) -> float:
-        return self.ratings[agent_id]
-
-
 def expected_score(rating: float, opponent_rating: float) -> float:
     return 1.0 / (1.0 + 10.0 ** ((opponent_rating - rating) / 400.0))
 
 
-def elo_update(table: RatingTable, white_id: str, black_id: str, score_white: float) -> RatingTable:
+def elo_update(ratings: dict, white_id: str, black_id: str, score_white: float) -> None:
     """Apply one game; the two deltas are one number, so the update is zero-sum."""
-    rw, rb = table.ratings[white_id], table.ratings[black_id]
+    rw, rb = ratings[white_id], ratings[black_id]
     delta = K_FACTOR * (score_white - expected_score(rw, rb))
-    table.ratings[white_id] = rw + delta
-    table.ratings[black_id] = rb - delta
-    return table
+    ratings[white_id] = rw + delta
+    ratings[black_id] = rb - delta
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +226,11 @@ class OpponentPool:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate opponent ids in {ids}")
 
-    def pick(self, table: RatingTable, agent_id: str, rng):
+    def pick(self, ratings: dict, agent_id: str, rng):
         if self.matching == "uniform":
             return self.opponents[int(rng.integers(len(self.opponents)))]
-        r = table.rating(agent_id)
-        return min(self.opponents, key=lambda o: abs(table.rating(o.id) - r))
+        r = ratings[agent_id]
+        return min(self.opponents, key=lambda o: abs(ratings[o.id] - r))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +244,8 @@ def game_rng(seed: int, game_index: int) -> PCG64:
 
 @dataclass
 class RunResult:
-    out_dir: Path
-    weights: WeightVector
-    table: RatingTable
-    games: int
+    weights: WeightVector  # after the last game
+    ratings: dict          # agent id -> final Elo rating
 
 
 def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
@@ -280,7 +264,7 @@ def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
 
 
 def _train(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int, out_dir,
-           snapshot_every: int, table: RatingTable, play) -> RunResult:
+           snapshot_every: int, play) -> WeightVector:
     """Learn from n_games games of play, writing each game as it finishes.
 
     play(i, weights) plays game i and returns its ratings row (opponent id,
@@ -292,7 +276,7 @@ def _train(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int, out_dir,
         for i, row, traces, weights in _learn(cfg, weights, range(n_games), play):
             writer.write_game(i, *row, weights, [trace_to_log(game, t, i, row[0]) for t in traces])
         writer.finish(weights)
-    return RunResult(Path(out_dir), weights, table, n_games)
+    return weights
 
 
 def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfig,
@@ -302,24 +286,21 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
     The learning agent alternates colors; opponents are matched per the
     pool's policy; the weights learn from each game before the next.
     """
-    table = RatingTable()
-    table.register(agent.id)
-    for opp in pool.opponents:
-        table.register(opp.id)
+    ratings = dict.fromkeys([agent.id] + [opp.id for opp in pool.opponents], INITIAL_RATING)
 
     def play(i, weights):
         rng = game_rng(seed, i)
-        opp = pool.pick(table, agent.id, rng)
+        opp = pool.pick(ratings, agent.id, rng)
         side = Side.WHITE if i % 2 == 0 else Side.BLACK
         me = replace(agent, weights=weights)
         white, black = (me, opp) if side is Side.WHITE else (opp, me)
         rec = play_game(game, white, black, record_sides=(side,), squash_cfg=cfg.squash, rng=rng,
-                        rating_lower={side: table.rating(opp.id) < table.rating(agent.id)})
-        elo_update(table, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
-        return (opp.id, side.name.lower(), rec.outcome.for_side(side), table.rating(agent.id),
-                table.rating(opp.id), rec.moves, rec.nodes[side]), (rec.traces[side],)
+                        rating_lower={side: ratings[opp.id] < ratings[agent.id]})
+        elo_update(ratings, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
+        return (opp.id, side.name.lower(), rec.outcome.for_side(side), ratings[agent.id],
+                ratings[opp.id], rec.moves, rec.nodes[side]), (rec.traces[side],)
 
-    return _train(game, agent, cfg, n_games, out_dir, snapshot_every, table, play)
+    return RunResult(_train(game, agent, cfg, n_games, out_dir, snapshot_every, play), ratings)
 
 
 def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
@@ -335,9 +316,6 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
     opening plies.  Ratings are not meaningful against oneself and stay at
     the initial value in the CSV.
     """
-    table = RatingTable()
-    table.register(agent.id)
-    rating = table.rating(agent.id)
     sides = (Side.WHITE, Side.BLACK) if record_both else (Side.WHITE,)
 
     def play(i, weights):
@@ -345,10 +323,11 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
         rec = play_game(game, me, me, record_sides=sides, squash_cfg=cfg.squash,
                         rng=game_rng(seed, i), opening_plies=opening_plies,
                         opening_epsilon=opening_epsilon)
-        return ((agent.id, "white", rec.outcome.reward, rating, rating, rec.moves,
-                 sum(rec.nodes.values())), [rec.traces[side] for side in sides])
+        return ((agent.id, "white", rec.outcome.reward, INITIAL_RATING, INITIAL_RATING,
+                 rec.moves, sum(rec.nodes.values())), [rec.traces[side] for side in sides])
 
-    return _train(game, agent, cfg, n_games, out_dir, snapshot_every, table, play)
+    weights = _train(game, agent, cfg, n_games, out_dir, snapshot_every, play)
+    return RunResult(weights, {agent.id: INITIAL_RATING})
 
 
 def head_to_head(game, agent_a, agent_b, n_games: int, seed: int):

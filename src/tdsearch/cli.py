@@ -26,8 +26,6 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from tdsearch.arena import (
     OpponentPool,
     RandomAgent,
@@ -37,11 +35,11 @@ from tdsearch.arena import (
     train_online,
     train_selfplay,
 )
-from tdsearch.evaluation import SquashConfig, load_weights
+from tdsearch.evaluation import SquashConfig, load_weights, weights_to_text
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
 from tdsearch.presets import preset_weights, resolve_feature_set
-from tdsearch.rundir import open_log, read_config, snapshot_path, write_config, write_json
+from tdsearch.rundir import open_log, read_config, read_json, snapshot_path, write_config, write_json
 from tdsearch.search import alphabeta, minimax
 
 MODES = ("train-online", "train-selfplay", "head-to-head", "replay", "verify-figures")
@@ -126,13 +124,12 @@ class _Section:
 
 def load_config(path: str, seed_override=None, out_override=None) -> dict:
     """Read a run config and apply the overrides; parse() checks it.  Raises ConfigError."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        cfg = read_json(path)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except (OSError, ValueError) as e:  # missing or unreadable, not UTF-8, or a repeated key
+        raise ConfigError(f"{path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
     if seed_override is not None:
@@ -290,12 +287,11 @@ def _run_training(game, agent, learner, games, seed, out_dir, snapshot_every, qu
     if pool is not None:
         result = train_online(game, agent, pool, learner, games, seed, out_dir,
                               snapshot_every=snapshot_every)
-        summary = (f"trained {result.games} games vs pool; final rating "
-                   f"{result.table.rating(agent.id):.1f}")
+        summary = f"trained {games} games vs pool; final rating {result.ratings[agent.id]:.1f}"
     else:
-        result = train_selfplay(game, agent, learner, games, seed, out_dir,
-                                snapshot_every=snapshot_every, **selfplay)
-        summary = f"self-played {result.games} games"
+        train_selfplay(game, agent, learner, games, seed, out_dir,
+                       snapshot_every=snapshot_every, **selfplay)
+        summary = f"self-played {games} games"
     if not quiet:
         print(f"{summary}; artifacts in {out_dir}")
     return 0
@@ -313,7 +309,7 @@ def _run_head_to_head(game, a, b, games, seed, out_dir, quiet) -> int:
 
 def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir, quiet) -> int:
     report = replay_traces(game, fs, learner, initial, log)
-    weights_match = bool(np.array_equal(report.weights.values, final.values))
+    weights_match = weights_to_text(fs, report.weights) == weights_to_text(fs, final)
     write_json(out_dir / "replay.json", {
         "run_dir": str(run_dir),
         "games_replayed": report.games,

@@ -5,10 +5,10 @@ leaves the vector unchanged, so a single weight vector serves both seats.
 Converting to White's fixed perspective is a plain sign flip (see
 features_white), under which mirrored positions negate.
 
-For learning, raw evaluations are squashed through tanh(beta * j).  beta is
-calibrated so that an advantage of one anchor unit (a pawn, where the game
-has one) squashes to exactly 0.25, matching the convention that a win
-counts 1.0.  Win/loss/draw rewards themselves pass through unsquashed.
+For learning, raw evaluations are squashed through tanh(ATANH_QUARTER * j),
+so that an advantage of one anchor unit (a pawn, where the game has one)
+squashes to exactly 0.25, matching the convention that a win counts 1.0.
+Win/loss/draw rewards themselves pass through unsquashed.
 """
 
 from __future__ import annotations
@@ -31,26 +31,25 @@ _ONE_INSIDE = math.nextafter(1.0, 0.0)
 
 @dataclass(frozen=True)
 class SquashConfig:
-    """tanh squashing parameters; enabled=False means the identity map."""
+    """tanh(ATANH_QUARTER * j) squashing; enabled=False means the identity map."""
 
-    beta: float = ATANH_QUARTER
     enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "SquashConfig":
-        return cls(beta=1.0, enabled=False)
+        return cls(enabled=False)
 
 
 def squash(j: float, cfg: SquashConfig) -> float:
-    """tanh(beta * j), strictly inside (-1, 1).
+    """tanh(ATANH_QUARTER * j), strictly inside (-1, 1).
 
-    float64 tanh rounds to exactly +/-1 once |beta*j| exceeds about 19
+    float64 tanh rounds to exactly +/-1 once |ATANH_QUARTER*j| exceeds about 19
     (mate-score leaves); those saturated values are pulled one ulp inward
     so the open-interval range holds for every input.
     """
     if not cfg.enabled:
         return float(j)
-    v = math.tanh(cfg.beta * j)
+    v = math.tanh(ATANH_QUARTER * j)
     if v >= 1.0:
         return _ONE_INSIDE
     if v <= -1.0:
@@ -99,7 +98,7 @@ def raw_eval(features: np.ndarray, weights: WeightVector) -> float:
 
 def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig,
                   value: float | None = None) -> np.ndarray:
-    """Gradient of squash(raw_eval) wrt the weights: beta*(1-v^2)*phi.
+    """Gradient of squash(raw_eval) wrt the weights: ATANH_QUARTER*(1-v^2)*phi.
 
     v is the squashed value of the features under the weights; a caller
     that already holds it (a trace's stored leaf value) passes it as value.
@@ -110,7 +109,7 @@ def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig
         g = np.array(features, dtype=np.float64)
     else:
         v = squash(raw_eval(features, weights), cfg) if value is None else value
-        g = (cfg.beta * (1.0 - v * v)) * features
+        g = (ATANH_QUARTER * (1.0 - v * v)) * features
     for i in weights.anchor_indices():
         g[i] = 0.0
     return g
@@ -121,23 +120,19 @@ def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig
 # ---------------------------------------------------------------------------
 
 
-# Each extractor closes over its tables and a struct.Struct(f"{k}d").  Given
-# out, a writable float64 array of length k, it fills out with pack_into and
-# returns it; else it returns np.frombuffer(pack(*values)), fresh and read-only.
-# 'd' converts each value with float(), as np.array(values, dtype=np.float64) did.
+# Each extractor closes over its tables and the pack_into of a
+# struct.Struct(f"{k}d"): it writes a state's k values into out, a writable
+# float64 array of length k, and returns out.  'd' converts each value with
+# float(), as np.array(values, dtype=np.float64) did.
 
 
 def _tictactoe_extractor():
-    st = struct.Struct("10d")
-    pack, pack_into, frombuffer = st.pack, st.pack_into, np.frombuffer
+    pack_into = struct.Struct("10d").pack_into
 
-    def _tictactoe_features(state, out=None) -> np.ndarray:
+    def _tictactoe_features(state, out) -> np.ndarray:
         """9 cell-ownership values from the mover's side (+1 mine) plus a bias."""
         s = state.side_to_move.sign
-        cells = [s * v for v in state.board]
-        if out is None:
-            return frombuffer(pack(*cells, 1.0))
-        pack_into(out, 0, *cells, 1.0)
+        pack_into(out, 0, *[s * v for v in state.board], 1.0)
         return out
 
     return _tictactoe_features
@@ -174,10 +169,9 @@ def _connect4_extractor():
     CENTER, LOW, EVEN, ODD, BOTTOM, FULL = (
         m | m << G for m in (c4.CENTER_MASK, c4.LOW_HALF_MASK, c4.EVEN_ROW_MASK,
                              c4.ODD_ROW_MASK, c4.BOTTOM_MASK, c4.FULL_MASK))
-    st = struct.Struct("12d")
-    pack, pack_into, frombuffer = st.pack, st.pack_into, np.frombuffer
+    pack_into = struct.Struct("12d").pack_into
 
-    def _connect4_features(state, out=None) -> np.ndarray:
+    def _connect4_features(state, out) -> np.ndarray:
         """Bit-parallel Connect-4 features, mover minus opponent throughout.
 
         Runs are adjacent same-color pairs/triples per direction class (both
@@ -205,8 +199,6 @@ def _connect4_extractor():
         r3d = (ta ^ HI).bit_count() + (tc ^ HI).bit_count() - G2
         ev, od = (win & EVEN ^ HI).bit_count() - G, (win & ODD ^ HI).bit_count() - G
         pl = (win & (filled + BOTTOM) & FULL ^ HI).bit_count() - G
-        if out is None:
-            return frombuffer(pack(1.0, ctr, r2h, r2v, r2d, r3h, r3v, r3d, ev, od, pl, low))
         pack_into(out, 0, 1.0, ctr, r2h, r2v, r2d, r3h, r3v, r3d, ev, od, pl, low)
         return out
 
@@ -229,25 +221,19 @@ def _king_exposure(kings: int, pieces: int) -> int:
 
 
 def _minichess_extractors():
-    st5, st7, frombuffer = struct.Struct("5d"), struct.Struct("7d"), np.frombuffer
-    pack5, pack5_into, pack7, pack7_into = st5.pack, st5.pack_into, st7.pack, st7.pack_into
+    pack5_into, pack7_into = struct.Struct("5d").pack_into, struct.Struct("7d").pack_into
 
-    def _minichess_material_features(state, out=None) -> np.ndarray:
-        if out is None:
-            return frombuffer(pack5(*_minichess_material(state)))
+    def _minichess_material_features(state, out) -> np.ndarray:
         pack5_into(out, 0, *_minichess_material(state))
         return out
 
-    def _minichess_features(state, out=None) -> np.ndarray:
+    def _minichess_features(state, out) -> np.ndarray:
         """Material differences plus pseudo-mobility and king exposure."""
         swapped = state._replace(own=state.opp, opp=state.own,
                                  side_to_move=state.side_to_move.opponent)
-        values = [*_minichess_material(state),
-                  len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped)),
-                  _king_exposure(state.kings, state.opp) - _king_exposure(state.kings, state.own)]
-        if out is None:
-            return frombuffer(pack7(*values))
-        pack7_into(out, 0, *values)
+        pack7_into(out, 0, *_minichess_material(state),
+                   len(mc.pseudo_moves(state)) - len(mc.pseudo_moves(swapped)),
+                   _king_exposure(state.kings, state.opp) - _king_exposure(state.kings, state.own))
         return out
 
     return _minichess_material_features, _minichess_features
@@ -265,7 +251,7 @@ class FeatureSet:
     id: str
     game_id: str
     names: tuple
-    extract: object  # callable(state, out=None) -> out filled, or a fresh read-only array
+    extract: object  # callable(state, out) -> out, a float64 array of length k, filled
     anchors: tuple = ()  # anchored (index, value) pairs for new weights
 
     @property
@@ -325,9 +311,11 @@ def feature_set(set_id: str) -> FeatureSet:
 
 
 def features_white(fs: FeatureSet, state) -> np.ndarray:
-    """Feature vector in White's fixed perspective."""
-    phi = fs.extract(state)
-    return phi if state.side_to_move is WHITE else -phi
+    """Feature vector in White's fixed perspective, in an array of its own."""
+    phi = fs.extract(state, np.empty(fs.k))
+    if state.side_to_move is not WHITE:
+        np.negative(phi, out=phi)
+    return phi
 
 
 def linear_evaluator(fs: FeatureSet, weights: WeightVector):

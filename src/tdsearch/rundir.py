@@ -44,8 +44,23 @@ def write_config(out_dir, cfg: dict) -> None:
     write_json(Path(out_dir) / "config.json", cfg)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file, read with no object repeating a key."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+
+
 def read_config(run_dir) -> dict:
-    return json.loads((Path(run_dir) / "config.json").read_text(encoding="utf-8"))
+    return read_json(Path(run_dir) / "config.json")
 
 
 def open_log(run_dir):

@@ -15,7 +15,6 @@ from tdsearch.arena import (
     K_FACTOR,
     OpponentPool,
     RandomAgent,
-    RatingTable,
     SearchAgent,
     elo_update,
     expected_score,
@@ -74,33 +73,32 @@ def test_expected_score_formula():
 
 
 def test_underdog_win_moves_thirty_points():
-    table = RatingTable()
-    table.register("a", 1500.0)
-    table.register("b", 1900.0)
-    elo_update(table, "a", "b", 1.0)
-    gain = table.rating("a") - 1500.0
+    ratings = {"a": 1500.0, "b": 1900.0}
+    elo_update(ratings, "a", "b", 1.0)
+    gain = ratings["a"] - 1500.0
     assert gain == pytest.approx(K_FACTOR * 10.0 / 11.0)
     assert gain == pytest.approx(29.09, abs=0.01)
     # exactly zero sum
-    assert table.rating("a") + table.rating("b") == 1500.0 + 1900.0
+    assert ratings["a"] + ratings["b"] == 1500.0 + 1900.0
 
 
 def test_draw_moves_ratings_toward_each_other():
-    table = RatingTable()
-    table.register("a", 1600.0)
-    table.register("b", 1400.0)
-    elo_update(table, "a", "b", 0.5)
-    assert table.rating("a") < 1600.0
-    assert table.rating("b") > 1400.0
-    assert table.rating("a") + table.rating("b") == 3000.0
+    ratings = {"a": 1600.0, "b": 1400.0}
+    elo_update(ratings, "a", "b", 0.5)
+    assert ratings["a"] < 1600.0
+    assert ratings["b"] > 1400.0
+    assert ratings["a"] + ratings["b"] == 3000.0
 
 
-def test_rating_table_defaults():
-    table = RatingTable()
-    table.register("x")
-    assert table.rating("x") == INITIAL_RATING
+def test_rating_table_defaults(tmp_path):
+    # A pool run rates the learner and every opponent, each from INITIAL_RATING,
+    # and the updates are zero sum.  An id the run never rated has no rating.
+    pool = OpponentPool([RandomAgent("r1"), RandomAgent("r2")], "uniform")
+    ratings = train_online(T3, fresh_agent(), pool, small_cfg(), 3, 0, tmp_path).ratings
+    assert sorted(ratings) == ["learner", "r1", "r2"]
+    assert sum(ratings.values()) == pytest.approx(3 * INITIAL_RATING)
     with pytest.raises(KeyError):
-        table.rating("unknown")
+        OpponentPool(pool.opponents, "nearest").pick(ratings, "unknown", game_rng(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,33 +241,25 @@ def test_opening_randomization_skips_recording():
 # ---------------------------------------------------------------------------
 
 
-def _pool_of(ratings):
-    table = RatingTable()
-    opponents = []
-    for i, r in enumerate(ratings):
-        o = RandomAgent(f"o{i}")
-        opponents.append(o)
-        table.register(o.id, r)
-    return OpponentPool(opponents, "nearest"), table
+def _pool_of(values):
+    opponents = [RandomAgent(f"o{i}") for i in range(len(values))]
+    return OpponentPool(opponents, "nearest"), {o.id: r for o, r in zip(opponents, values)}
 
 
 def test_nearest_matching_picks_closest_rating():
-    pool, table = _pool_of([1400.0, 1500.0, 1800.0])
-    table.register("me", 1520.0)
-    assert pool.pick(table, "me", np.random.default_rng(0)).id == "o1"
-    table.register("high", 1750.0)
-    assert pool.pick(table, "high", np.random.default_rng(0)).id == "o2"
+    pool, ratings = _pool_of([1400.0, 1500.0, 1800.0])
+    ratings["me"] = 1520.0
+    assert pool.pick(ratings, "me", np.random.default_rng(0)).id == "o1"
+    ratings["high"] = 1750.0
+    assert pool.pick(ratings, "high", np.random.default_rng(0)).id == "o2"
 
 
 def test_uniform_matching_covers_pool():
     opponents = [RandomAgent(f"o{i}") for i in range(3)]
     pool = OpponentPool(opponents, "uniform")
-    table = RatingTable()
-    table.register("me")
-    for o in opponents:
-        table.register(o.id)
+    ratings = dict.fromkeys(["me", "o0", "o1", "o2"], INITIAL_RATING)
     rng = np.random.default_rng(3)
-    seen = {pool.pick(table, "me", rng).id for _ in range(100)}
+    seen = {pool.pick(ratings, "me", rng).id for _ in range(100)}
     assert seen == {"o0", "o1", "o2"}
 
 
@@ -288,7 +278,6 @@ def test_train_online_writes_complete_artifacts(tmp_path):
     pool = OpponentPool([RandomAgent("rnd")], "uniform")
     result = train_online(T3, agent, pool, small_cfg(), 12, 5, tmp_path,
                           snapshot_every=5)
-    assert result.games == 12
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {
         "ratings.csv", "traces.log",
@@ -307,8 +296,7 @@ def test_train_online_writes_complete_artifacts(tmp_path):
     _, final = load_weights(tmp_path / "weights_final.snapshot")
     assert np.any(final.values != 0.0)
     # ratings stay zero sum around the initial point
-    assert result.table.rating(agent.id) + result.table.rating("rnd") == \
-        pytest.approx(2 * INITIAL_RATING)
+    assert result.ratings[agent.id] + result.ratings["rnd"] == pytest.approx(2 * INITIAL_RATING)
 
 
 def test_train_online_is_reproducible(tmp_path):

@@ -57,6 +57,32 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert "bad.json:2:" in err
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = json.dumps(dict(mode="verify-figures", game="synthetic-tree", out_dir=str(out)))
+    p = tmp_path / "cfg.json"
+    p.write_bytes(text.encode()[:-1] + b', "trials": 5, "\xff": 1}')
+    assert main(["--config", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "cfg.json" in err and "utf-8" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, old, new", [("games", '"games": 6,', '"games": 6, "games": 7,'),
+                                           ("depth", '"depth": 2,', '"depth": 2, "depth": 3,')])
+def test_a_repeated_config_key_is_a_config_error(tmp_path, capsys, key, old, new):
+    # json.loads keeps a repeated key's last value, so the echoed config
+    # would not show the first; the reader refuses the file and names the key.
+    p = Path(online_cfg(tmp_path))
+    text = p.read_text()
+    assert text.count(old) == 1
+    p.write_text(text.replace(old, new))
+    assert main(["--config", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"repeated key {key!r}" in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     p = write_cfg(tmp_path / "c.json", mode="verify-figures",
                   game="synthetic-tree", out_dir=str(tmp_path / "o"),
@@ -162,6 +188,15 @@ def _replay_of_head_to_head(tmp_path):
     return dict(mode="replay", run_dir=str(tmp_path / "h2h"), out_dir=str(tmp_path / "run"))
 
 
+def _replay_of_a_repeated_key(tmp_path):
+    # replay reads the stored config through the same reader as --config
+    run = tmp_path / "trained"
+    assert main(["--config", online_cfg(tmp_path), "--out", str(run), "--quiet"]) == 0
+    stored = run / "config.json"
+    stored.write_text(stored.read_text().replace('\n  "games": 6,', '\n  "games": 6,' * 2, 1))
+    return dict(mode="replay", run_dir=str(run), out_dir=str(tmp_path / "run"))
+
+
 def _learner_named(tmp_path, agent_id):
     # the learner and a pool opponent would share one Elo table entry
     cfg = _online(tmp_path)
@@ -198,6 +233,7 @@ HOLES = {
     "unterminated-initial-snapshot": (lambda t: _initial_snapshot(t, "no-final-newline"),
                                       "does not end in a newline"),
     "replay-head-to-head": (_replay_of_head_to_head, "head-to-head"),
+    "replay-repeated-key": (_replay_of_a_repeated_key, "repeated key 'games'"),
     "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
     "non-ascii-opponent-id": (lambda t: _opponent_named(t, "r\u00f1d"), "printable ASCII"),
     "update_every_n_games": (_batched_learner, "update_every_n_games"),
@@ -346,6 +382,34 @@ def test_replay_mode_fails_on_tampered_log(tmp_path, capsys):
     assert main(["--config", rp, "--quiet"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "FAIL" in err
+
+
+# edit -> (config, games, text in the final snapshot, its replacement).  The
+# snapshot reader takes each edited text, and its values compare equal to the
+# replayed weights, but the replayed weights do not write that text.
+FINAL_SNAPSHOT_EDITS = {
+    "negative-zero": ("c4_pool_train.json", 4, "\n6,run3_v,0\n", "\n6,run3_v,-0\n"),
+    "anchors-dropped": ("mc_material_selfplay.json", 6, " anchors=0:1\n", " anchors=-\n"),
+}
+
+
+@pytest.mark.parametrize("edit", FINAL_SNAPSHOT_EDITS)
+def test_replay_fails_on_a_final_snapshot_the_replayed_weights_do_not_write(tmp_path, capsys,
+                                                                            edit):
+    name, games, old, new = FINAL_SNAPSHOT_EDITS[edit]
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
+    run = tmp_path / "run"
+    p = write_cfg(tmp_path / "train.json", **dict(cfg, games=games, out_dir=str(run)))
+    assert main(["--config", p, "--quiet"]) == 0
+    final = run / "weights_final.snapshot"
+    text = final.read_text()
+    assert text.count(old) == 1
+    final.write_text(text.replace(old, new))
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "0 step mismatches; final weights match: False" in err, err
 
 
 def test_replay_mode_fails_on_a_root_text_to_text_never_writes(tmp_path, capsys):

@@ -19,6 +19,7 @@ from oracles import (
     random_position,
 )
 from tdsearch.evaluation import (
+    ATANH_QUARTER,
     FEATURE_SETS,
     SquashConfig,
     WeightVector,
@@ -40,6 +41,11 @@ from tdsearch.presets import preset_weights
 T3 = GAMES["tictactoe"]
 C4 = GAMES["connect4"]
 MC = GAMES["minichess"]
+
+
+def _phi(fs, state):
+    """fs's features of state, extracted into a new buffer."""
+    return fs.extract(state, np.empty(fs.k))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +96,7 @@ def test_gradient_matches_finite_differences():
         w = WeightVector(rng.normal(size=k) * 0.5)
 
         def f(values):
-            return math.tanh(cfg.beta * float(np.dot(values, phi)))
+            return math.tanh(ATANH_QUARTER * float(np.dot(values, phi)))
 
         got = grad_squashed(phi, w, cfg)
         want = fd_gradient(f, w.values, h=1e-5)
@@ -166,10 +172,10 @@ def test_raw_eval_is_dot_product():
 def test_tictactoe_features_by_hand():
     fs = feature_set("tictactoe")
     s0 = T3.initial_state()
-    phi0 = fs.extract(s0)
+    phi0 = _phi(fs, s0)
     assert np.array_equal(phi0, np.array([0.0] * 9 + [1.0]))
     s1 = T3.apply(s0, 4)  # X in the center, O to move
-    phi1 = fs.extract(s1)
+    phi1 = _phi(fs, s1)
     want = np.zeros(10)
     want[4] = -1.0  # the center belongs to the opponent of the mover
     want[9] = 1.0
@@ -179,7 +185,7 @@ def test_tictactoe_features_by_hand():
 def test_connect4_features_by_hand_fresh_pair():
     fs = feature_set("connect4")
     s = C4.apply(C4.apply(C4.initial_state(), 3), 0)  # X center, O column 0
-    phi = dict(zip(fs.names, fs.extract(s)))
+    phi = dict(zip(fs.names, _phi(fs, s)))
     assert phi["bias"] == 1.0
     assert phi["center_col"] == 1.0
     assert phi["low_half"] == 0.0  # one stone each in the bottom rows
@@ -195,7 +201,7 @@ def test_connect4_features_by_hand_open_three():
     s = C4.initial_state()
     for col in (0, 0, 1, 1, 2, 2):
         s = C4.apply(s, col)
-    phi = dict(zip(fs.names, fs.extract(s)))
+    phi = dict(zip(fs.names, _phi(fs, s)))
     assert phi["run2_h"] == 0.0   # both sides hold two adjacent pairs
     assert phi["run3_h"] == 0.0   # and one triple each
     assert phi["win_sq_even_row"] == 1.0   # X completes at (col 3, row 0)
@@ -215,7 +221,7 @@ def test_connect4_features_mirror_invariant():
                 break
             acts = C4.legal_actions(s)
             s = C4.apply(s, acts[int(rng.integers(len(acts)))])
-        assert np.array_equal(fs.extract(s), fs.extract(c4_mirror_lr(s)))
+        assert np.array_equal(_phi(fs, s), _phi(fs, c4_mirror_lr(s)))
 
 
 def _c4_features_per_colour(state):
@@ -251,7 +257,7 @@ def _c4_features_per_colour(state):
 def _assert_c4_features_exact(states):
     fs = feature_set("connect4")
     for s in states:
-        phi = fs.extract(s)
+        phi = _phi(fs, s)
         assert np.array_equal(phi, _c4_features_per_colour(s)), C4.to_text(s)
         assert phi.tolist() == c4_features_oracle(C4, s), C4.to_text(s)
 
@@ -272,7 +278,7 @@ def _playout_states(game, seed, n):
 
 
 def test_connect4_leaf_values_equal_the_oracle_on_every_playout_state_and_child():
-    # Fresh and buffered extraction, and the evaluator's leaf value, against the
+    # Extraction into a new and a reused buffer, and the evaluator's leaf value, against the
     # cell-walking oracle on every position a game reaches and every child of it.
     fs = feature_set("connect4")
     w = np.random.default_rng(37).normal(size=fs.k) * 10.0 ** np.arange(-5, 7)
@@ -282,7 +288,7 @@ def test_connect4_leaf_values_equal_the_oracle_on_every_playout_state_and_child(
     assert len(states) > 8000
     for s in states:
         ref = c4_features_oracle(C4, s)
-        assert fs.extract(s).tolist() == ref, C4.to_text(s)
+        assert _phi(fs, s).tolist() == ref, C4.to_text(s)
         assert fs.extract(s, out).tolist() == ref, C4.to_text(s)
         assert _bits(ev(s)) == _bits(float(np.dot(w, np.array(ref)))), C4.to_text(s)
 
@@ -330,15 +336,15 @@ def test_tictactoe_features_color_mirror_invariant():
         flipped = T3.from_text("".join(swap[ch] for ch in T3.to_text(s)))
         if flipped.side_to_move is s.side_to_move:
             continue  # diverged mark counts; skip
-        assert np.array_equal(fs.extract(s), fs.extract(flipped))
+        assert np.array_equal(_phi(fs, s), _phi(fs, flipped))
 
 
 def test_minichess_features_initial_and_after_knight_move():
     fs = feature_set("minichess")
     s0 = MC.initial_state()
-    assert np.array_equal(fs.extract(s0), np.zeros(7))
+    assert np.array_equal(_phi(fs, s0), np.zeros(7))
     s1 = MC.apply(s0, MC.action_from_str("b1c3"))
-    phi = dict(zip(fs.names, fs.extract(s1)))
+    phi = dict(zip(fs.names, _phi(fs, s1)))
     assert all(phi[n] == 0.0 for n in
                ("pawn_diff", "knight_diff", "bishop_diff", "rook_diff", "queen_diff"))
     # mover is Black with 8 pseudo moves (4 pushes, b4xc3, d4xc3, Na3, Nxc3)
@@ -350,9 +356,9 @@ def test_minichess_features_initial_and_after_knight_move():
 def test_minichess_material_features_by_hand():
     fs = feature_set("minichess-material")
     s = MC.from_text("k4/5/5/5/K2Q1 w 0")
-    assert np.array_equal(fs.extract(s), np.array([0, 0, 0, 0, 1.0]))
+    assert np.array_equal(_phi(fs, s), np.array([0, 0, 0, 0, 1.0]))
     s2 = MC.from_text("k4/5/5/5/K2Q1 b 0")
-    assert np.array_equal(fs.extract(s2), np.array([0, 0, 0, 0, -1.0]))
+    assert np.array_equal(_phi(fs, s2), np.array([0, 0, 0, 0, -1.0]))
 
 
 def test_minichess_material_equals_per_pair_counts():
@@ -368,8 +374,8 @@ def test_minichess_material_equals_per_pair_counts():
             st = mc_with_mover(s, side)
             board = mc_board(st)
             want = [side.sign * (board.count(w) - board.count(b)) for w, b in pairs]
-            assert material.extract(st).tolist() == want
-            assert full.extract(st)[:5].tolist() == want
+            assert _phi(material, st).tolist() == want
+            assert _phi(full, st)[:5].tolist() == want
             seen.update((i, v) for i, v in enumerate(want) if v)
     # every entry was seen nonzero with both signs, so a swap or a sign slip shows
     assert seen >= {(i, v) for i in range(5) for v in (1, -1)}
@@ -387,19 +393,19 @@ def test_minichess_features_mirror_invariant():
             acts = MC.legal_actions(s)
             s = MC.apply(s, acts[int(rng.integers(len(acts)))])
         m = mc_mirror(s)
-        assert np.array_equal(fs.extract(s), fs.extract(m))
-        assert np.array_equal(fsm.extract(s), fsm.extract(m))
+        assert np.array_equal(_phi(fs, s), _phi(fs, m))
+        assert np.array_equal(_phi(fsm, s), _phi(fsm, m))
 
 
 def test_features_white_flips_sign_for_black():
     fs = feature_set("minichess-material")
     s = MC.from_text("k4/5/5/5/K2Q1 b 0")
-    phi = fs.extract(s)
+    phi = _phi(fs, s)
     phi_w = features_white(fs, s)
     assert np.array_equal(phi_w, -phi)
     assert phi_w[4] == 1.0  # White is up a queen regardless of the mover
     s_w = MC.from_text("k4/5/5/5/K2Q1 w 0")
-    assert np.array_equal(features_white(fs, s_w), fs.extract(s_w))
+    assert np.array_equal(features_white(fs, s_w), _phi(fs, s_w))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +436,7 @@ def test_zero_weight_evaluator_is_the_dot_product_bit_for_bit(set_id):
     for values in _zero_vectors(fs.k):
         ev = linear_evaluator(fs, WeightVector(values))
         for s in states:
-            assert _bits(ev(s)) == _bits(float(np.dot(values, fs.extract(s))))
+            assert _bits(ev(s)) == _bits(float(np.dot(values, _phi(fs, s))))
 
 
 def test_linear_evaluator_matches_raw_eval():
@@ -438,7 +444,7 @@ def test_linear_evaluator_matches_raw_eval():
         w = WeightVector(np.random.default_rng(31).normal(size=fs.k))
         ev = linear_evaluator(fs, w)
         for s in _walk_states(fs, seed=33):
-            assert _bits(ev(s)) == _bits(raw_eval(fs.extract(s), w)), (fs.id, s)
+            assert _bits(ev(s)) == _bits(raw_eval(_phi(fs, s), w)), (fs.id, s)
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
@@ -455,7 +461,7 @@ def test_leaf_value_has_the_bits_of_the_dot_over_the_oracle_array(set_id):
         w = rng.normal(size=fs.k) * 10.0 ** rng.integers(-6, 7, size=fs.k)
         ev = linear_evaluator(fs, WeightVector(w))
         for s in states:
-            phi = fs.extract(s)
+            phi = _phi(fs, s)
             assert phi.dtype == np.float64 and phi.shape == (fs.k,)
             ref = np.array(features_oracle(set_id, game, s), dtype=np.float64)
             assert _bits(ev(s)) == _bits(float(np.dot(w, ref))), game.to_text(s)
@@ -466,7 +472,7 @@ def test_zero_weight_evaluator_extracts_no_features(set_id):
     base = feature_set(set_id)
     calls = []
 
-    def counting_extract(state, out=None):
+    def counting_extract(state, out):
         calls.append(state)
         return base.extract(state, out)
 
@@ -486,7 +492,7 @@ def test_zero_weight_evaluator_extracts_no_features(set_id):
 def _two_states(fs, seed):
     """Two walk states whose feature vectors differ."""
     a, *rest = _walk_states(fs, seed, n=20)
-    return a, next(b for b in rest if fs.extract(b).tobytes() != fs.extract(a).tobytes())
+    return a, next(b for b in rest if _phi(fs, b).tobytes() != _phi(fs, a).tobytes())
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
@@ -494,7 +500,7 @@ def test_evaluator_scores_every_leaf_in_one_buffer_with_fresh_extraction_bits(se
     base = feature_set(set_id)
     outs = []
 
-    def recording_extract(state, out=None):
+    def recording_extract(state, out):
         outs.append(out)
         return base.extract(state, out)
 
@@ -504,23 +510,22 @@ def test_evaluator_scores_every_leaf_in_one_buffer_with_fresh_extraction_bits(se
     a, b = _two_states(base, seed=42)
     got = [ev(s) for s in (a, b, a)]
     assert len(outs) == 3 and outs[0] is not None and all(o is outs[0] for o in outs)
-    assert [_bits(v) for v in got] == [_bits(float(np.dot(w, base.extract(s)))) for s in (a, b, a)]
-    assert outs[0].tobytes() == base.extract(a).tobytes()
+    assert [_bits(v) for v in got] == [_bits(float(np.dot(w, _phi(base, s)))) for s in (a, b, a)]
+    assert outs[0].tobytes() == _phi(base, a).tobytes()
     linear_evaluator(fs, WeightVector(w))(a)  # a second evaluator owns a second buffer
     assert outs[3] is not outs[0] and not np.shares_memory(outs[3], outs[0])
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
 def test_fresh_extraction_is_read_only_and_never_aliases_a_buffer(set_id):
+    # features_white extracts into an array of its own, which no buffer
+    # filled before or after it shares.
     fs = feature_set(set_id)
     a, b = _two_states(fs, seed=43)
     out = np.empty(fs.k)
     assert fs.extract(a, out) is out
-    fresh, again = fs.extract(b), fs.extract(b)
+    fresh, again = features_white(fs, b), features_white(fs, b)
     assert fresh.dtype == np.float64 and fresh.shape == (fs.k,)
-    assert not fresh.flags.writeable
-    with pytest.raises(ValueError):
-        fresh[0] = 2.0
     assert not np.shares_memory(fresh, out) and not np.shares_memory(fresh, again)
     want = fresh.tobytes()
     fs.extract(a, out)  # refilling the buffer leaves an earlier fresh array alone
