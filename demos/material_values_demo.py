@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from tdsearch.arena import SearchAgent, train_selfplay
-from tdsearch.evaluation import SquashConfig, feature_set, load_weights
+from tdsearch.evaluation import feature_set, load_weights
 from tdsearch.games import GAMES
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
 
@@ -23,7 +23,7 @@ agent = SearchAgent("learner", fs, fs.weights_from({}), 2, tie_mode="random")
 cfg = LearnerConfig(
     lambda_=0.95,
     alpha=AlphaSchedule(kind="inverse", base=0.2, decay_games=400, floor=0.01),
-    squash=SquashConfig(),
+    squash=True,
     clipping=ClipPolicy.UNLESS_PREDICTED,
 )
 

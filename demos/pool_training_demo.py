@@ -17,7 +17,7 @@ from tdsearch.arena import (
     head_to_head,
     train_online,
 )
-from tdsearch.evaluation import SquashConfig, feature_set
+from tdsearch.evaluation import feature_set
 from tdsearch.games import GAMES
 from tdsearch.learner import AlphaSchedule, LearnerConfig
 from tdsearch.presets import preset_weights
@@ -33,7 +33,7 @@ pool = OpponentPool(opponents=(
 
 agent = SearchAgent("learner", fs, fs.weights_from({}), 2, tie_mode="random")
 cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=0.05),
-                    squash=SquashConfig())
+                    squash=True)
 
 out = Path(tempfile.mkdtemp(prefix="pool-demo-"))
 result = train_online(game, agent, pool, cfg, 300, seed=3, out_dir=out)

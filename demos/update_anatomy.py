@@ -9,7 +9,7 @@ sums, and the final weight movement.
 
 import numpy as np
 
-from tdsearch.evaluation import SquashConfig, WeightVector
+from tdsearch.evaluation import WeightVector
 from tdsearch.games.base import WIN, Side
 from tdsearch.learner import (
     AlphaSchedule,
@@ -37,7 +37,7 @@ trace = GameTrace(
     outcome=WIN,
 )
 cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=1.0),
-                    squash=SquashConfig.disabled())
+                    squash=False)
 
 # Differences: value[t+1] - value[t], with the final reward standing in as
 # the value after the last step.  Here: [0 - 0, 1 - 0].
@@ -59,6 +59,6 @@ print("weight delta:  ", [float(x) for x in delta])
 # the very next difference, at 1 every decision absorbs the final result.
 for lam in (0.0, 0.5, 1.0):
     cfg_lam = LearnerConfig(lambda_=lam, alpha=AlphaSchedule(base=1.0),
-                            squash=SquashConfig.disabled())
+                            squash=False)
     d = tdleaf_delta(trace, cfg_lam, WeightVector(np.zeros(2)))
     print(f"lambda {lam:.1f}: delta {[float(x) for x in d]}")

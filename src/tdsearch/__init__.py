@@ -10,7 +10,6 @@ from tdsearch.games import GAMES, Side
 from tdsearch.search import SearchResult, alphabeta, minimax
 from tdsearch.evaluation import (
     FeatureSet,
-    SquashConfig,
     WeightVector,
     feature_set,
     grad_squashed,

@@ -25,7 +25,6 @@ import numpy as np
 
 from tdsearch.evaluation import (
     FeatureSet,
-    SquashConfig,
     WeightVector,
     linear_evaluator,
     raw_eval,
@@ -134,12 +133,12 @@ class MatchRecord:
     fault: Side | None    # seat that played an illegal move, if any
 
 
-def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig = SquashConfig(),
+def play_game(game, white, black, *, record_sides=(), squashed: bool = True,
               rng=None, rating_lower=None,
               opening_plies: int = 0, opening_epsilon: float = 0.0) -> MatchRecord:
     """Play one game; optionally record learner traces for given seats.
 
-    For the first opening_plies plies, a uniformly random move replaces the
+    For the first opening_plies plies, a RandomAgent's move replaces the
     seat's normal choice with probability opening_epsilon (no trace step is
     recorded for a substituted move).  An illegal move aborts the game and
     scores it as a loss for the offender.  Prediction flags are set once the
@@ -157,15 +156,14 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig =
 
     while (outcome := game.outcome(state)) is None:
         side = state.side_to_move
+        mover = seats[side]
         if len(played) < opening_plies and opening_epsilon > 0.0 and rng.random() < opening_epsilon:
-            actions = game.legal_actions(state)
-            action = actions[int(rng.integers(len(actions)))]
-        else:
-            action, result = seats[side].select_move(game, state, rng)
-            if result is not None:
-                nodes[side] += result.nodes
-                if side in searched:
-                    searched[side].append((len(played), state, result))
+            mover = RandomAgent()
+        action, result = mover.select_move(game, state, rng)
+        if result is not None:
+            nodes[side] += result.nodes
+            if side in searched:
+                searched[side].append((len(played), state, result))
         played.append(action)
         try:
             state = game.apply(state, action)
@@ -184,7 +182,7 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig =
 
     traces = {
         side: GameTrace(side, tuple(
-            _make_step(game, seats[side].fs, root, result, squash_cfg,
+            _make_step(game, seats[side].fs, root, result, squashed,
                        rating_lower.get(side, False), predicted(m, result.pv))
             for m, root, result in searched[side]), outcome)
         for side in record_sides
@@ -193,14 +191,14 @@ def play_game(game, white, black, *, record_sides=(), squash_cfg: SquashConfig =
     return MatchRecord(white.id, black.id, outcome, traces, moves, nodes, fault)
 
 
-def _make_step(game, fs, root, result, squash_cfg, lower: bool, predicted: bool) -> StepRecord:
+def _make_step(game, fs, root, result, squashed: bool, lower: bool, predicted: bool) -> StepRecord:
     raw_white = result.value * root.side_to_move.sign
     return StepRecord(
         root=root,
         leaf=result.leaf,
         pv=result.pv,
         leaf_features=leaf_features_white(fs, result.leaf, game.is_terminal(result.leaf)),
-        value=squash(raw_white, squash_cfg),
+        value=squash(raw_white, squashed),
         raw_value=raw_white,
         opponent_move_predicted=predicted,
         opponent_rating_lower=lower,
@@ -294,7 +292,7 @@ def train_online(game, agent: SearchAgent, pool: OpponentPool, cfg: LearnerConfi
         side = Side.WHITE if i % 2 == 0 else Side.BLACK
         me = replace(agent, weights=weights)
         white, black = (me, opp) if side is Side.WHITE else (opp, me)
-        rec = play_game(game, white, black, record_sides=(side,), squash_cfg=cfg.squash, rng=rng,
+        rec = play_game(game, white, black, record_sides=(side,), squashed=cfg.squash, rng=rng,
                         rating_lower={side: ratings[opp.id] < ratings[agent.id]})
         elo_update(ratings, rec.white_id, rec.black_id, (rec.outcome.reward + 1.0) / 2.0)
         return (opp.id, side.name.lower(), rec.outcome.for_side(side), ratings[agent.id],
@@ -320,7 +318,7 @@ def train_selfplay(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int,
 
     def play(i, weights):
         me = replace(agent, weights=weights)
-        rec = play_game(game, me, me, record_sides=sides, squash_cfg=cfg.squash,
+        rec = play_game(game, me, me, record_sides=sides, squashed=cfg.squash,
                         rng=game_rng(seed, i), opening_plies=opening_plies,
                         opening_epsilon=opening_epsilon)
         return ((agent.id, "white", rec.outcome.reward, INITIAL_RATING, INITIAL_RATING,
@@ -356,7 +354,6 @@ def head_to_head(game, agent_a, agent_b, n_games: int, seed: int):
 
 @dataclass
 class ReplayReport:
-    ok: bool
     games: int
     weights: WeightVector
     mismatches: list
@@ -401,4 +398,4 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
     for i, found, _, weights in _learn(cfg, initial, blocks, play):
         games = i + 1
         mismatches += found
-    return ReplayReport(not mismatches, games, weights, mismatches)
+    return ReplayReport(games, weights, mismatches)

@@ -35,7 +35,7 @@ from tdsearch.arena import (
     train_online,
     train_selfplay,
 )
-from tdsearch.evaluation import SquashConfig, load_weights, weights_to_text
+from tdsearch.evaluation import load_weights, weights_to_text
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
 from tdsearch.presets import preset_weights, resolve_feature_set
@@ -241,8 +241,8 @@ def _pool(sec: _Section, fs, config_dir: Path) -> OpponentPool:
 
 
 def _learner(sec: _Section, fs) -> LearnerConfig:
-    squash = SquashConfig() if sec.get("squash", bool, True) else SquashConfig.disabled()
-    return sec.build(LearnerConfig, squash=squash, **sec.fields(
+    return sec.build(LearnerConfig, **sec.fields(
+        squash=("squash", bool),
         lambda_=("lambda", NUMBER, float),
         alpha=("alpha", NUMBER + (dict,), partial(_alpha, f"{sec.where}.alpha")),
         clipping=("clipping", str, ClipPolicy),
@@ -313,11 +313,11 @@ def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir, quiet)
     write_json(out_dir / "replay.json", {
         "run_dir": str(run_dir),
         "games_replayed": report.games,
-        "step_values_match": report.ok,
+        "step_values_match": not report.mismatches,
         "final_weights_match": weights_match,
         "mismatches": report.mismatches[:20],
     })
-    if report.ok and weights_match:
+    if not report.mismatches and weights_match:
         if not quiet:
             print(f"PASS: replayed {report.games} games; recomputed weights match the final snapshot")
         return 0

@@ -8,7 +8,8 @@ features_white), under which mirrored positions negate.
 For learning, raw evaluations are squashed through tanh(ATANH_QUARTER * j),
 so that an advantage of one anchor unit (a pawn, where the game has one)
 squashes to exactly 0.25, matching the convention that a win counts 1.0.
-Win/loss/draw rewards themselves pass through unsquashed.
+Win/loss/draw rewards themselves pass through unsquashed, and so does every
+value when the bool LearnerConfig.squash is False.
 """
 
 from __future__ import annotations
@@ -23,31 +24,21 @@ from tdsearch.games.base import WHITE
 from tdsearch.games import connect4 as c4
 from tdsearch.games import minichess as mc
 
+# atanh(0.25) = ln(5/3)/2, correctly rounded (0x1.058aefa811452p-2), so that
 # tanh(ATANH_QUARTER) == 0.25: one anchor unit of advantage squashes to 1/4.
-ATANH_QUARTER = math.atanh(0.25)
+ATANH_QUARTER = 0.25541281188299536
 
 _ONE_INSIDE = math.nextafter(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class SquashConfig:
-    """tanh(ATANH_QUARTER * j) squashing; enabled=False means the identity map."""
-
-    enabled: bool = True
-
-    @classmethod
-    def disabled(cls) -> "SquashConfig":
-        return cls(enabled=False)
-
-
-def squash(j: float, cfg: SquashConfig) -> float:
-    """tanh(ATANH_QUARTER * j), strictly inside (-1, 1).
+def squash(j: float, enabled: bool) -> float:
+    """tanh(ATANH_QUARTER * j), strictly inside (-1, 1); j itself when not enabled.
 
     float64 tanh rounds to exactly +/-1 once |ATANH_QUARTER*j| exceeds about 19
     (mate-score leaves); those saturated values are pulled one ulp inward
     so the open-interval range holds for every input.
     """
-    if not cfg.enabled:
+    if not enabled:
         return float(j)
     v = math.tanh(ATANH_QUARTER * j)
     if v >= 1.0:
@@ -96,19 +87,20 @@ def raw_eval(features: np.ndarray, weights: WeightVector) -> float:
     return float(np.dot(weights.values, features))
 
 
-def grad_squashed(features: np.ndarray, weights: WeightVector, cfg: SquashConfig,
+def grad_squashed(features: np.ndarray, weights: WeightVector, squashed: bool,
                   value: float | None = None) -> np.ndarray:
-    """Gradient of squash(raw_eval) wrt the weights: ATANH_QUARTER*(1-v^2)*phi.
+    """Gradient of squash(raw_eval) wrt the weights: ATANH_QUARTER*(1-v^2)*phi,
+    or phi itself when not squashed.
 
     v is the squashed value of the features under the weights; a caller
     that already holds it (a trace's stored leaf value) passes it as value.
     Entries at anchored indices are zeroed, which is what keeps anchors
     fixed under updates (no post-hoc clamping).
     """
-    if not cfg.enabled:
+    if not squashed:
         g = np.array(features, dtype=np.float64)
     else:
-        v = squash(raw_eval(features, weights), cfg) if value is None else value
+        v = squash(raw_eval(features, weights), True) if value is None else value
         g = (ATANH_QUARTER * (1.0 - v * v)) * features
     for i in weights.anchor_indices():
         g[i] = 0.0

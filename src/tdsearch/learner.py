@@ -2,7 +2,8 @@
 
 A trace holds one step per decision the learning agent took: the root it
 searched, the principal variation and its leaf, the leaf's feature vector,
-and the squashed leaf value.  Values and features are stored in White's
+and the leaf value, squashed unless the bool LearnerConfig.squash is False
+(evaluation.squash).  Values and features are stored in White's
 fixed perspective; the update converts to the agent's perspective by a
 sign flip when the agent held the Black seat.
 
@@ -38,7 +39,6 @@ import numpy as np
 from tdsearch.evaluation import (
     _G,
     FeatureSet,
-    SquashConfig,
     WeightVector,
     features_white,
     grad_squashed,
@@ -81,7 +81,7 @@ class AlphaSchedule:
 class LearnerConfig:
     lambda_: float = 0.7
     alpha: AlphaSchedule = field(default_factory=AlphaSchedule)
-    squash: SquashConfig = field(default_factory=SquashConfig)
+    squash: bool = True
     clipping: ClipPolicy = ClipPolicy.NONE
 
     def __post_init__(self):

@@ -56,7 +56,11 @@ def _unique_keys(pairs) -> dict:
 
 def read_json(path):
     """The JSON value in a UTF-8 file, read with no object repeating a key."""
-    return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:  # nested deeper than the parser's recursion limit
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def read_config(run_dir) -> dict:

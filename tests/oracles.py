@@ -124,7 +124,7 @@ def suffix_sums_quadratic(diffs, lam):
     ]
 
 
-def rebase_on_roots(trace, weights, fs, squash_cfg):
+def rebase_on_roots(trace, weights, fs, squashed):
     """The same trace with each step's leaf replaced by its search root.
 
     Features and values are recomputed at the roots with the given weights,
@@ -136,7 +136,7 @@ def rebase_on_roots(trace, weights, fs, squash_cfg):
         raw = raw_eval(phi, weights)
         steps.append(
             replace(s, leaf=s.root, pv=(), leaf_features=phi,
-                    value=squash(raw, squash_cfg), raw_value=raw)
+                    value=squash(raw, squashed), raw_value=raw)
         )
     return replace(trace, steps=tuple(steps))
 
@@ -700,13 +700,13 @@ def mc_str_from_text(text):
                 row += "." * int(ch)
             elif ch.upper() in "PNBRQK":
                 row += ch
-            else:
-                raise ValueError(f"bad piece char {ch!r}")
+            else:  # a bad piece char
+                raise ValueError(f"bad minichess text: {text!r}")
         # to_text packs each run of empty squares into one digit
         if any(a in "12345" and b in "12345" for a, b in zip(rank_txt, rank_txt[1:])):
-            raise ValueError(f"rank {rank_txt!r} has adjacent digits")
-        if len(row) != 5:
-            raise ValueError(f"rank {rank_txt!r} does not fill 5 files")
+            raise ValueError(f"bad minichess text: {text!r}")
+        if len(row) != 5:  # the rank does not fill the files
+            raise ValueError(f"bad minichess text: {text!r}")
         rows.append(row)
     board = "".join(reversed(rows))
     if board.count("K") != 1 or board.count("k") != 1:

@@ -27,7 +27,6 @@ from oracles import (
 )
 from tdsearch.cli import main as cli_main
 from tdsearch.evaluation import (
-    SquashConfig,
     WeightVector,
     feature_set,
     features_white,
@@ -51,7 +50,6 @@ from tdsearch.presets import preset_weights
 from tdsearch.search import MATE_SCORE, alphabeta, minimax
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-OFF = SquashConfig.disabled()
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -220,12 +218,11 @@ def test_c04_gradient_finite_difference():
         s = random_position(game, rng, int(rng.integers(0, 8)))
         phi = features_white(fs, s)
         w = rng.normal(scale=0.8, size=fs.k)
-        cfg = SquashConfig()
 
         def value_at(wv):
-            return squash(float(phi @ wv), cfg)
+            return squash(float(phi @ wv), True)
 
-        grad = grad_squashed(phi, WeightVector(w.copy()), cfg)
+        grad = grad_squashed(phi, WeightVector(w.copy()), True)
         fd = fd_gradient(value_at, w, h=1e-5)
         denom = max(1.0, float(np.linalg.norm(fd)))
         rel = float(np.linalg.norm(grad - fd)) / denom
@@ -245,7 +242,7 @@ def _played_traces(seed: int):
     fs = feature_set("connect4")
     agent = SearchAgent("a", fs, preset_weights(fs, "baseline"), 2, tie_mode="random")
     rec = play_game(c4, agent, agent, record_sides=(Side.WHITE, Side.BLACK),
-                    squash_cfg=SquashConfig(), rng=np.random.default_rng((77, seed)))
+                    squashed=True, rng=np.random.default_rng((77, seed)))
     return [tr for tr in rec.traces.values() if tr.steps]
 
 
@@ -259,7 +256,7 @@ def _anchor_zeroed(phi, w):
 def test_c05_update_rule_special_cases():
     fs = feature_set("connect4")
     w = preset_weights(fs, "baseline")
-    squash_cfg = SquashConfig()
+    squashed = True
     checks = []
     for seed in range(8):
         for tr in _played_traces(seed):
@@ -274,17 +271,17 @@ def test_c05_update_rule_special_cases():
                 StepRecord(root=st.root, leaf=st.root, pv=(),
                            leaf_features=(phi := features_white(fs, st.root)),
                            raw_value=(raw := raw_eval(phi, w)),
-                           value=squash(raw, squash_cfg),
+                           value=squash(raw, squashed),
                            opponent_move_predicted=st.opponent_move_predicted,
                            opponent_rating_lower=st.opponent_rating_lower)
                 for st in steps), tr.outcome)
-            cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=0.1), squash=squash_cfg)
+            cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=0.1), squash=squashed)
             checks.append(np.array_equal(tdleaf_delta(rooted, cfg, w),
                                          td_update(tr, cfg, w, fs)))
 
             # (b) lambda=1, no clipping: each step's discounted sum telescopes
             #     to outcome-minus-value
-            cfg1 = LearnerConfig(lambda_=1.0, alpha=AlphaSchedule(base=1.0), squash=OFF)
+            cfg1 = LearnerConfig(lambda_=1.0, alpha=AlphaSchedule(base=1.0), squash=False)
             delta = tdleaf_delta(tr, cfg1, w)
             direct = np.zeros(fs.k)
             for st in steps:
@@ -292,7 +289,7 @@ def test_c05_update_rule_special_cases():
             checks.append(bool(np.allclose(delta, direct, rtol=0, atol=1e-10)))
 
             # (c) lambda=0: only the one-step difference feeds each step
-            cfg0 = LearnerConfig(lambda_=0.0, alpha=AlphaSchedule(base=1.0), squash=OFF)
+            cfg0 = LearnerConfig(lambda_=0.0, alpha=AlphaSchedule(base=1.0), squash=False)
             delta0 = tdleaf_delta(tr, cfg0, w)
             vals = [c * st.value for st in steps] + [float(r)]
             direct0 = np.zeros(fs.k)
@@ -318,7 +315,7 @@ def test_c06_worked_update():
                    opponent_rating_lower=False),
     )
     tr = GameTrace(Side.WHITE, steps, WIN)
-    cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=1.0), squash=OFF)
+    cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=1.0), squash=False)
     delta = tdleaf_delta(tr, cfg, WeightVector(np.zeros(2)))
     ok = delta[0] == 0.7 and delta[1] == 1.0
     _verdict(6, "worked-two-step-update", ok, f"delta = ({delta[0]}, {delta[1]})")

@@ -13,6 +13,7 @@ from tdsearch import arena, cli, rundir
 from tdsearch.arena import (
     INITIAL_RATING,
     K_FACTOR,
+    MatchRecord,
     OpponentPool,
     RandomAgent,
     SearchAgent,
@@ -26,7 +27,6 @@ from tdsearch.arena import (
     train_selfplay,
 )
 from tdsearch.evaluation import (
-    SquashConfig,
     WeightVector,
     feature_set,
     features_white,
@@ -35,7 +35,7 @@ from tdsearch.evaluation import (
     squash,
 )
 from tdsearch.games import GAMES, minichess
-from tdsearch.games.base import IllegalMoveError, Side
+from tdsearch.games.base import WIN, IllegalMoveError, Side
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig, traces_from_log
 from tdsearch.rundir import open_log, weights_hash
 
@@ -46,7 +46,7 @@ FS3 = feature_set("tictactoe")
 def small_cfg(**kw):
     defaults = dict(
         lambda_=0.7, alpha=AlphaSchedule(base=0.05),
-        squash=SquashConfig(), clipping=ClipPolicy.NONE,
+        squash=True, clipping=ClipPolicy.NONE,
     )
     defaults.update(kw)
     return LearnerConfig(**defaults)
@@ -134,7 +134,7 @@ def test_recorded_steps_store_white_perspective_values():
     rng = np.random.default_rng(1)
     agent = fresh_agent()
     rec = play_game(T3, agent, RandomAgent("r"),
-                    record_sides=(Side.WHITE,), squash_cfg=SquashConfig(),
+                    record_sides=(Side.WHITE,), squashed=True,
                     rng=rng)
     trace = rec.traces[Side.WHITE]
     assert trace.agent_side is Side.WHITE
@@ -144,7 +144,7 @@ def test_recorded_steps_store_white_perspective_values():
             phi = features_white(FS3, step.leaf)
             assert np.array_equal(step.leaf_features, phi)
             assert step.raw_value == raw_eval(phi, agent.weights)
-            assert step.value == squash(step.raw_value, SquashConfig())
+            assert step.value == squash(step.raw_value, True)
 
 
 def test_prediction_flags_match_reconstruction():
@@ -154,7 +154,7 @@ def test_prediction_flags_match_reconstruction():
     b = fresh_agent("b")
     for _ in range(30):
         rec = play_game(T3, a, b, record_sides=(Side.WHITE, Side.BLACK),
-                        squash_cfg=SquashConfig(), rng=rng)
+                        squashed=True, rng=rng)
         for side in (Side.WHITE, Side.BLACK):
             steps = rec.traces[side].steps
             for t, step in enumerate(steps):
@@ -229,7 +229,7 @@ def test_opening_randomization_skips_recording():
     rng = np.random.default_rng(9)
     agent = fresh_agent()
     rec = play_game(T3, agent, agent, record_sides=(Side.WHITE,),
-                    squash_cfg=SquashConfig(), rng=rng,
+                    squashed=True, rng=rng,
                     opening_plies=2, opening_epsilon=1.0)
     trace = rec.traces[Side.WHITE]
     # the first White move fell in the opening window, so no step for ply 0
@@ -317,7 +317,7 @@ def test_replay_recovers_online_run_exactly(tmp_path):
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
     with open_log(tmp_path) as log:
         report = replay_traces(T3, FS3, cfg, initial, log)
-    assert report.ok
+    assert not report.mismatches
     assert report.games == 11
     assert report.mismatches == []
     assert np.array_equal(report.weights.values, result.weights.values)
@@ -345,14 +345,14 @@ def test_replay_flags_tampered_log(tmp_path):
     # squash check reads.  (The learning update then diverges too, so later
     # games report raw mismatches after this first one.)
     report, _, _ = _tampered_replay(tmp_path, 6)
-    assert not report.ok
+    assert report.mismatches
     assert report.mismatches[0] == "game 0 step 0: squashed value mismatch"
 
 
 def test_replay_flags_tampered_raw_value(tmp_path):
     # Field 5 is the raw value: the recomputed leaf value disagrees first.
     report, logged, tampered = _tampered_replay(tmp_path, 5)
-    assert not report.ok
+    assert report.mismatches
     assert report.mismatches[0] == f"game 0 step 0: raw {logged!r} != logged {tampered!r}"
 
 
@@ -384,7 +384,7 @@ def test_replay_flags_tampered_mate_distance(tmp_path):
     parts[5] = f"{tampered:.17g}"  # the writer's spelling
     lines[n] = " ".join(parts)
     report = replay_traces(T3, FS3, cfg, initial, io.StringIO("\n".join(lines) + "\n"))
-    assert not report.ok
+    assert report.mismatches
     assert report.mismatches == [f"game {game} step {t}: raw {raw!r} != logged {tampered!r}"]
 
 
@@ -453,7 +453,7 @@ def test_minichess_replay_scans_moves_only_in_the_terminal_test(tmp_path, monkey
         return scan(state, unsafe)
 
     monkeypatch.setattr(minichess, "pseudo_moves", counting)
-    assert replay_traces(mc, fs, cfg, initial, io.StringIO(text)).ok
+    assert not replay_traces(mc, fs, cfg, initial, io.StringIO(text)).mismatches
     assert set(callers) <= {"has_any_legal"}
     assert callers["has_any_legal"] <= sum(line.startswith("step") for line in text.splitlines())
 
@@ -478,7 +478,7 @@ def test_replay_holds_one_game_at_a_time(tmp_path):
         tracemalloc.start()
         try:
             with open_log(run_dir) as log:
-                assert replay_traces(mc, fs, cfg, initial, log).ok
+                assert not replay_traces(mc, fs, cfg, initial, log).mismatches
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -498,7 +498,7 @@ def test_train_selfplay_records_and_replays(tmp_path):
     assert text.count("game ") == 16  # two traces per game
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
     report = replay_traces(T3, FS3, cfg, initial, io.StringIO(text))
-    assert report.ok
+    assert not report.mismatches
     assert report.games == 8 and report.mismatches == []
     assert np.array_equal(report.weights.values, result.weights.values)
     # selfplay has no meaningful ratings
@@ -536,7 +536,7 @@ def test_replay_flags_blocks_out_of_training_order(tmp_path, edit):
     _, initial = load_weights(tmp_path / "weights_000000.snapshot")
     text = "".join(change(_log_blocks((tmp_path / "traces.log").read_text())))
     report = replay_traces(T3, FS3, cfg, initial, io.StringIO(text))
-    assert not report.ok
+    assert report.mismatches
     assert report.mismatches[0] == f"game {game}: {says}"
 
 
@@ -570,7 +570,7 @@ def test_loops_reach_the_module_globals_the_bench_patches(tmp_path, monkeypatch)
     assert calls == {"play_game": 6, "tdleaf_delta": 9, "trace_to_log": 9, "traces_from_log": 0}
     _, initial = load_weights(tmp_path / "self" / "weights_000000.snapshot")
     with open_log(tmp_path / "self") as log:
-        assert replay_traces(T3, FS3, cfg, initial, log).ok
+        assert not replay_traces(T3, FS3, cfg, initial, log).mismatches
     assert calls == {"play_game": 6, "tdleaf_delta": 15, "trace_to_log": 9, "traces_from_log": 1}
     for loop in ("train_online", "train_selfplay", "head_to_head", "replay_traces"):
         assert getattr(cli, loop) is getattr(arena, loop)
@@ -578,7 +578,7 @@ def test_loops_reach_the_module_globals_the_bench_patches(tmp_path, monkeypatch)
 
 def _overflowing_run(mode, out_dir):
     # alpha 1e308 without squashing: the weights stop being finite after a game or two
-    cfg = small_cfg(alpha=AlphaSchedule(base=1e308), squash=SquashConfig.disabled())
+    cfg = small_cfg(alpha=AlphaSchedule(base=1e308), squash=False)
     if mode == "online":
         pool = OpponentPool([RandomAgent("rnd")], "uniform")
         return train_online(T3, fresh_agent(), pool, cfg, 6, 4, out_dir)
@@ -632,6 +632,22 @@ def test_head_to_head_alternates_and_scores():
     assert 0.0 <= score <= 1.0
     again, _ = head_to_head(T3, a, b, 20, 17)
     assert again == score  # same seed, same games
+
+
+def test_head_to_head_gives_agent_a_white_in_even_games(monkeypatch):
+    # Every game is a White win, so agent_a wins the games it opens as White
+    # (0, 2, 4) and loses those it plays as Black (1, 3).
+    seats = []
+
+    def white_wins(game, white, black, **kwargs):
+        seats.append((white.id, black.id))
+        return MatchRecord(white.id, black.id, WIN, {}, 5, {Side.WHITE: 0, Side.BLACK: 0}, None)
+
+    monkeypatch.setattr(arena, "play_game", white_wins)
+    score, tally = head_to_head(T3, RandomAgent("a"), RandomAgent("b"), 5, 17)
+    assert seats == [("a", "b"), ("b", "a"), ("a", "b"), ("b", "a"), ("a", "b")]
+    assert tally == {"wins": 3, "draws": 0, "losses": 2}
+    assert score == 3 / 5
 
 
 def test_fixed_agent_weights_cannot_drift():

@@ -14,6 +14,7 @@ from tdsearch import cli
 from tdsearch.cli import MODES, load_config, main
 from tdsearch.evaluation import feature_set, weights_to_text
 from tdsearch.learner import text_hash
+from tdsearch.search import SearchResult
 
 
 def write_cfg(path, **kw):
@@ -81,6 +82,33 @@ def test_a_repeated_config_key_is_a_config_error(tmp_path, capsys, key, old, new
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"repeated key {key!r}" in err, err
     assert not (tmp_path / "run").exists()
+
+
+def _too_deep(path):
+    # Nested far past the interpreter's recursion limit: json.loads raises RecursionError.
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    p = _too_deep(tmp_path / "deep.json")
+    assert main(["--config", str(p), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "deep.json" in err and "nested" in err, err
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+def test_replay_of_a_run_dir_whose_config_is_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    _too_deep(run / "config.json")
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    assert main(["--config", rp, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "config.json" in err and "nested" in err, err
+    assert not (tmp_path / "replay").exists()
+    assert [p.name for p in run.iterdir()] == ["config.json"]
 
 
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
@@ -313,6 +341,27 @@ def test_verify_figures_passes(tmp_path, capsys):
     assert "FAIL" not in out
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert all(report.values())
+
+
+def test_verify_figures_fails_a_search_that_finds_the_value_at_the_wrong_leaf(tmp_path, capsys,
+                                                                              monkeypatch):
+    # The root value is right, 4, but the PV ends at leaf M, not L.  The
+    # stand-in keeps the name alphabeta, which the check's name is built from.
+    def alphabeta(game, root, depth, evaluator, seed=None):
+        pv = (1, 0, 1)
+        leaf = root
+        for action in pv:
+            leaf = game.apply(leaf, action)
+        return SearchResult(4.0, pv, leaf, 8)
+
+    monkeypatch.setattr(cli, "alphabeta", alphabeta)
+    p = write_cfg(tmp_path / "f.json", mode="verify-figures", game="synthetic-tree", seed=0,
+                  trials=20, out_dir=str(tmp_path / "out"))
+    assert main(["--config", p, "--quiet"]) == 1
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["unique-pv tree, alphabeta: root value 4 with PV leaf L"] is False
+    assert report["unique-pv tree, minimax: root value 4 with PV leaf L"] is True
+    assert "FAIL: unique-pv tree, alphabeta" in capsys.readouterr().err
 
 
 def test_train_online_end_to_end(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import struct
 from itertools import islice
@@ -21,7 +22,6 @@ from oracles import (
 from tdsearch.evaluation import (
     ATANH_QUARTER,
     FEATURE_SETS,
-    SquashConfig,
     WeightVector,
     feature_set,
     features_white,
@@ -53,33 +53,37 @@ def _phi(fs, state):
 # ---------------------------------------------------------------------------
 
 
+def test_atanh_quarter_is_the_correctly_rounded_constant():
+    # A literal, so its bits do not depend on the platform's libm: atanh(1/4)
+    # is ln(5/3)/2, and the float nearest that at 60 digits is the constant.
+    assert ATANH_QUARTER.hex() == "0x1.058aefa811452p-2"
+    with decimal.localcontext(decimal.Context(prec=60)):
+        assert float((decimal.Decimal(5) / 3).ln() / 2) == ATANH_QUARTER
+
+
 def test_one_unit_squashes_to_a_quarter():
-    cfg = SquashConfig()
-    assert squash(0.0, cfg) == 0.0
-    assert squash(1.0, cfg) == 0.25
-    assert squash(-1.0, cfg) == -0.25
+    assert squash(0.0, True) == 0.0
+    assert squash(1.0, True) == 0.25
+    assert squash(-1.0, True) == -0.25
 
 
 def test_squash_is_odd_and_monotone():
-    cfg = SquashConfig()
     xs = [0.1, 0.5, 1.0, 3.0, 10.0, 100.0]
     for x in xs:
-        assert squash(-x, cfg) == -squash(x, cfg)
-    vals = [squash(x, cfg) for x in xs]
+        assert squash(-x, True) == -squash(x, True)
+    vals = [squash(x, True) for x in xs]
     assert vals == sorted(vals)
 
 
 def test_squash_stays_strictly_inside_unit_interval():
-    cfg = SquashConfig()
     for j in (50.0, 1e3, 1e6, 1e9, 1e12):
-        assert -1.0 < squash(j, cfg) < 1.0
-        assert -1.0 < squash(-j, cfg) < 1.0
-    assert squash(1e9, cfg) == math.nextafter(1.0, 0.0)
+        assert -1.0 < squash(j, True) < 1.0
+        assert -1.0 < squash(-j, True) < 1.0
+    assert squash(1e9, True) == math.nextafter(1.0, 0.0)
 
 
 def test_squash_disabled_is_identity():
-    off = SquashConfig.disabled()
-    assert squash(123.456, off) == 123.456
+    assert squash(123.456, False) == 123.456
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +93,6 @@ def test_squash_disabled_is_identity():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
-    cfg = SquashConfig()
     for _ in range(30):
         k = int(rng.integers(2, 12))
         phi = rng.normal(size=k)
@@ -98,7 +101,7 @@ def test_gradient_matches_finite_differences():
         def f(values):
             return math.tanh(ATANH_QUARTER * float(np.dot(values, phi)))
 
-        got = grad_squashed(phi, w, cfg)
+        got = grad_squashed(phi, w, True)
         want = fd_gradient(f, w.values, h=1e-5)
         denom = max(np.max(np.abs(want)), 1e-9)
         assert np.max(np.abs(got - want)) / denom < 1e-6
@@ -107,7 +110,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_unsquashed_is_feature_vector():
     phi = np.array([1.0, -2.0, 3.5])
     w = WeightVector(np.array([0.3, 0.1, -0.2]))
-    g = grad_squashed(phi, w, SquashConfig.disabled())
+    g = grad_squashed(phi, w, False)
     assert np.array_equal(g, phi)
     g[0] = 99.0  # returned array is a copy, not a view
     assert phi[0] == 1.0
@@ -116,7 +119,7 @@ def test_gradient_unsquashed_is_feature_vector():
 def test_gradient_zeroed_at_anchored_indices():
     phi = np.array([1.0, 2.0, 3.0])
     w = WeightVector(np.array([1.0, 0.5, 0.5]), anchors=((0, 1.0),))
-    g = grad_squashed(phi, w, SquashConfig())
+    g = grad_squashed(phi, w, True)
     assert g[0] == 0.0
     assert g[1] != 0.0 and g[2] != 0.0
 

@@ -19,7 +19,7 @@ import pytest
 
 from tdsearch.arena import SearchAgent, game_rng, play_game
 from tdsearch.cli import main
-from tdsearch.evaluation import SquashConfig, feature_set
+from tdsearch.evaluation import feature_set
 from tdsearch.games import GAMES, Side
 from tdsearch.learner import trace_to_log
 from tdsearch.presets import preset_weights
@@ -97,7 +97,7 @@ def match_digest(game_id, fs_id, presets, depth, n_games, seed=7):
     for i in range(n_games):
         white, black = (a, b) if i % 2 == 0 else (b, a)
         rec = play_game(game, white, black, record_sides=(Side.WHITE, Side.BLACK),
-                        squash_cfg=SquashConfig(), rng=game_rng(seed, i))
+                        squashed=True, rng=game_rng(seed, i))
         h.update(f"{i} {rec.outcome.reward!r} {rec.moves} "
                  f"{rec.nodes[Side.WHITE]} {rec.nodes[Side.BLACK]}\n".encode())
         for side, opp in ((Side.WHITE, black), (Side.BLACK, white)):

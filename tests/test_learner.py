@@ -7,7 +7,6 @@ import pytest
 from oracles import rebase_on_roots, suffix_sums_quadratic, td_update
 from tdsearch.evaluation import (
     ATANH_QUARTER,
-    SquashConfig,
     WeightVector,
     feature_set,
     features_white,
@@ -31,7 +30,6 @@ from tdsearch.learner import (
 )
 
 T3 = GAMES["tictactoe"]
-OFF = SquashConfig.disabled()
 
 
 def mkstep(phi, value, predicted=False, lower=False, root=None, leaf=None, pv=()):
@@ -50,9 +48,9 @@ def mktrace(values, outcome, side=Side.WHITE, k=2, predicted=False):
     return GameTrace(agent_side=side, steps=steps, outcome=outcome)
 
 
-def cfg_of(lam=0.7, alpha=1.0, squash_cfg=OFF, clipping=ClipPolicy.NONE, **kw):
+def cfg_of(lam=0.7, alpha=1.0, squashed=False, clipping=ClipPolicy.NONE, **kw):
     return LearnerConfig(
-        lambda_=lam, alpha=AlphaSchedule(base=alpha), squash=squash_cfg,
+        lambda_=lam, alpha=AlphaSchedule(base=alpha), squash=squashed,
         clipping=clipping, **kw,
     )
 
@@ -194,7 +192,7 @@ def test_textbook_update_with_squashing():
     # at value 0 the squash derivative is exactly beta
     steps = (mkstep([1.0, 0.0], 0.0), mkstep([0.0, 1.0], 0.0))
     tr = GameTrace(Side.WHITE, steps, WIN)
-    delta = tdleaf_delta(tr, cfg_of(squash_cfg=SquashConfig()), WeightVector(np.zeros(2)))
+    delta = tdleaf_delta(tr, cfg_of(squashed=True), WeightVector(np.zeros(2)))
     assert delta[0] == 0.7 * ATANH_QUARTER
     assert delta[1] == 1.0 * ATANH_QUARTER
 
@@ -212,7 +210,7 @@ def test_black_agent_update_mirrors_white():
 def test_gradient_uses_stored_value_not_current_weights():
     # the derivative factor must come from the recorded value, not from
     # the weights passed in
-    cfg = cfg_of(squash_cfg=SquashConfig())
+    cfg = cfg_of(squashed=True)
     step = mkstep([2.0, 0.0], 0.6)
     tr = GameTrace(Side.WHITE, (step,), WIN)
     w_a = WeightVector(np.zeros(2))
@@ -229,7 +227,7 @@ def test_anchored_weight_never_moves():
     w = fs.weights_from({})
     steps = (mkstep([1.0, 1.0, 0.0, 0.0, 0.0], 0.0),)
     tr = GameTrace(Side.WHITE, steps, WIN)
-    w2 = w.with_values(w.values + tdleaf_delta(tr, cfg_of(squash_cfg=SquashConfig()), w))
+    w2 = w.with_values(w.values + tdleaf_delta(tr, cfg_of(squashed=True), w))
     assert w2.values[0] == 1.0
     assert w2.values[1] > 0.0
 
@@ -269,24 +267,24 @@ def test_schedule_validation():
 
 def test_rebase_replaces_leaves_with_roots():
     fs = feature_set("tictactoe")
-    squash_cfg = SquashConfig()
+    squashed = True
     w = WeightVector(np.linspace(-0.4, 0.5, fs.k))
     root = T3.initial_state()
     leaf = T3.apply(T3.apply(root, 4), 0)
     phi_leaf = features_white(fs, leaf)
     step = StepRecord(
         root=root, leaf=leaf, pv=(4, 0), leaf_features=phi_leaf,
-        value=squash(raw_eval(phi_leaf, w), squash_cfg),
+        value=squash(raw_eval(phi_leaf, w), squashed),
         raw_value=raw_eval(phi_leaf, w),
         opponent_move_predicted=False, opponent_rating_lower=False,
     )
     tr = GameTrace(Side.WHITE, (step,), WIN)
-    rebased = rebase_on_roots(tr, w, fs, squash_cfg)
+    rebased = rebase_on_roots(tr, w, fs, squashed)
     (rstep,) = rebased.steps
     assert rstep.leaf == root
     assert np.array_equal(rstep.leaf_features, features_white(fs, root))
     assert rstep.raw_value == raw_eval(features_white(fs, root), w)
-    assert rstep.value == squash(rstep.raw_value, squash_cfg)
+    assert rstep.value == squash(rstep.raw_value, squashed)
     # flags survive the rebase
     assert rstep.opponent_move_predicted == step.opponent_move_predicted
 
@@ -294,7 +292,7 @@ def test_rebase_replaces_leaves_with_roots():
 def test_td_update_equals_leaf_update_at_depth_zero():
     # when every leaf IS its root the two rules coincide bitwise
     fs = feature_set("tictactoe")
-    squash_cfg = SquashConfig()
+    squashed = True
     rng = np.random.default_rng(42)
     w = WeightVector(rng.normal(size=fs.k) * 0.1)
     root = T3.initial_state()
@@ -305,13 +303,13 @@ def test_td_update_equals_leaf_update_at_depth_zero():
         raw = raw_eval(phi, w)
         steps.append(StepRecord(
             root=s, leaf=s, pv=(), leaf_features=phi,
-            value=squash(raw, squash_cfg), raw_value=raw,
+            value=squash(raw, squashed), raw_value=raw,
             opponent_move_predicted=False, opponent_rating_lower=False,
         ))
         s = T3.apply(s, T3.legal_actions(s)[0])
         s = T3.apply(s, T3.legal_actions(s)[0])
     tr = GameTrace(Side.WHITE, tuple(steps), WIN)
-    cfg = cfg_of(squash_cfg=squash_cfg)
+    cfg = cfg_of(squashed=squashed)
     assert np.array_equal(td_update(tr, cfg, w, fs), tdleaf_delta(tr, cfg, w))
 
 
@@ -328,7 +326,7 @@ def _played_trace():
     agent = SearchAgent("a", fs, WeightVector(rng.normal(size=fs.k) * 0.2), 2)
     rec = play_game(
         T3, agent, RandomAgent("r"),
-        record_sides=(Side.WHITE,), squash_cfg=SquashConfig(), rng=rng,
+        record_sides=(Side.WHITE,), squashed=True, rng=rng,
     )
     return fs, rec.traces[Side.WHITE]
 
