@@ -10,8 +10,8 @@ tree's two equal leaves surface under randomized tie-breaking.
 from tdsearch.games.synthetic import TIED_PV_TREE, UNIQUE_PV_TREE, SyntheticTreeGame
 from tdsearch.search import alphabeta, minimax
 
-# The fixture format is a parenthesized nested list; leaves are scores for
-# the side to move at the root.
+# Each fixture tree is a nested tuple of floats; leaves are scores for the
+# side to move at the root.
 print("unique-PV tree:", UNIQUE_PV_TREE)
 game = SyntheticTreeGame(UNIQUE_PV_TREE)
 root = game.initial_state()

@@ -126,10 +126,8 @@ def load_config(path: str, seed_override=None, out_override=None) -> dict:
     """Read a run config and apply the overrides; parse() checks it.  Raises ConfigError."""
     try:
         cfg = read_json(path)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    except (OSError, ValueError) as e:  # missing or unreadable, not UTF-8, or a repeated key
-        raise ConfigError(f"{path}: {e}") from None
+    except ValueError as e:  # read_json names the path
+        raise ConfigError(str(e)) from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
     if seed_override is not None:

@@ -24,24 +24,3 @@ GAMES = {
     "connect4": ConnectFour(),
     "minichess": Minichess(),
 }
-
-__all__ = [
-    "DRAW",
-    "GAMES",
-    "Game",
-    "IllegalMoveError",
-    "LOSS",
-    "Outcome",
-    "Side",
-    "WIN",
-    "ConnectFour",
-    "ConnectFourState",
-    "Minichess",
-    "MinichessState",
-    "SyntheticState",
-    "SyntheticTreeGame",
-    "TicTacToe",
-    "TicTacToeState",
-    "TIED_PV_TREE",
-    "UNIQUE_PV_TREE",
-]

@@ -458,9 +458,9 @@ class Minichess(Game):
             raise IllegalMoveError("move leaves the king in check")
         return _successor(state, action)
 
-    def apply_trusted(self, state: MinichessState, action) -> MinichessState:
-        # Fast path for callers holding an action from legal_actions().
-        return _successor(state, action)
+    # Fast path for callers holding an action from legal_actions(): the
+    # successor itself, with no method frame around it.
+    apply_trusted = staticmethod(_successor)
 
     def outcome(self, state: MinichessState) -> Outcome | None:
         # Mate/stalemate take precedence if both trip at the cap.

@@ -1,10 +1,11 @@
 """Synthetic search trees for exercising the engine on known fixtures.
 
-Trees are written as nested parenthesized lists of leaf values, e.g.
-``((1 2) (3 4))`` is a depth-2 binary tree.  Leaf values are given from the
-root player's (White's) perspective; the bundled evaluator converts to the
-side to move.  Nodes are labeled A, B, C, ... in breadth-first order, so in
-a complete 3-ply binary tree the root is A and the leaves are H through O.
+Trees are nested lists or tuples of leaf values, e.g.
+``((1.0, 2.0), (3.0, 4.0))`` is a depth-2 binary tree.  Leaf values are
+given from the root player's (White's) perspective; the bundled evaluator
+converts to the side to move.  Nodes are labeled A, B, C, ... in
+breadth-first order, so in a complete 3-ply binary tree the root is A and
+the leaves are H through O.
 
 Leaf nodes are deliberately *not* game-theoretic terminals: they carry
 evaluator scores, not win/loss outcomes, so a search that bottoms out on
@@ -17,43 +18,14 @@ from typing import NamedTuple
 
 from tdsearch.games.base import BLACK, WHITE, Game, IllegalMoveError, Side
 
+_INTERNAL = (list, tuple)  # an internal node; anything else is a leaf value
+
 # Two bundled reference trees, both with root value 4 at depth 3.  The first
 # has a unique principal variation ending at leaf L; in the second both
 # subtrees of the root tie at 4, so the PV leaf is H or L depending on
 # tie-breaking.
-UNIQUE_PV_TREE = "(((3 -9) (-5 -6)) ((4 2) (-9 5)))"
-TIED_PV_TREE = "(((4 -9) (10 8)) ((4 2) (-9 5)))"
-
-
-def parse_tree(text: str):
-    """Parse the parenthesized fixture format into nested lists / floats."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse())
-            if pos >= len(tokens):
-                raise ValueError("unbalanced '('")
-            pos += 1  # consume ')'
-            if not children:
-                raise ValueError("empty node")
-            return children
-        if tok == ")":
-            raise ValueError("unbalanced ')'")
-        return float(tok)
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after tree")
-    return tree
+UNIQUE_PV_TREE = (((3.0, -9.0), (-5.0, -6.0)), ((4.0, 2.0), (-9.0, 5.0)))
+TIED_PV_TREE = (((4.0, -9.0), (10.0, 8.0)), ((4.0, 2.0), (-9.0, 5.0)))
 
 
 def _letters(i: int) -> str:
@@ -80,7 +52,7 @@ class SyntheticState(NamedTuple):
 
 class SyntheticTreeGame(Game):
     def __init__(self, tree):
-        self.tree = parse_tree(tree) if isinstance(tree, str) else tree
+        self.tree = tree
         self._labels = {}
         queue = [((), self.tree)]
         i = 0
@@ -88,7 +60,7 @@ class SyntheticTreeGame(Game):
             path, node = queue.pop(0)
             self._labels[path] = _letters(i)
             i += 1
-            if isinstance(node, list):
+            if isinstance(node, _INTERNAL):
                 queue.extend(((*path, j), c) for j, c in enumerate(node))
 
     def _node(self, state: SyntheticState):
@@ -103,7 +75,7 @@ class SyntheticTreeGame(Game):
     def leaf_value(self, state: SyntheticState) -> float:
         """Root-perspective score stored at a leaf."""
         node = self._node(state)
-        if isinstance(node, list):
+        if isinstance(node, _INTERNAL):
             raise ValueError(f"node {self.label(state)} is internal")
         return node
 
@@ -113,7 +85,7 @@ class SyntheticTreeGame(Game):
 
     def max_depth(self) -> int:
         def depth(node):
-            if isinstance(node, list):
+            if isinstance(node, _INTERNAL):
                 return 1 + max(depth(c) for c in node)
             return 0
 
@@ -126,11 +98,11 @@ class SyntheticTreeGame(Game):
 
     def legal_actions(self, state: SyntheticState):
         node = self._node(state)
-        return list(range(len(node))) if isinstance(node, list) else []
+        return list(range(len(node))) if isinstance(node, _INTERNAL) else []
 
     def apply(self, state: SyntheticState, action: int) -> SyntheticState:
         node = self._node(state)
-        if not isinstance(node, list) or not (
+        if not isinstance(node, _INTERNAL) or not (
             isinstance(action, int) and 0 <= action < len(node)
         ):
             raise IllegalMoveError(f"bad child index {action!r}")

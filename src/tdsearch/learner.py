@@ -43,7 +43,7 @@ from tdsearch.evaluation import (
     features_white,
     grad_squashed,
 )
-from tdsearch.games.base import Outcome, Side
+from tdsearch.games.base import DRAW, LOSS, WIN, Outcome, Side
 
 
 class ClipPolicy(enum.Enum):
@@ -211,6 +211,10 @@ def _outcome_line(reward: float) -> str:
     return f"outcome {_G(reward)}\n"
 
 
+# The writer's outcome tokens, one per result a game ends in: 1, 0 and -1.
+_OUTCOMES = {_G(o.reward): o for o in (WIN, DRAW, LOSS)}
+
+
 def trace_to_log(game, trace: GameTrace, game_index: int, opponent_id: str) -> str:
     lines = [_game_line(game_index, trace.agent_side, opponent_id)]
     for step in trace.steps:
@@ -280,7 +284,8 @@ def traces_from_log(lines, game, fs: FeatureSet):
                 if header is None:
                     raise ValueError("outcome outside a game block")
                 (reward_txt,) = fields[:1]
-                final = Outcome(float(reward_txt))
+                if (final := _OUTCOMES.get(reward_txt)) is None:
+                    raise ValueError(f"bad outcome {reward_txt!r}")
                 written = _outcome_line(final.reward)
             else:
                 raise ValueError(f"unknown record {kind!r}")

@@ -55,10 +55,18 @@ def _unique_keys(pairs) -> dict:
 
 
 def read_json(path):
-    """The JSON value in a UTF-8 file, read with no object repeating a key."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON value in a UTF-8 file, read with no object repeating a key.
+
+    Every read error is a ValueError that names path once.
+    """
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except OSError as e:  # missing or unreadable; str(e) names the path itself
+        raise ValueError(f"{path}: {e.strerror}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError as e:  # not UTF-8, or a repeated key
+        raise ValueError(f"{path}: {e}") from None
     except RecursionError:  # nested deeper than the parser's recursion limit
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 

@@ -19,9 +19,10 @@ are preferred.  The evaluator is only ever invoked on non-terminal leaves.
 A non-terminal node with no legal actions (possible only in synthetic
 trees) is scored by the evaluator at any depth.
 
-In alphabeta, depth-1 nodes score their children in place: each child is
-built, terminal-tested and scored inside the parent's loop, with no call
-per leaf, in the same order and with the same node count and cut-offs.
+Alphabeta has one loop over a node's children.  A depth-1 node scores each
+child in that loop, with no call per leaf, as a depth-0 call would; deeper
+children go through the recursive call.  The best-move, alpha and cut-off
+update that follows either is written once.
 
 Ties between equal-valued moves go to the first move found unless a seed
 is given; then random.Random(seed) breaks them, freshly per search, so one
@@ -117,9 +118,9 @@ def alphabeta(game, root, depth: int, evaluator, seed: int | None = None) -> Sea
     principal variations is reported (pruning makes an exactly uniform
     choice ill-defined) without affecting the value.
 
-    A depth-1 node scores its children in its own loop, in the order and
-    with the cut-offs a call per child would have: apply, the terminal
-    test, then the terminal score or the evaluator.
+    One loop per node applies each child once, then scores it in place at
+    depth 1 (terminal test, then terminal score or evaluator) or searches it
+    recursively deeper down.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -142,25 +143,18 @@ def alphabeta(game, root, depth: int, evaluator, seed: int | None = None) -> Sea
         best_v = _NEG_INF
         best_a = best_pv = best_leaf = None
         first = True
-        if d == 1:
-            for a in actions:
-                child = apply(state, a)
-                nodes += 1
-                if (o := outcome(child)) is not None:
-                    v = -terminal_score(o, child, ply + 1)
-                else:
-                    v = -evaluator(child)
-                if first or v > best_v:
-                    best_v, best_a, best_leaf = v, a, child
-                    first = False
-                if v > alpha:
-                    alpha = v
-                if alpha >= beta:
-                    break
-            return best_v, (best_a,), best_leaf
+        pv = ()  # a depth-1 node's children are leaves, so their lines stay empty
         for a in actions:
-            v, pv, leaf = rec(apply(state, a), d - 1, -beta, -alpha, ply + 1)
-            v = -v
+            leaf = apply(state, a)  # the child; deeper down, rec returns its line's leaf
+            if d == 1:  # score the leaf here, as a call at depth 0 would
+                nodes += 1
+                if (o := outcome(leaf)) is not None:
+                    v = -terminal_score(o, leaf, ply + 1)
+                else:
+                    v = -evaluator(leaf)
+            else:
+                v, pv, leaf = rec(leaf, d - 1, -beta, -alpha, ply + 1)
+                v = -v
             if first or v > best_v:
                 best_v, best_a, best_pv, best_leaf = v, a, pv, leaf
                 first = False

@@ -46,8 +46,10 @@ def online_cfg(tmp_path, **overrides):
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
-    assert main(["--config", str(tmp_path / "nope.json")]) == 2
-    assert "config error" in capsys.readouterr().err
+    # The path is named once: not again inside the OSError's own text.
+    p = tmp_path / "nope.json"
+    assert main(["--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"config error: {p}: No such file or directory\n"
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):
@@ -94,7 +96,7 @@ def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
     p = _too_deep(tmp_path / "deep.json")
     assert main(["--config", str(p), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "deep.json" in err and "nested" in err, err
+    assert err == f"config error: {p}: JSON nested too deeply to read\n", err
     assert sorted(tmp_path.iterdir()) == [p]
 
 
@@ -519,6 +521,27 @@ def test_replay_mode_fails_on_a_non_ascii_byte_and_names_its_line(tmp_path, caps
     assert main(["--config", rp, "--quiet"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "line 3: non-ASCII byte" in err
+
+
+@pytest.mark.parametrize("token", ["0.5", "7", "-0", "nan", "inf"])
+def test_replay_mode_fails_on_an_outcome_no_game_ends_in(tmp_path, capsys, token):
+    # The writer spells the three results 1, 0 and -1.  Any other token in
+    # an outcome line, even one float() reads, fails replay and names the line.
+    run = tmp_path / "run"
+    p = write_cfg(tmp_path / "s.json", mode="train-selfplay", game="tictactoe", seed=6, games=2,
+                  out_dir=str(run), agent=dict(id="learner", depth=2, tie_break="random"),
+                  learner={"lambda": 0, "alpha": 0.05}, selfplay={})
+    assert main(["--config", p, "--quiet"]) == 0
+    log = run / "traces.log"
+    lines = log.read_text().split("\n")
+    assert lines[-1] == "" and lines[-2] in ("outcome 1", "outcome 0", "outcome -1")
+    lines[-2] = f"outcome {token}"
+    log.write_text("\n".join(lines))
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
+                   out_dir=str(tmp_path / "replay"))
+    assert main(["--config", rp, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"line {len(lines) - 1}: bad outcome '{token}'" in err, err
 
 
 def _rehashed(line, root_field):

@@ -409,7 +409,7 @@ LINE_EDITS = {
                      r" reads '[^']* 2\\n'; the writer writes '[^']* 0\\n'$"),
     "lower-flag-00": (1, lambda t: t.__setitem__(8, "00"),
                       r" reads '[^']* 00\\n'; the writer writes '[^']* 0\\n'$"),
-    "outcome-not-a-float": (-1, lambda t: t.__setitem__(1, "abc"), ": could not convert string"),
+    "outcome-not-a-float": (-1, lambda t: t.__setitem__(1, "abc"), ": bad outcome 'abc'$"),
 }
 
 

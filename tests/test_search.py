@@ -382,7 +382,8 @@ def test_terminal_test_only_where_moves_ran_out(game_id, search, seed):
 
 
 @pytest.mark.parametrize("seed", [None, 3], ids=["first", "random"])
-@pytest.mark.parametrize("game_id, depth", [("connect4", 3), ("minichess", 2), ("tictactoe", 4)])
+@pytest.mark.parametrize("game_id, depth", [("connect4", 1), ("connect4", 3), ("minichess", 1),
+                                            ("minichess", 2), ("tictactoe", 4)])
 def test_alphabeta_keeps_first_of_tied_leaves(game_id, depth, seed):
     # A three-valued evaluator makes most sibling leaves tie, so the line
     # reported depends on which tied child each node keeps, depth-1 nodes
@@ -403,9 +404,9 @@ def test_alphabeta_keeps_first_of_tied_leaves(game_id, depth, seed):
 
 @pytest.mark.parametrize("search", [minimax, alphabeta])
 def test_synthetic_dead_end_scored_by_evaluator(search):
-    # (1 (2 3)): the root's first child is a dead end at d = 1, empty but not
+    # [1, [2, 3]]: the root's first child is a dead end at d = 1, empty but not
     # terminal, so it still gets the evaluator, as the oracle scores it
-    g = SyntheticTreeGame("(1 (2 3))")
+    g = SyntheticTreeGame([1.0, [2.0, 3.0]])
     root = g.initial_state()
     counting = CountingGame(g)
     res = search(counting, root, 2, g.evaluator)

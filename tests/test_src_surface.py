@@ -9,7 +9,10 @@ alive.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tdsearch"
@@ -210,3 +213,15 @@ def test_reader_guard_finds_every_spelling(tmp_path):
         "games/g.py:3 from_text split", "games/g.py:3 from_text strip",
         "games/g.py:5 traces_from_log rsplit", "games/g.py:5 traces_from_log rstrip",
         "games/g.py:7 weights_from_text lstrip", "games/g.py:7 weights_from_text split"]
+
+
+def test_the_package_root_imports_no_submodule():
+    # Importing one module runs the package root first, so a root that
+    # imported submodules would load them all: tdsearch.rng would bring numpy.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, tdsearch.rng; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('tdsearch')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.stdout == "['tdsearch', 'tdsearch.rng']\n", done.stdout + done.stderr

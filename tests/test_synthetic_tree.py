@@ -2,26 +2,7 @@ import pytest
 
 from oracles import state_for_label
 from tdsearch.games.base import Side
-from tdsearch.games.synthetic import (
-    SyntheticTreeGame,
-    TIED_PV_TREE,
-    UNIQUE_PV_TREE,
-    parse_tree,
-)
-
-
-def test_parse_round_trip():
-    assert parse_tree(UNIQUE_PV_TREE) == [[[3, -9], [-5, -6]], [[4, 2], [-9, 5]]]
-    assert parse_tree(TIED_PV_TREE) == [[[4, -9], [10, 8]], [[4, 2], [-9, 5]]]
-    assert parse_tree("(1 (2 3) ((4) 5))") == [1, [2, 3], [[4], 5]]
-    assert parse_tree("(1 2)") == [1, 2]
-    assert parse_tree("((1 2) 3)") == [[1, 2], 3]
-
-
-def test_parse_rejects_malformed():
-    for bad in ("", "()", "(1", "1 2)", "(1 2) x", "(1 ())"):
-        with pytest.raises(ValueError):
-            parse_tree(bad)
+from tdsearch.games.synthetic import SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 
 
 def test_reference_trees_shape():
@@ -53,7 +34,7 @@ def test_evaluator_is_side_to_move_relative():
     leaf = state_for_label(g, "L")  # depth 3, Black to move
     assert leaf.side_to_move is Side.BLACK
     assert g.evaluator(leaf) == -4.0
-    g2 = SyntheticTreeGame("(7 (1 2))")
+    g2 = SyntheticTreeGame([7.0, [1.0, 2.0]])
     shallow = g2.initial_state()
     shallow = g2.apply(shallow, 0)  # depth-1 leaf, Black to move
     assert g2.evaluator(shallow) == -7.0
@@ -73,7 +54,7 @@ def test_tied_tree_has_two_best_leaves():
 
 
 def test_ragged_tree_leaves():
-    g = SyntheticTreeGame("(1 (2 3))")
+    g = SyntheticTreeGame([1.0, [2.0, 3.0]])
     root = g.initial_state()
     shallow = g.apply(root, 0)
     assert g.legal_actions(shallow) == []

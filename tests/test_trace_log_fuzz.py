@@ -4,7 +4,7 @@ Random edits of real traces.log text (characters, tokens and whole lines
 replaced, deleted, inserted or swapped) must either parse or raise
 ValueError: a corrupted log is rejected as a bad log, never as a crash.  A
 log that parses is one the writer writes: writing back its parsed blocks
-gives the same bytes.
+gives the same bytes, and every game in it ends in WIN, DRAW or LOSS.
 """
 
 import io
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tdsearch.arena import OpponentPool, RandomAgent, SearchAgent, train_online  # noqa: E402
 from tdsearch.evaluation import feature_set  # noqa: E402
-from tdsearch.games import GAMES  # noqa: E402
+from tdsearch.games import DRAW, GAMES, LOSS, WIN  # noqa: E402
 from tdsearch.learner import LearnerConfig, trace_to_log, traces_from_log  # noqa: E402
 
 RUNS = {  # game -> (feature set, games played)
@@ -91,3 +91,4 @@ def test_edited_log_parses_or_raises_value_error(logs, game_id, data):
     except ValueError:
         return
     assert "".join(trace_to_log(game, trace, idx, opp) for idx, opp, trace, _ in blocks) == text
+    assert all(trace.outcome in (WIN, DRAW, LOSS) for _, _, trace, _ in blocks)
