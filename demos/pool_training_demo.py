@@ -20,15 +20,14 @@ from tdsearch.arena import (
 from tdsearch.evaluation import feature_set
 from tdsearch.games import GAMES
 from tdsearch.learner import AlphaSchedule, LearnerConfig
-from tdsearch.presets import preset_weights
 
 game = GAMES["connect4"]
 fs = feature_set("connect4")
 
 pool = OpponentPool(opponents=(
     RandomAgent("rnd"),
-    SearchAgent("base-d1", fs, preset_weights(fs, "baseline"), 1),
-    SearchAgent("base-d2", fs, preset_weights(fs, "baseline"), 2),
+    SearchAgent("base-d1", fs, fs.preset("baseline"), 1),
+    SearchAgent("base-d2", fs, fs.preset("baseline"), 2),
 ), matching="uniform")
 
 agent = SearchAgent("learner", fs, fs.weights_from({}), 2, tie_mode="random")

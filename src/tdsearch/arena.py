@@ -246,18 +246,20 @@ class RunResult:
     ratings: dict          # agent id -> final Elo rating
 
 
-def _learn(cfg: LearnerConfig, weights: WeightVector, games, play):
+def _learn(cfg: LearnerConfig, fs: FeatureSet, weights: WeightVector, games, play):
     """Fold a stream of games into the weights; yields (i, result, traces, weights after game i).
 
     play(item, weights) plays or reads back one item of games and returns
     (result, traces).  Each trace's delta is taken at the weights the game
-    was played with; their sum, in trace order, is added before the next game.
+    was played with; their sum, in trace order, is added before the next
+    game, and weights that leave fs's forced-win bound end the run.
     """
     for i, item in enumerate(games):
         result, traces = play(item, weights)
         delta = sum((tdleaf_delta(trace, cfg, weights, game_index=i) for trace in traces),
                     np.zeros(len(weights)))
         weights = weights.with_values(weights.values + delta)
+        fs.check_bound(weights)
         yield i, result, traces, weights
 
 
@@ -271,7 +273,7 @@ def _train(game, agent: SearchAgent, cfg: LearnerConfig, n_games: int, out_dir,
     """
     weights = agent.weights
     with RunWriter(out_dir, agent.fs, weights, snapshot_every) as writer:
-        for i, row, traces, weights in _learn(cfg, weights, range(n_games), play):
+        for i, row, traces, weights in _learn(cfg, agent.fs, weights, range(n_games), play):
             writer.write_game(i, *row, weights, [trace_to_log(game, t, i, row[0]) for t in traces])
         writer.finish(weights)
     return weights
@@ -395,7 +397,7 @@ def replay_traces(game, fs: FeatureSet, cfg: LearnerConfig, initial: WeightVecto
         return found, traces
 
     games, mismatches, weights = 0, [], initial
-    for i, found, _, weights in _learn(cfg, initial, blocks, play):
+    for i, found, _, weights in _learn(cfg, fs, initial, blocks, play):
         games = i + 1
         mismatches += found
     return ReplayReport(games, weights, mismatches)

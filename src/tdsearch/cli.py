@@ -35,10 +35,9 @@ from tdsearch.arena import (
     train_online,
     train_selfplay,
 )
-from tdsearch.evaluation import load_weights, weights_to_text
+from tdsearch.evaluation import feature_set, load_weights, weights_to_text
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
-from tdsearch.presets import preset_weights, resolve_feature_set
 from tdsearch.rundir import open_log, read_config, read_json, snapshot_path, write_config, write_json
 from tdsearch.search import alphabeta, minimax
 
@@ -145,11 +144,11 @@ def load_config(path: str, seed_override=None, out_override=None) -> dict:
 def parse(cfg: dict, config_dir: Path, owned: ExitStack):
     """Check a loaded config and build what it configures.  Raises ConfigError.
 
-    Returns the run as a callable taking `quiet` and returning the exit
-    code.  Relative snapshot and run_dir paths are resolved against
-    config_dir and stored back into cfg in absolute form.  A file the run
-    reads is opened here and entered into owned, which closes it on every
-    path.  Nothing is written.
+    Returns the run as a callable of no arguments that returns its report,
+    (passed, line) pairs.  Relative snapshot and run_dir paths are resolved
+    against config_dir and stored back into cfg in absolute form.  A file
+    the run reads is opened here and entered into owned, which closes it on
+    every path.  Nothing is written.
     """
     top = _Section(cfg)
     mode = top.choice("mode", MODES)
@@ -168,7 +167,7 @@ def parse(cfg: dict, config_dir: Path, owned: ExitStack):
         run = partial(_run_verify_figures, seed, top.get("trials", int, 200, lo=1), out_dir)
     else:
         game_id = top.choice("game", tuple(GAMES))
-        fs = top.call(resolve_feature_set, game_id, top.get("features", str, None))
+        fs = top.call(feature_set, top.get("features", str, game_id), game_id)
         games = top.get("games", int, lo=1)
         if mode == "head-to-head":
             specs = top.get("agents", list)
@@ -203,13 +202,18 @@ def parse(cfg: dict, config_dir: Path, owned: ExitStack):
 
 
 def _snapshot(path: Path, fs, where: str):
-    """The weights stored at path, which must be a snapshot for fs."""
+    """The weights stored at path, which must be a snapshot for fs inside its forced-win bound."""
     try:
         fs_id, weights = load_weights(path)
-    except (OSError, LookupError, ValueError) as e:
-        raise ConfigError(f"{where}: cannot read weight snapshot {path}: {e}") from None
+    except (OSError, ValueError) as e:  # an OSError's own text repeats the path
+        reason = e.strerror if isinstance(e, OSError) else e
+        raise ConfigError(f"{where}: cannot read weight snapshot {path}: {reason}") from None
     if fs_id != fs.id:
         raise ConfigError(f"{where}: snapshot {path} is for feature set {fs_id!r}, expected {fs.id!r}")
+    try:
+        fs.check_bound(weights)
+    except ValueError as e:
+        raise ConfigError(f"{where}: snapshot {path}: {e}") from None
     return weights
 
 
@@ -218,7 +222,7 @@ def _agent(sec: _Section, fs, config_dir: Path, fixed: bool, default_id=_REQUIRE
     key = "weights" if fixed else "initial_weights"
     spec = sec.get(key, (str, dict), "zero")
     if isinstance(spec, str):
-        weights = sec.call(preset_weights, fs, spec)
+        weights = sec.call(fs.preset, spec)
     else:
         ref = _Section(spec, f"{sec.where}.{key}")
         weights = _snapshot(ref.path("path", config_dir), fs, ref.where)
@@ -260,17 +264,18 @@ def _alpha(where: str, value) -> AlphaSchedule:
 
 def _parse_replay(run_dir: Path, out_dir: Path, owned: ExitStack):
     """The replay of run_dir, with the game, features and learner of its stored config."""
-    where = f"run_dir {run_dir}"
     try:
-        run_cfg = _Section(read_config(run_dir), f"{where} config")
+        run_cfg = _Section(read_config(run_dir), f"run_dir {run_dir} config")
         run_cfg.choice("mode", ("train-online", "train-selfplay"))
         game_id = run_cfg.choice("game", tuple(GAMES))
-        fs = run_cfg.call(resolve_feature_set, game_id, run_cfg.get("features", str, None))
-        learner = _learner(_Section(run_cfg.get("learner", dict), f"{where} config learner"), fs)
-        initial, final = (_snapshot(snapshot_path(run_dir, k), fs, where) for k in (0, None))
+        fs = run_cfg.call(feature_set, run_cfg.get("features", str, game_id), game_id)
+        learner = _learner(_Section(run_cfg.get("learner", dict), f"{run_cfg.where} learner"), fs)
+        initial, final = (_snapshot(snapshot_path(run_dir, k), fs, "run_dir") for k in (0, None))
         log = owned.enter_context(open_log(run_dir))  # last, once nothing else can fail
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from None
+    except OSError as e:  # the log
+        raise ConfigError(f"run_dir: {e.filename}: {e.strerror}") from None
+    except ValueError as e:  # read_config names the config file
+        raise ConfigError(f"run_dir: {e}") from None
     return partial(_run_replay, run_dir, GAMES[game_id], fs, learner, initial, final, log, out_dir)
 
 
@@ -279,8 +284,8 @@ def _parse_replay(run_dir: Path, out_dir: Path, owned: ExitStack):
 # ---------------------------------------------------------------------------
 
 
-def _run_training(game, agent, learner, games, seed, out_dir, snapshot_every, quiet,
-                  pool=None, **selfplay) -> int:
+def _run_training(game, agent, learner, games, seed, out_dir, snapshot_every,
+                  pool=None, **selfplay) -> list:
     """train-online against pool, or train-selfplay with the selfplay options."""
     if pool is not None:
         result = train_online(game, agent, pool, learner, games, seed, out_dir,
@@ -290,22 +295,18 @@ def _run_training(game, agent, learner, games, seed, out_dir, snapshot_every, qu
         train_selfplay(game, agent, learner, games, seed, out_dir,
                        snapshot_every=snapshot_every, **selfplay)
         summary = f"self-played {games} games"
-    if not quiet:
-        print(f"{summary}; artifacts in {out_dir}")
-    return 0
+    return [(True, f"{summary}; artifacts in {out_dir}")]
 
 
-def _run_head_to_head(game, a, b, games, seed, out_dir, quiet) -> int:
+def _run_head_to_head(game, a, b, games, seed, out_dir) -> list:
     score, tally = head_to_head(game, a, b, games, seed)
     write_json(out_dir / "result.json",
                {"agent_a": a.id, "agent_b": b.id, "games": games, "score_a": score, **tally})
-    if not quiet:
-        print(f"{a.id} vs {b.id}: score {score:.4f} over {games} games "
-              f"(+{tally['wins']} ={tally['draws']} -{tally['losses']})")
-    return 0
+    return [(True, f"{a.id} vs {b.id}: score {score:.4f} over {games} games "
+                   f"(+{tally['wins']} ={tally['draws']} -{tally['losses']})")]
 
 
-def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir, quiet) -> int:
+def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir) -> list:
     report = replay_traces(game, fs, learner, initial, log)
     weights_match = weights_to_text(fs, report.weights) == weights_to_text(fs, final)
     write_json(out_dir / "replay.json", {
@@ -316,52 +317,32 @@ def _run_replay(run_dir, game, fs, learner, initial, final, log, out_dir, quiet)
         "mismatches": report.mismatches[:20],
     })
     if not report.mismatches and weights_match:
-        if not quiet:
-            print(f"PASS: replayed {report.games} games; recomputed weights match the final snapshot")
-        return 0
-    print(f"FAIL: replay diverged ({len(report.mismatches)} step mismatches; "
-          f"final weights match: {weights_match})", file=sys.stderr)
-    return 1
+        return [(True, f"PASS: replayed {report.games} games; "
+                       "recomputed weights match the final snapshot")]
+    return [(False, f"FAIL: replay diverged ({len(report.mismatches)} step mismatches; "
+                    f"final weights match: {weights_match})")]
 
 
-def _run_verify_figures(seed, trials, out_dir, quiet) -> int:
+def _run_verify_figures(seed, trials, out_dir) -> list:
     checks = []
+    for tree_id, tree, leaf_text, leaves in (("unique-pv", UNIQUE_PV_TREE, "L", {"L"}),
+                                             ("tied-pv", TIED_PV_TREE, "in {H, L}", {"H", "L"})):
+        game = SyntheticTreeGame(tree)
+        root, depth = game.initial_state(), game.max_depth()
+        for algo in (minimax, alphabeta):
+            res = algo(game, root, depth, game.evaluator)
+            checks.append(
+                (f"{tree_id} tree, {algo.__name__}: root value 4 with PV leaf {leaf_text}",
+                 res.value == 4.0 and game.label(res.leaf) in leaves))
 
-    unique = SyntheticTreeGame(UNIQUE_PV_TREE)
-    root = unique.initial_state()
-    depth = unique.max_depth()
-    for algo in (minimax, alphabeta):
-        res = algo(unique, root, depth, unique.evaluator)
-        checks.append(
-            (f"unique-pv tree, {algo.__name__}: root value 4 with PV leaf L",
-             res.value == 4.0 and unique.label(res.leaf) == "L"))
-
-    tied = SyntheticTreeGame(TIED_PV_TREE)
-    troot = tied.initial_state()
-    for algo in (minimax, alphabeta):
-        res = algo(tied, troot, depth, tied.evaluator)
-        checks.append(
-            (f"tied-pv tree, {algo.__name__}: root value 4 with PV leaf in {{H, L}}",
-             res.value == 4.0 and tied.label(res.leaf) in ("H", "L")))
-
-    seen = set()
-    for t in range(trials):
-        res = minimax(tied, troot, depth, tied.evaluator, seed + t)
-        if res.value != 4.0:
-            seen = set()
-            break
-        seen.add(tied.label(res.leaf))
+    # game, root and depth are still the tied tree's
+    tied = [minimax(game, root, depth, game.evaluator, seed + t) for t in range(trials)]
     checks.append(
         (f"tied-pv tree: random tie-breaking reaches both H and L within {trials} trials",
-         seen == {"H", "L"}))
+         all(r.value == 4.0 for r in tied) and {game.label(r.leaf) for r in tied} == {"H", "L"}))
 
     write_json(out_dir / "verify.json", {name: bool(ok) for name, ok in checks})
-    for name, ok in checks:
-        if not ok:
-            print(f"FAIL: {name}", file=sys.stderr)
-        elif not quiet:
-            print(f"PASS: {name}")
-    return 0 if all(ok for _, ok in checks) else 1
+    return [(ok, f"{'PASS' if ok else 'FAIL'}: {name}") for name, ok in checks]
 
 
 def main(argv=None) -> int:
@@ -385,10 +366,15 @@ def main(argv=None) -> int:
 
         try:
             write_config(cfg["out_dir"], cfg)
-            return run(args.quiet)
+            report = run()
         except Exception as e:  # noqa: BLE001 - map any runtime fault to exit 1
             print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
             return 1
+
+    for passed, line in report:  # a failed line always shows; --quiet hides the rest
+        if not (passed and args.quiet):
+            print(line, file=sys.stdout if passed else sys.stderr)
+    return 0 if all(passed for passed, _ in report) else 1
 
 
 if __name__ == "__main__":

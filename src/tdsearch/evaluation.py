@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from tdsearch.games.base import WHITE
 from tdsearch.games import connect4 as c4
 from tdsearch.games import minichess as mc
+from tdsearch.search import MATE_SCORE
 
 # atanh(0.25) = ln(5/3)/2, correctly rounded (0x1.058aefa811452p-2), so that
 # tanh(ATANH_QUARTER) == 0.25: one anchor unit of advantage squashes to 1/4.
@@ -130,22 +132,6 @@ def _tictactoe_extractor():
     return _tictactoe_features
 
 
-_C4_NAMES = (
-    "bias",
-    "center_col",
-    "run2_h",
-    "run2_v",
-    "run2_diag",
-    "run3_h",
-    "run3_v",
-    "run3_diag",
-    "win_sq_even_row",
-    "win_sq_odd_row",
-    "playable_win_sq",
-    "low_half",
-)
-
-
 # Both colours packed into one int: the mover's stones in bits 0..48, the
 # opponent's in bits 80..128, so each shift, AND and OR below acts on both
 # at once.  No shift exceeds 3 * (STRIDE + 1) = 24 bits, so a stone shifted
@@ -236,70 +222,117 @@ _connect4_features = _connect4_extractor()
 _minichess_material_features, _minichess_features = _minichess_extractors()
 
 
+# Hand-set preset weights: a serviceable Connect-4 baseline for pool opponents
+# and comparisons, and classical material values on the pawn scale (pawn = 1).
+_CONNECT4 = (
+    ("bias", 0.0),
+    ("center_col", 0.15),
+    ("run2_h", 0.08),
+    ("run2_v", 0.08),
+    ("run2_diag", 0.08),
+    ("run3_h", 0.30),
+    ("run3_v", 0.25),
+    ("run3_diag", 0.30),
+    ("win_sq_even_row", 0.45),
+    ("win_sq_odd_row", 0.55),
+    ("playable_win_sq", 1.6),
+    ("low_half", 0.03),
+)
+_MATERIAL = (
+    ("pawn_diff", 1.0),
+    ("knight_diff", 4.0),
+    ("bishop_diff", 4.0),
+    ("rook_diff", 6.0),
+    ("queen_diff", 12.0),
+)
+
+
 @dataclass(frozen=True)
 class FeatureSet:
-    """A named feature table bound to one game."""
+    """A named feature table bound to one game, with its preset weights."""
 
     id: str
     game_id: str
-    names: tuple
+    table: tuple  # (name, preset weight) per feature, in extraction order
     extract: object  # callable(state, out) -> out, a float64 array of length k, filled
+    bound: float  # |phi_i(s)| <= bound for every feature i and state s
+    preset_name: str | None = None  # the name of the table's weights; None: only "zero"
     anchors: tuple = ()  # anchored (index, value) pairs for new weights
+
+    @cached_property
+    def names(self) -> tuple:
+        return tuple(name for name, _ in self.table)
 
     @property
     def k(self) -> int:
         return len(self.names)
 
     def weights_from(self, named: dict) -> WeightVector:
-        unknown = set(named) - set(self.names)
-        if unknown:
+        if unknown := set(named) - set(self.names):
             raise ValueError(f"unknown feature names: {sorted(unknown)}")
-        w = np.zeros(self.k)
-        for i, name in enumerate(self.names):
-            w[i] = named.get(name, 0.0)
-        for i, v in self.anchors:
-            w[i] = v
-        return WeightVector(w, self.anchors)
+        anchored = dict(self.anchors)
+        values = [anchored.get(i, named.get(name, 0.0)) for i, name in enumerate(self.names)]
+        return WeightVector(values, self.anchors)
+
+    def preset(self, name: str) -> WeightVector:
+        """The weights of a named preset: "zero", or preset_name for the table's."""
+        if name not in ("zero", self.preset_name):
+            raise KeyError(f"no preset {name!r} for feature set {self.id!r}")
+        return self.weights_from({} if name == "zero" else dict(self.table))
+
+    def check_bound(self, weights: WeightVector) -> None:
+        """Raise unless |w . phi| < MATE_SCORE / 2 for every state, so forced wins outrank it."""
+        size = math.fsum(map(abs, weights.values)) * self.bound
+        if size >= MATE_SCORE / 2:
+            raise ValueError(f"weights break the forced-win bound: sum |w| * {self.bound:g} = "
+                             f"{size:.6g} reaches MATE_SCORE / 2 = {MATE_SCORE / 2:g}")
 
 
-FEATURE_SETS = {
-    "tictactoe": FeatureSet(
+FEATURE_SETS = {fs.id: fs for fs in (
+    FeatureSet(
         id="tictactoe",
         game_id="tictactoe",
-        names=tuple(f"cell_{i}" for i in range(9)) + ("bias",),
+        table=tuple((f"cell_{i}", 0.0) for i in range(9)) + (("bias", 0.0),),
         extract=_tictactoe_features,
+        bound=1,  # cells are -1, 0 or +1, the bias 1
     ),
-    "connect4": FeatureSet(
+    FeatureSet(
         id="connect4",
         game_id="connect4",
-        names=_C4_NAMES,
+        table=_CONNECT4,
         extract=_connect4_features,
+        bound=84,  # popcount differences over 42 cells; each diagonal count adds two
+        preset_name="baseline",
     ),
-    "minichess": FeatureSet(
+    FeatureSet(
         id="minichess",
         game_id="minichess",
-        names=(
-            "pawn_diff", "knight_diff", "bishop_diff", "rook_diff", "queen_diff",
-            "mobility_diff", "king_exposure_diff",
-        ),
+        table=_MATERIAL + (("mobility_diff", 0.0), ("king_exposure_diff", 0.0)),
         extract=_minichess_features,
+        bound=600,  # mobility counts distinct from-to pairs of squares, at most 25 * 24
+        preset_name="material",
         anchors=((0, 1.0),),  # a pawn is the unit of evaluation
     ),
-    "minichess-material": FeatureSet(
+    FeatureSet(
         id="minichess-material",
         game_id="minichess",
-        names=("pawn_diff", "knight_diff", "bishop_diff", "rook_diff", "queen_diff"),
+        table=_MATERIAL,
         extract=_minichess_material_features,
+        bound=24,  # a side holds at most 24 pieces: every square but the other king's
+        preset_name="material",
         anchors=((0, 1.0),),
     ),
-}
+)}
 
 
-def feature_set(set_id: str) -> FeatureSet:
-    try:
-        return FEATURE_SETS[set_id]
-    except KeyError:
-        raise KeyError(f"unknown feature set {set_id!r}") from None
+def feature_set(set_id: str, game_id: str | None = None) -> FeatureSet:
+    """The feature set set_id; given game_id, it must be a set for that game."""
+    fs = FEATURE_SETS.get(set_id)
+    if fs is None:
+        raise ValueError(f"unknown feature set {set_id!r}")
+    if game_id is not None and fs.game_id != game_id:
+        raise ValueError(f"feature set {set_id!r} is for {fs.game_id}, not {game_id}")
+    return fs
 
 
 def features_white(fs: FeatureSet, state) -> np.ndarray:
@@ -364,10 +397,14 @@ def weights_from_text(text: str):
     *lines, tail = text.split("\n")
     if tail or not lines:
         raise ValueError(f"snapshot does not end in a newline: ...{text[-24:]!r}")
-    header = dict(part.split("=", 1) for part in lines[0].split(" "))
-    fs = feature_set(header["game"])
-    pairs = (pair.partition(":") for pair in header["anchors"].split(";"))
-    anchors = tuple((int(i), float(v)) for i, colon, v in pairs if colon)  # none in "-"
+    try:
+        header = dict(part.split("=", 1) for part in lines[0].split(" "))
+        pairs = (pair.partition(":") for pair in header["anchors"].split(";"))
+        anchors = tuple((int(i), float(v)) for i, colon, v in pairs if colon)  # none in "-"
+        set_id = header["game"]
+    except (LookupError, ValueError):
+        raise ValueError(f"snapshot line 1 reads {lines[0]!r}, not a snapshot header") from None
+    fs = feature_set(set_id)
     if len(lines) != fs.k + 1:
         raise ValueError(f"snapshot has {len(lines) - 1} weight lines, {fs.id} has {fs.k}")
     values = [float(row.rpartition(",")[2]) for row in lines[1:]]

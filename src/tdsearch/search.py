@@ -14,8 +14,10 @@ came back empty is a leaf; one Game.outcome call there tells a terminal
 from an evaluator stop and gives the terminal's result.  This relies on the
 Game.legal_actions rule that a terminal state has no legal actions.
 Terminal positions score +/-(MATE_SCORE - ply) from the winner's
-perspective, so forced wins dominate any static evaluation and faster wins
-are preferred.  The evaluator is only ever invoked on non-terminal leaves.
+perspective, so forced wins dominate every static evaluation below
+MATE_SCORE / 2 in size, the bound FeatureSet.check_bound holds linear
+evaluations to, and faster wins are preferred.  The evaluator is only ever
+invoked on non-terminal leaves.
 A non-terminal node with no legal actions (possible only in synthetic
 trees) is scored by the evaluator at any depth.
 

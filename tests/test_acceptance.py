@@ -46,7 +46,6 @@ from tdsearch.learner import (
     tdleaf_delta,
 )
 from tdsearch.arena import SearchAgent, head_to_head, play_game
-from tdsearch.presets import preset_weights
 from tdsearch.search import MATE_SCORE, alphabeta, minimax
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -240,7 +239,7 @@ def test_c04_gradient_finite_difference():
 def _played_traces(seed: int):
     c4 = GAMES["connect4"]
     fs = feature_set("connect4")
-    agent = SearchAgent("a", fs, preset_weights(fs, "baseline"), 2, tie_mode="random")
+    agent = SearchAgent("a", fs, fs.preset("baseline"), 2, tie_mode="random")
     rec = play_game(c4, agent, agent, record_sides=(Side.WHITE, Side.BLACK),
                     squashed=True, rng=np.random.default_rng((77, seed)))
     return [tr for tr in rec.traces.values() if tr.steps]
@@ -255,7 +254,7 @@ def _anchor_zeroed(phi, w):
 
 def test_c05_update_rule_special_cases():
     fs = feature_set("connect4")
-    w = preset_weights(fs, "baseline")
+    w = fs.preset("baseline")
     squashed = True
     checks = []
     for seed in range(8):
@@ -328,7 +327,7 @@ def test_c06_worked_update():
 
 def test_c07_pool_training_beats_baseline(pool_run):
     fs, trained = _final_weights(pool_run["dir"])
-    base = preset_weights(fs, "baseline")
+    base = fs.preset("baseline")
     t0 = time.monotonic()
     trained_score, trained_tally = _c4_match(trained, base, 400, seed=4707)
     untrained_score, _ = _c4_match(fs.weights_from({}), base, 400, seed=4707)

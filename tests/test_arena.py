@@ -576,6 +576,16 @@ def test_loops_reach_the_module_globals_the_bench_patches(tmp_path, monkeypatch)
         assert getattr(cli, loop) is getattr(arena, loop)
 
 
+def test_replay_stops_at_weights_past_the_forced_win_bound(tmp_path):
+    # The log was recorded at alpha 0.05; replayed at alpha 1e7, game 0's
+    # update takes sum |w| past MATE_SCORE / 2, and the fold stops there.
+    train_online(T3, fresh_agent(), OpponentPool([RandomAgent("rnd")], "uniform"),
+                 small_cfg(), 3, 99, tmp_path)
+    _, initial = load_weights(tmp_path / "weights_000000.snapshot")
+    with open_log(tmp_path) as log, pytest.raises(ValueError, match="forced-win bound"):
+        replay_traces(T3, FS3, small_cfg(alpha=AlphaSchedule(base=1e7)), initial, log)
+
+
 def _overflowing_run(mode, out_dir):
     # alpha 1e308 without squashing: the weights stop being finite after a game or two
     cfg = small_cfg(alpha=AlphaSchedule(base=1e308), squash=False)

@@ -185,6 +185,14 @@ def _nan_snapshot(tmp_path):
     return _fixed_opponent(tmp_path, {"path": "nan.snapshot"})
 
 
+def _big_snapshot(tmp_path):
+    # tictactoe's bound is 1, so these weights could outrank a forced win
+    fs = feature_set("tictactoe")
+    text = weights_to_text(fs, fs.weights_from({"cell_4": 3e5, "bias": -2e5}))
+    (tmp_path / "big.snapshot").write_text(text)
+    return _fixed_opponent(tmp_path, {"path": "big.snapshot"})
+
+
 def _repeated_index_snapshot(tmp_path):
     fs = feature_set("tictactoe")
     text = weights_to_text(fs, fs.weights_from({})) + "3,cell_3,99.0\n"
@@ -258,6 +266,7 @@ HOLES = {
     "unknown-features": (lambda t: _online(t, features="no-such-set"), "no-such-set"),
     "unknown-preset": (lambda t: _fixed_opponent(t, "basline"), "basline"),
     "nan-snapshot": (_nan_snapshot, "finite"),
+    "snapshot-past-the-bound": (_big_snapshot, "forced-win bound"),
     "repeated-index-snapshot": (_repeated_index_snapshot, "snapshot has 11 weight lines"),
     "crlf-initial-snapshot": (lambda t: _initial_snapshot(t, "crlf"), "snapshot line 1 reads"),
     "unterminated-initial-snapshot": (lambda t: _initial_snapshot(t, "no-final-newline"),
@@ -312,6 +321,63 @@ def test_missing_weight_file_rejected_before_running(tmp_path, capsys):
     assert main(["--config", p]) == 2
     assert "missing.snapshot" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # nothing written on config errors
+
+
+# snapshot -> (its text, or None for no file; the reason its error line gives)
+SNAPSHOT_READ_ERRORS = {
+    "missing": (None, "No such file or directory"),
+    "no-header": ("bogus\n", "snapshot line 1 reads 'bogus', not a snapshot header"),
+    "header-without-anchors": (
+        "game=tictactoe\n",
+        "snapshot line 1 reads 'game=tictactoe', not a snapshot header"),
+    "unknown-set": ("game=nope k=1 anchors=-\n0,x,0\n", "unknown feature set 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", SNAPSHOT_READ_ERRORS)
+def test_a_snapshot_read_error_names_the_file_once(tmp_path, capsys, case):
+    text, reason = SNAPSHOT_READ_ERRORS[case]
+    path = tmp_path / "w.snapshot"
+    if text is not None:
+        path.write_text(text)
+    p = write_cfg(tmp_path / "c.json", **_fixed_opponent(tmp_path, {"path": "w.snapshot"}))
+    capsys.readouterr()
+    assert main(["--config", p]) == 2
+    assert capsys.readouterr() == ("", f"config error: pool.opponents[1].weights: cannot read "
+                                       f"weight snapshot {path}: {reason}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["config.json", "traces.log", "weights_000000.snapshot",
+                                  "weights_final.snapshot"])
+def test_replay_names_a_missing_run_file_once(tmp_path, capsys, name):
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "run" / name
+    path.unlink()
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(tmp_path / "run"),
+                   out_dir=str(tmp_path / "replay"))
+    capsys.readouterr()
+    assert main(["--config", rp]) == 2
+    reason = f"{path}: No such file or directory"
+    if name.endswith(".snapshot"):
+        reason = f"cannot read weight snapshot {reason}"
+    assert capsys.readouterr() == ("", f"config error: run_dir: {reason}\n")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_weights_past_the_forced_win_bound_fail_the_run(tmp_path, capsys):
+    # Game 0's update takes sum |w| far past MATE_SCORE / 2; the run stops there.
+    cfg = _selfplay(tmp_path)
+    cfg.update(games=2, seed=1)
+    cfg["agent"]["depth"] = 1  # a decisive game 0, so its update is not zero
+    cfg["learner"].update(alpha=1e300, squash=False)
+    p = write_cfg(tmp_path / "c.json", **cfg)
+    assert main(["--config", p, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "error: ValueError: weights break the forced-win bound: sum |w| * 1 = "), err
+    assert err.endswith(" reaches MATE_SCORE / 2 = 500000\n"), err
+    assert not (tmp_path / "run" / "weights_final.snapshot").exists()
 
 
 def test_synthetic_tree_only_verifies(tmp_path):

@@ -36,7 +36,6 @@ from tdsearch.evaluation import (
 from tdsearch.games import GAMES
 from tdsearch.games import connect4 as c4
 from tdsearch.games.base import Side
-from tdsearch.presets import preset_weights
 
 T3 = GAMES["tictactoe"]
 C4 = GAMES["connect4"]
@@ -546,7 +545,7 @@ def test_linear_evaluator_rejects_wrong_length(set_id):
 
 def test_zero_weights_respect_anchors():
     fs = feature_set("minichess")
-    w = preset_weights(fs, "zero")
+    w = fs.preset("zero")
     assert w.values[0] == 1.0  # pawn anchored at one unit
     assert np.array_equal(w.values[1:], np.zeros(fs.k - 1))
 
@@ -590,7 +589,7 @@ def test_snapshot_text_rejects_wrong_names():
 def test_snapshot_text_rejects_a_repeated_index():
     # A later line for the same index would otherwise win silently.
     fs = feature_set("connect4")
-    text = weights_to_text(fs, preset_weights(fs, "baseline"))
+    text = weights_to_text(fs, fs.preset("baseline"))
     with pytest.raises(ValueError, match="snapshot has 13 weight lines, connect4 has 12"):
         weights_from_text(text + "3,run2_v,99\n")
     lines = text.splitlines()
@@ -601,7 +600,7 @@ def test_snapshot_text_rejects_a_repeated_index():
 
 def _snapshot_lines_of(set_id):
     fs = feature_set(set_id)
-    w = preset_weights(fs, "baseline" if set_id == "connect4" else "material")
+    w = fs.preset("baseline" if set_id == "connect4" else "material")
     if set_id == "connect4":
         w = w.with_values(w.values * np.where(np.arange(fs.k) % 2, -1.0, 1.0))
     return weights_to_text(fs, w).splitlines()
@@ -666,3 +665,98 @@ def test_all_feature_sets_registered():
     for fs in FEATURE_SETS.values():
         assert fs.k == len(fs.names)
         assert fs.game_id in ("tictactoe", "connect4", "minichess")
+
+
+# ---------------------------------------------------------------------------
+# Presets and the forced-win bound
+# ---------------------------------------------------------------------------
+
+# (feature set, preset) -> the snapshot text of its weights, as written
+# before the presets moved into the feature tables.
+PRESET_TEXTS = {
+    ("tictactoe", "zero"):
+        "game=tictactoe k=10 anchors=-\n0,cell_0,0\n1,cell_1,0\n2,cell_2,0\n3,cell_3,0\n"
+        "4,cell_4,0\n5,cell_5,0\n6,cell_6,0\n7,cell_7,0\n8,cell_8,0\n9,bias,0\n",
+    ("connect4", "zero"):
+        "game=connect4 k=12 anchors=-\n0,bias,0\n1,center_col,0\n2,run2_h,0\n3,run2_v,0\n"
+        "4,run2_diag,0\n5,run3_h,0\n6,run3_v,0\n7,run3_diag,0\n8,win_sq_even_row,0\n"
+        "9,win_sq_odd_row,0\n10,playable_win_sq,0\n11,low_half,0\n",
+    ("connect4", "baseline"):
+        "game=connect4 k=12 anchors=-\n0,bias,0\n1,center_col,0.14999999999999999\n"
+        "2,run2_h,0.080000000000000002\n3,run2_v,0.080000000000000002\n"
+        "4,run2_diag,0.080000000000000002\n5,run3_h,0.29999999999999999\n6,run3_v,0.25\n"
+        "7,run3_diag,0.29999999999999999\n8,win_sq_even_row,0.45000000000000001\n"
+        "9,win_sq_odd_row,0.55000000000000004\n10,playable_win_sq,1.6000000000000001\n"
+        "11,low_half,0.029999999999999999\n",
+    ("minichess", "zero"):
+        "game=minichess k=7 anchors=0:1\n0,pawn_diff,1\n1,knight_diff,0\n2,bishop_diff,0\n"
+        "3,rook_diff,0\n4,queen_diff,0\n5,mobility_diff,0\n6,king_exposure_diff,0\n",
+    ("minichess", "material"):
+        "game=minichess k=7 anchors=0:1\n0,pawn_diff,1\n1,knight_diff,4\n2,bishop_diff,4\n"
+        "3,rook_diff,6\n4,queen_diff,12\n5,mobility_diff,0\n6,king_exposure_diff,0\n",
+    ("minichess-material", "zero"):
+        "game=minichess-material k=5 anchors=0:1\n0,pawn_diff,1\n1,knight_diff,0\n"
+        "2,bishop_diff,0\n3,rook_diff,0\n4,queen_diff,0\n",
+    ("minichess-material", "material"):
+        "game=minichess-material k=5 anchors=0:1\n0,pawn_diff,1\n1,knight_diff,4\n"
+        "2,bishop_diff,4\n3,rook_diff,6\n4,queen_diff,12\n",
+}
+
+
+@pytest.mark.parametrize("set_id, name", PRESET_TEXTS)
+def test_every_preset_keeps_its_bits(set_id, name):
+    fs = feature_set(set_id)
+    assert weights_to_text(fs, fs.preset(name)) == PRESET_TEXTS[set_id, name]
+
+
+def test_a_preset_a_feature_set_lacks_is_an_error():
+    for set_id, name in (("tictactoe", "baseline"), ("connect4", "material"),
+                         ("minichess", "baseline"), ("minichess-material", "")):
+        with pytest.raises(KeyError, match=f"no preset '{name}' for feature set '{set_id}'"):
+            feature_set(set_id).preset(name)
+
+
+def test_feature_set_checks_the_game_it_is_for():
+    assert feature_set("minichess-material", "minichess").id == "minichess-material"
+    with pytest.raises(ValueError) as bad:
+        feature_set("connect4", "tictactoe")
+    assert str(bad.value) == "feature set 'connect4' is for connect4, not tictactoe"
+    with pytest.raises(ValueError) as unknown:
+        feature_set("nope")
+    assert str(unknown.value) == "unknown feature set 'nope'"
+
+
+@pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+def test_every_feature_stays_within_its_sets_bound(set_id):
+    fs = feature_set(set_id)
+    game = GAMES[fs.game_id]
+    top = np.zeros(fs.k)
+    for played in islice(random_playouts(game, np.random.default_rng(2024)), 30):
+        for state in played:
+            np.maximum(top, np.abs(_phi(fs, state)), out=top)
+    assert top.max() <= fs.bound, (fs.names, top.tolist())
+
+
+def test_check_bound_raises_once_the_weights_could_outrank_a_forced_win():
+    fs = feature_set("connect4")  # bound 84: 500000 / 84 is about 5952.4
+    fs.check_bound(fs.weights_from({"bias": 5952.0}))
+    fs.check_bound(fs.weights_from({"bias": -2976.0, "low_half": 2976.0}))
+    for named in ({"bias": 5953.0}, {"bias": -2977.0, "low_half": 2977.0}):
+        with pytest.raises(ValueError, match="forced-win bound"):
+            fs.check_bound(fs.weights_from(named))
+
+
+@pytest.mark.parametrize("header", ["bogus", "game=tictactoe", "game=tictactoe k=10",
+                                    "game=tictactoe k=10 anchors=x:1"])
+def test_snapshot_header_errors_name_the_line(header):
+    fs = feature_set("tictactoe")
+    text = weights_to_text(fs, fs.preset("zero"))
+    with pytest.raises(ValueError) as bad:
+        weights_from_text(header + text[text.index("\n"):])
+    assert str(bad.value) == f"snapshot line 1 reads {header!r}, not a snapshot header"
+
+
+def test_a_snapshot_of_an_unknown_feature_set_says_so_plainly():
+    with pytest.raises(ValueError) as bad:
+        weights_from_text("game=nope k=1 anchors=-\n0,x,0\n")
+    assert str(bad.value) == "unknown feature set 'nope'"

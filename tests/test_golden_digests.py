@@ -22,7 +22,6 @@ from tdsearch.cli import main
 from tdsearch.evaluation import feature_set
 from tdsearch.games import GAMES, Side
 from tdsearch.learner import trace_to_log
-from tdsearch.presets import preset_weights
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,7 +91,7 @@ MATCHES = {
 
 def match_digest(game_id, fs_id, presets, depth, n_games, seed=7):
     game, fs = GAMES[game_id], feature_set(fs_id)
-    a, b = (SearchAgent(p, fs, preset_weights(fs, p), depth, "random") for p in presets)
+    a, b = (SearchAgent(p, fs, fs.preset(p), depth, "random") for p in presets)
     h = hashlib.sha256()
     for i in range(n_games):
         white, black = (a, b) if i % 2 == 0 else (b, a)
