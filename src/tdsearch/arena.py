@@ -21,8 +21,6 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import groupby, pairwise
 
-import numpy as np
-
 from tdsearch.evaluation import (
     FeatureSet,
     WeightVector,
@@ -256,9 +254,10 @@ def _learn(cfg: LearnerConfig, fs: FeatureSet, weights: WeightVector, games, pla
     """
     for i, item in enumerate(games):
         result, traces = play(item, weights)
-        delta = sum((tdleaf_delta(trace, cfg, weights, game_index=i) for trace in traces),
-                    np.zeros(len(weights)))
-        weights = weights.with_values(weights.values + delta)
+        delta = [0.0] * len(weights)
+        for trace in traces:
+            delta = [d + t for d, t in zip(delta, tdleaf_delta(trace, cfg, weights, game_index=i))]
+        weights = weights.with_values([v + d for v, d in zip(weights.values, delta)])
         fs.check_bound(weights)
         yield i, result, traces, weights
 

@@ -52,26 +52,26 @@ def squash(j: float, enabled: bool) -> float:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Immutable weight vector with optionally anchored (frozen) entries."""
+    """Immutable weight vector, a tuple of Python floats, with optionally anchored
+    (frozen) entries.  numpy meets the weights only in the two dot products."""
 
-    values: np.ndarray
+    values: tuple
     anchors: tuple = ()  # ((index, value), ...) entries updates must not move
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"weights must be finite, got {arr.tolist()}")
+        values = tuple(map(float, self.values))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"weights must be finite, got {list(values)}")
         for i, v in self.anchors:
-            if not 0 <= i < arr.shape[0]:
+            if not 0 <= i < len(values):
                 raise ValueError(f"anchor index {i} out of range")
-            if arr[i] != v:
-                raise ValueError(f"weight {i} is {arr[i]!r}, anchored at {v!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+            if values[i] != v:
+                raise ValueError(f"weight {i} is {values[i]!r}, anchored at {v!r}")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "anchors", tuple((int(i), float(v)) for i, v in self.anchors))
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return len(self.values)
 
     def with_values(self, values) -> "WeightVector":
         return WeightVector(values, self.anchors)
@@ -80,33 +80,31 @@ class WeightVector:
         return tuple(i for i, _ in self.anchors)
 
 
-def raw_eval(features: np.ndarray, weights: WeightVector) -> float:
+def raw_eval(features, weights: WeightVector) -> float:
     """Linear evaluation w . phi."""
-    if features.shape != weights.values.shape:
-        raise ValueError(
-            f"feature/weight length mismatch: {features.shape} vs {weights.values.shape}"
-        )
+    if len(features) != len(weights):
+        raise ValueError(f"feature/weight length mismatch: {len(features)} vs {len(weights)}")
     return float(np.dot(weights.values, features))
 
 
-def grad_squashed(features: np.ndarray, weights: WeightVector, squashed: bool,
-                  value: float | None = None) -> np.ndarray:
+def grad_squashed(features, weights: WeightVector, squashed: bool,
+                  value: float | None = None) -> tuple:
     """Gradient of squash(raw_eval) wrt the weights: ATANH_QUARTER*(1-v^2)*phi,
-    or phi itself when not squashed.
+    or phi itself (1.0 * phi, the same bits) when not squashed.
 
     v is the squashed value of the features under the weights; a caller
     that already holds it (a trace's stored leaf value) passes it as value.
     Entries at anchored indices are zeroed, which is what keeps anchors
     fixed under updates (no post-hoc clamping).
     """
-    if not squashed:
-        g = np.array(features, dtype=np.float64)
-    else:
+    scale = 1.0
+    if squashed:
         v = squash(raw_eval(features, weights), True) if value is None else value
-        g = (ATANH_QUARTER * (1.0 - v * v)) * features
+        scale = ATANH_QUARTER * (1.0 - v * v)
+    g = [scale * f for f in features]
     for i in weights.anchor_indices():
         g[i] = 0.0
-    return g
+    return tuple(g)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +114,7 @@ def grad_squashed(features: np.ndarray, weights: WeightVector, squashed: bool,
 
 # Each extractor closes over its tables and the pack_into of a
 # struct.Struct(f"{k}d"): it writes a state's k values into out, a writable
-# float64 array of length k, and returns out.  'd' converts each value with
-# float(), as np.array(values, dtype=np.float64) did.
+# float64 array of length k, and returns out.
 
 
 def _tictactoe_extractor():
@@ -335,12 +332,10 @@ def feature_set(set_id: str, game_id: str | None = None) -> FeatureSet:
     return fs
 
 
-def features_white(fs: FeatureSet, state) -> np.ndarray:
-    """Feature vector in White's fixed perspective, in an array of its own."""
-    phi = fs.extract(state, np.empty(fs.k))
-    if state.side_to_move is not WHITE:
-        np.negative(phi, out=phi)
-    return phi
+def features_white(fs: FeatureSet, state) -> tuple:
+    """Feature vector in White's fixed perspective, a tuple of Python floats of its own."""
+    phi = fs.extract(state, np.empty(fs.k)).tolist()
+    return tuple(phi) if state.side_to_move is WHITE else tuple(-f for f in phi)
 
 
 def linear_evaluator(fs: FeatureSet, weights: WeightVector):
@@ -355,9 +350,9 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
     """
     if len(weights) != fs.k:
         raise ValueError(f"need {fs.k} weights for {fs.id}, got {len(weights)}")
-    if not weights.values.any():
+    if not any(weights.values):
         return lambda state: 0.0
-    extract, dot, out = fs.extract, weights.values.dot, np.empty(fs.k)
+    extract, dot, out = fs.extract, np.array(weights.values).dot, np.empty(fs.k)
 
     def evaluator(state) -> float:
         return float(dot(extract(state, out)))
@@ -407,7 +402,12 @@ def weights_from_text(text: str):
     fs = feature_set(set_id)
     if len(lines) != fs.k + 1:
         raise ValueError(f"snapshot has {len(lines) - 1} weight lines, {fs.id} has {fs.k}")
-    values = [float(row.rpartition(",")[2]) for row in lines[1:]]
+    values = []
+    for n, row in enumerate(lines[1:], start=2):
+        try:
+            values.append(float(row.rpartition(",")[2]))
+        except ValueError:
+            raise ValueError(f"snapshot line {n} reads {row!r}, not index,name,number") from None
     for n, (got, want) in enumerate(zip(lines, _snapshot_lines(fs, values, anchors)), start=1):
         if got != want:
             raise ValueError(f"snapshot line {n} reads {got!r}; the writer writes {want!r}")
@@ -415,5 +415,5 @@ def weights_from_text(text: str):
 
 
 def load_weights(path):
-    with open(path, encoding="ascii", newline="\n") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         return weights_from_text(fh.read())

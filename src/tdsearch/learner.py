@@ -34,8 +34,6 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from tdsearch.evaluation import (
     _G,
     FeatureSet,
@@ -94,8 +92,8 @@ class StepRecord:
     """One agent decision: search root, PV, and the PV leaf's evaluation.
 
     value and raw_value are White-perspective; leaf_features is the leaf's
-    feature vector in White's perspective (zeros when the leaf is terminal,
-    where no features exist and the gradient vanishes).
+    White-perspective feature vector, a tuple of floats (zeros when the leaf
+    is terminal, where no features exist and the gradient vanishes).
     opponent_move_predicted says whether the opponent's reply to this move
     matched the second ply of the PV; it is vacuously true when the agent's
     own move ended the game.
@@ -104,16 +102,16 @@ class StepRecord:
     root: object
     leaf: object
     pv: tuple
-    leaf_features: np.ndarray
+    leaf_features: tuple
     value: float
     raw_value: float = 0.0
     opponent_move_predicted: bool = False
     opponent_rating_lower: bool = False
 
 
-def leaf_features_white(fs: FeatureSet, leaf, terminal: bool) -> np.ndarray:
+def leaf_features_white(fs: FeatureSet, leaf, terminal: bool) -> tuple:
     """A StepRecord's leaf_features: zeros at a terminal leaf, else features_white."""
-    return np.zeros(fs.k) if terminal else features_white(fs, leaf)
+    return (0.0,) * fs.k if terminal else features_white(fs, leaf)
 
 
 @dataclass(frozen=True)
@@ -158,10 +156,10 @@ def discounted_difference_sums(diffs, lam: float):
 
 
 def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
-                 game_index: int = 0) -> np.ndarray:
+                 game_index: int = 0) -> tuple:
     """Weight change for one trace under the leaf-based update rule."""
     diffs = temporal_differences(trace, cfg)
-    delta = np.zeros(len(weights))
+    delta = (0.0,) * len(weights)
     if not diffs:
         return delta
     sums = discounted_difference_sums(diffs, cfg.lambda_)
@@ -169,8 +167,10 @@ def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
     for step, s in zip(trace.steps, sums):
         if s != 0.0:
             # White-perspective gradient at the recorded leaf, at its stored value.
-            delta += (c * s) * grad_squashed(step.leaf_features, weights, cfg.squash, step.value)
-    return cfg.alpha.at(game_index) * delta
+            grad = grad_squashed(step.leaf_features, weights, cfg.squash, step.value)
+            delta = [d + (c * s) * g for d, g in zip(delta, grad)]
+    alpha = cfg.alpha.at(game_index)
+    return tuple(alpha * d for d in delta)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def _played_traces(seed: int):
 
 
 def _anchor_zeroed(phi, w):
-    grad = phi.copy()
+    grad = np.array(phi)
     for i in w.anchor_indices():
         grad[i] = 0.0
     return grad

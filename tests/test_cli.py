@@ -323,6 +323,10 @@ def test_missing_weight_file_rejected_before_running(tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # nothing written on config errors
 
 
+# The zero tictactoe snapshot, as weights_to_text writes it.
+T3_ZERO = ("game=tictactoe k=10 anchors=-\n"
+           + "".join(f"{i},cell_{i},0\n" for i in range(9)) + "9,bias,0\n")
+
 # snapshot -> (its text, or None for no file; the reason its error line gives)
 SNAPSHOT_READ_ERRORS = {
     "missing": (None, "No such file or directory"),
@@ -331,6 +335,12 @@ SNAPSHOT_READ_ERRORS = {
         "game=tictactoe\n",
         "snapshot line 1 reads 'game=tictactoe', not a snapshot header"),
     "unknown-set": ("game=nope k=1 anchors=-\n0,x,0\n", "unknown feature set 'nope'"),
+    "value-not-a-number": (
+        T3_ZERO.replace("0,cell_0,0", "0,cell_0,abc"),
+        "snapshot line 2 reads '0,cell_0,abc', not index,name,number"),
+    "non-ascii-name": (
+        T3_ZERO.replace("0,cell_0,0", "0,cell_\u00e9,0"),
+        "snapshot line 2 reads '0,cell_\\udcc3\\udca9,0'; the writer writes '0,cell_0,0'"),
 }
 
 
@@ -339,7 +349,7 @@ def test_a_snapshot_read_error_names_the_file_once(tmp_path, capsys, case):
     text, reason = SNAPSHOT_READ_ERRORS[case]
     path = tmp_path / "w.snapshot"
     if text is not None:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     p = write_cfg(tmp_path / "c.json", **_fixed_opponent(tmp_path, {"path": "w.snapshot"}))
     capsys.readouterr()
     assert main(["--config", p]) == 2

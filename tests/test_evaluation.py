@@ -111,8 +111,8 @@ def test_gradient_unsquashed_is_feature_vector():
     w = WeightVector(np.array([0.3, 0.1, -0.2]))
     g = grad_squashed(phi, w, False)
     assert np.array_equal(g, phi)
-    g[0] = 99.0  # returned array is a copy, not a view
-    assert phi[0] == 1.0
+    phi[0] = 99.0  # the returned gradient is a copy, not a view
+    assert g[0] == 1.0
 
 
 def test_gradient_zeroed_at_anchored_indices():
@@ -130,7 +130,8 @@ def test_gradient_zeroed_at_anchored_indices():
 
 def test_weight_vector_immutable():
     w = WeightVector(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
+    assert w.values == (1.0, 2.0) and all(type(v) is float for v in w.values)
+    with pytest.raises(TypeError):
         w.values[0] = 5.0
 
 
@@ -520,18 +521,19 @@ def test_evaluator_scores_every_leaf_in_one_buffer_with_fresh_extraction_bits(se
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
 def test_fresh_extraction_is_read_only_and_never_aliases_a_buffer(set_id):
-    # features_white extracts into an array of its own, which no buffer
-    # filled before or after it shares.
+    # features_white returns a tuple of Python floats of its own, which no
+    # buffer filled before or after it shares.
     fs = feature_set(set_id)
     a, b = _two_states(fs, seed=43)
     out = np.empty(fs.k)
     assert fs.extract(a, out) is out
     fresh, again = features_white(fs, b), features_white(fs, b)
-    assert fresh.dtype == np.float64 and fresh.shape == (fs.k,)
-    assert not np.shares_memory(fresh, out) and not np.shares_memory(fresh, again)
-    want = fresh.tobytes()
-    fs.extract(a, out)  # refilling the buffer leaves an earlier fresh array alone
-    assert fresh.tobytes() == want == again.tobytes() != out.tobytes()
+    assert type(fresh) is tuple and len(fresh) == fs.k and all(type(f) is float for f in fresh)
+    assert fresh is not again
+    want = [f.hex() for f in fresh]
+    fs.extract(a, out)  # refilling the buffer leaves an earlier fresh tuple alone
+    assert [f.hex() for f in fresh] == want == [f.hex() for f in again] != [
+        f.hex() for f in out.tolist()]
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
@@ -621,6 +623,9 @@ SNAPSHOT_SPELLINGS = {
     "float with a trailing zero": ("minichess", lambda ls: [*ls[:3], ls[3] + ".0", *ls[4:]], 4),
     "float with a plus sign": ("connect4", lambda ls: [*ls[:7], ls[7].replace(",0", ",+0"),
                                                        *ls[8:]], 8),
+    "value not a number": ("connect4", lambda ls: [*ls[:2], ls[2].rpartition(",")[0] + ",abc",
+                                                   *ls[3:]], 3),
+    "value missing": ("minichess", lambda ls: [*ls[:2], ls[2].rpartition(",")[0], *ls[3:]], 3),
 }
 
 
@@ -644,7 +649,11 @@ def test_snapshot_text_ends_every_line_with_a_newline_alone(set_id, tmp_path):
     path = tmp_path / "w.snapshot"
     path.write_bytes(text.encode())
     assert load_weights(path)[0] == set_id
+    name = lines[1].split(",")[1]
     spellings = (
+        # A non-ASCII byte in a name: load_weights reads it as a lone surrogate.
+        (text.replace(f",{name},", f",{name}\u00e9,", 1),
+         "snapshot line 2 reads '[^']*'; the writer writes"),
         (text.replace("\n", "\r\n"), "snapshot line 1 reads '[^']*\\\\r'"),
         (text[:-1] + "\r\n", f"snapshot line {len(lines)} reads '[^']*\\\\r'"),
         (text[:-1], "does not end in a newline"),

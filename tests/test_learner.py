@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import rebase_on_roots, suffix_sums_quadratic, td_update
 from tdsearch.evaluation import (
@@ -33,9 +34,8 @@ T3 = GAMES["tictactoe"]
 
 
 def mkstep(phi, value, predicted=False, lower=False, root=None, leaf=None, pv=()):
-    phi = np.asarray(phi, dtype=np.float64)
     return StepRecord(
-        root=root, leaf=leaf, pv=tuple(pv), leaf_features=phi,
+        root=root, leaf=leaf, pv=tuple(pv), leaf_features=tuple(map(float, phi)),
         value=float(value), raw_value=float(value),
         opponent_move_predicted=predicted, opponent_rating_lower=lower,
     )
@@ -177,7 +177,7 @@ def test_textbook_two_step_update():
     w = WeightVector(np.zeros(2))
     delta = tdleaf_delta(tr, cfg_of(lam=0.7, alpha=1.0), w)
     assert delta[0] == 0.7 and delta[1] == 1.0
-    w2 = w.with_values(w.values + delta)
+    w2 = w.with_values([v + d for v, d in zip(w.values, delta)])
     assert list(w2.values) == [0.7, 1.0]
 
 
@@ -227,9 +227,92 @@ def test_anchored_weight_never_moves():
     w = fs.weights_from({})
     steps = (mkstep([1.0, 1.0, 0.0, 0.0, 0.0], 0.0),)
     tr = GameTrace(Side.WHITE, steps, WIN)
-    w2 = w.with_values(w.values + tdleaf_delta(tr, cfg_of(squashed=True), w))
+    delta = tdleaf_delta(tr, cfg_of(squashed=True), w)
+    w2 = w.with_values([v + d for v, d in zip(w.values, delta)])
     assert w2.values[0] == 1.0
     assert w2.values[1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The plain-float update against numpy, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _numpy_tdleaf_delta(trace, cfg, weights, game_index=0):
+    """The update as numpy arrays compute it: zeros, += (c*s)*grad per step, alpha times."""
+    delta = np.zeros(len(weights))
+    diffs = temporal_differences(trace, cfg)
+    if not diffs:
+        return delta
+    c = trace.agent_side.sign
+    for step, s in zip(trace.steps, discounted_difference_sums(diffs, cfg.lambda_)):
+        if s != 0.0:
+            phi = np.array(step.leaf_features, dtype=np.float64)
+            g = (ATANH_QUARTER * (1.0 - step.value * step.value)) * phi if cfg.squash else phi
+            g[list(weights.anchor_indices())] = 0.0
+            delta += (c * s) * g
+    return cfg.alpha.at(game_index) * delta
+
+
+def _numpy_learned(traces, cfg, weights, game_index=0):
+    """One game's weights after learning: the deltas summed from zeros in trace order."""
+    delta = sum((_numpy_tdleaf_delta(t, cfg, weights, game_index) for t in traces),
+                np.zeros(len(weights)))
+    return np.array(weights.values) + delta
+
+
+def _learned(traces, cfg, weights, fs):
+    """The weights arena._learn holds after one game with these traces."""
+    from tdsearch.arena import _learn
+
+    ((_, _, _, after),) = _learn(cfg, fs, weights, [traces], lambda item, w: (None, item))
+    return after.values
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+_ZEROS_OR_FLOATS = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _learning_games(draw):
+    """(feature set, weights, config, 1-3 traces): random signs, -0.0 entries, anchors."""
+    fs = feature_set(draw(st.sampled_from(["tictactoe", "minichess-material"])))
+    values = draw(st.lists(_ZEROS_OR_FLOATS, min_size=fs.k, max_size=fs.k))
+    for i, v in fs.anchors:
+        values[i] = v
+    cfg = cfg_of(lam=draw(st.floats(0.0, 1.0)), alpha=draw(st.floats(1e-3, 2.0)),
+                 squashed=draw(st.booleans()), clipping=draw(st.sampled_from(ClipPolicy)))
+    traces = [GameTrace(draw(st.sampled_from(Side)), tuple(
+        mkstep(draw(st.lists(_ZEROS_OR_FLOATS, min_size=fs.k, max_size=fs.k)),
+               draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+               predicted=draw(st.booleans()), lower=draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 6)))), draw(st.sampled_from([WIN, DRAW, LOSS])))
+        for _ in range(draw(st.integers(1, 3)))]
+    return fs, WeightVector(values, fs.anchors), cfg, traces
+
+
+@settings(max_examples=300, deadline=None)
+@given(_learning_games())
+def test_plain_float_update_matches_numpy_bit_for_bit(game):
+    fs, w, cfg, traces = game
+    for trace in traces:
+        assert _hexes(tdleaf_delta(trace, cfg, w)) == _hexes(_numpy_tdleaf_delta(trace, cfg, w))
+    assert _hexes(_learned(traces, cfg, w, fs)) == _hexes(_numpy_learned(traces, cfg, w))
+
+
+def test_an_update_of_minus_zero_products_is_plus_zero():
+    # Every product (c*s)*g is -0.0; sums started at +0.0 give +0.0, where a
+    # sum started at its first term would keep -0.0, and so would the weights.
+    fs = feature_set("tictactoe")
+    w = WeightVector([-0.0] * fs.k)
+    traces = [GameTrace(side, (mkstep([-0.0] * fs.k, 0.0),), WIN) for side in Side]
+    for trace in traces:
+        assert _hexes(tdleaf_delta(trace, cfg_of(), w)) == ["0x0.0p+0"] * fs.k
+    assert _hexes(_learned(traces, cfg_of(), w, fs)) == ["0x0.0p+0"] * fs.k
+    assert _hexes(_numpy_learned(traces, cfg_of(), w)) == ["0x0.0p+0"] * fs.k
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,51 @@ def test_dot_guard_finds_every_spelling(tmp_path):
                                       "search.py:4", "search.py:4", "search.py:5"]
 
 
+# The one module that may import numpy: evaluation.py keeps the extractor
+# buffers and takes the two dot products; weights and features elsewhere are
+# tuples of Python floats.
+NUMPY_OWNERS = {"evaluation.py"}
+
+
+def numpy_imports(root=SRC):
+    """The "file:line" of each import of numpy or a numpy submodule outside NUMPY_OWNERS."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in NUMPY_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{rel}:{node.lineno}")
+    return found
+
+
+def test_only_evaluation_imports_numpy():
+    found = numpy_imports()
+    assert not found, "numpy imported outside evaluation.py:\n" + "\n".join(found)
+
+
+def test_numpy_guard_finds_every_spelling(tmp_path):
+    (tmp_path / "evaluation.py").write_text("import numpy as np\n")
+    (tmp_path / "games").mkdir()
+    (tmp_path / "games" / "evaluation.py").write_text("import numpy\n")
+    (tmp_path / "learner.py").write_text(
+        "import numpy\n"
+        "import numpy as np\n"
+        "from numpy import zeros\n"
+        "import os, numpy.linalg\n"
+        "from numpy.random import default_rng\n"
+        "def f():\n    import numpy as lazy\n"
+        "import numbers, numpy_like\n"
+        "from . import numpy_shim\n"
+        '"""import numpy"""\n')
+    assert numpy_imports(tmp_path) == ["games/evaluation.py:1", "learner.py:1", "learner.py:2",
+                                       "learner.py:3", "learner.py:4", "learner.py:5",
+                                       "learner.py:7"]
+
+
 # The run directory's file names.  tdsearch.rundir owns the layout, so no
 # other module of src/ may spell one, not even in a comment or docstring.
 RUN_FILE_NAME = re.compile(r"traces\.log|ratings\.csv|config\.json|weights_\S*snapshot")
