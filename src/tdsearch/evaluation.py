@@ -53,7 +53,8 @@ def squash(j: float, enabled: bool) -> float:
 @dataclass(frozen=True)
 class WeightVector:
     """Immutable weight vector, a tuple of Python floats, with optionally anchored
-    (frozen) entries.  numpy meets the weights only in the two dot products."""
+    (frozen) entries.  numpy meets the weights only in the two dot products,
+    through array."""
 
     values: tuple
     anchors: tuple = ()  # ((index, value), ...) entries updates must not move
@@ -73,6 +74,13 @@ class WeightVector:
     def __len__(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The values as a read-only float64 array, built once for the dot products."""
+        array = np.array(self.values, dtype=np.float64)
+        array.flags.writeable = False
+        return array
+
     def with_values(self, values) -> "WeightVector":
         return WeightVector(values, self.anchors)
 
@@ -84,23 +92,21 @@ def raw_eval(features, weights: WeightVector) -> float:
     """Linear evaluation w . phi."""
     if len(features) != len(weights):
         raise ValueError(f"feature/weight length mismatch: {len(features)} vs {len(weights)}")
-    return float(np.dot(weights.values, features))
+    return float(weights.array.dot(features))
 
 
-def grad_squashed(features, weights: WeightVector, squashed: bool,
-                  value: float | None = None) -> tuple:
+def grad_squashed(features, weights: WeightVector, squashed: bool, value: float) -> tuple:
     """Gradient of squash(raw_eval) wrt the weights: ATANH_QUARTER*(1-v^2)*phi,
     or phi itself (1.0 * phi, the same bits) when not squashed.
 
-    v is the squashed value of the features under the weights; a caller
-    that already holds it (a trace's stored leaf value) passes it as value.
-    Entries at anchored indices are zeroed, which is what keeps anchors
-    fixed under updates (no post-hoc clamping).
+    value is v, the squashed value of the features under the weights, which
+    the caller holds (a trace's stored leaf value).  Entries at anchored
+    indices are zeroed, which is what keeps anchors fixed under updates (no
+    post-hoc clamping).
     """
     scale = 1.0
     if squashed:
-        v = squash(raw_eval(features, weights), True) if value is None else value
-        scale = ATANH_QUARTER * (1.0 - v * v)
+        scale = ATANH_QUARTER * (1.0 - value * value)
     g = [scale * f for f in features]
     for i in weights.anchor_indices():
         g[i] = 0.0
@@ -190,6 +196,11 @@ def _minichess_material(state) -> list:
             (queens & own).bit_count() - (queens & opp).bit_count()]
 
 
+def _material_key(state) -> int:
+    """The minichess-material key: the material, complemented with Black to move."""
+    return state.material if state.side_to_move is WHITE else ~state.material
+
+
 def _king_exposure(kings: int, pieces: int) -> int:
     """King-neighbour squares of the king in pieces that pieces do not fill."""
     return (mc.KING_MASKS[(kings & pieces).bit_length() - 1] & ~pieces).bit_count()
@@ -255,6 +266,7 @@ class FeatureSet:
     bound: float  # |phi_i(s)| <= bound for every feature i and state s
     preset_name: str | None = None  # the name of the table's weights; None: only "zero"
     anchors: tuple = ()  # anchored (index, value) pairs for new weights
+    key: object = None  # callable(state) -> int; states with one key share a feature vector
 
     @cached_property
     def names(self) -> tuple:
@@ -318,6 +330,7 @@ FEATURE_SETS = {fs.id: fs for fs in (
         bound=24,  # a side holds at most 24 pieces: every square but the other king's
         preset_name="material",
         anchors=((0, 1.0),),
+        key=_material_key,
     ),
 )}
 
@@ -347,17 +360,34 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
     -0.  Every accumulator starts at +0, and in round-to-nearest
     +0 + (-0) == +0, so no partial or combined sum can become -0.  Hence
     float(np.dot(w, phi)) is exactly +0.0, also when w holds -0.0 entries.
+
+    A feature set with a key has its values memoized by key in the
+    evaluator's own dict: states with one key have one feature vector, so
+    each gets the bits the first of them computed.  The dict lives as long
+    as the evaluator and holds one value per key it has seen.
     """
     if len(weights) != fs.k:
         raise ValueError(f"need {fs.k} weights for {fs.id}, got {len(weights)}")
     if not any(weights.values):
         return lambda state: 0.0
-    extract, dot, out = fs.extract, np.array(weights.values).dot, np.empty(fs.k)
+    extract, dot, out = fs.extract, weights.array.dot, np.empty(fs.k)
 
     def evaluator(state) -> float:
         return float(dot(extract(state, out)))
 
-    return evaluator
+    if fs.key is None:
+        return evaluator
+    key, memo = fs.key, {}
+
+    def keyed_evaluator(state) -> float:
+        k = key(state)
+        try:
+            return memo[k]
+        except KeyError:
+            value = memo[k] = evaluator(state)
+            return value
+
+    return keyed_evaluator
 
 
 # ---------------------------------------------------------------------------

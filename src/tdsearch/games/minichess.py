@@ -6,17 +6,20 @@ Rule restrictions: no castling, no en passant, pawns move a single square,
 promotion is always to a queen.  Checkmate and stalemate are standard; a
 game is drawn once it reaches 50 plies.
 
-A state is eight int bitboards, bit index = square = rank * 5 + file, rank
+A state holds eight int bitboards, bit index = square = rank * 5 + file, rank
 0 being White's back rank: own and opp hold the pieces of the side to move
 and of its opponent, and one board per piece kind holds that kind for both
-colours.  Actions are (from, to) square pairs; promotion is implicit.  King
-safety is an attack test on the occupancy a move leaves, with no successor
-state built for it; out of check only the king's moves and those of a piece
-that alone blocks an enemy slider's line to the king get it.  Move lists
-are read from tables: step targets in table order, and each slider ray as
-the quiet prefix up to its first piece.  apply checks a move against its
-piece's own reach without generating the side's moves, and the terminal
-test generates them only when none of each piece's nearest moves is legal.
+colours.  The side to move and the ply follow, then the material: each
+colour's piece counts, which only a capture or a promotion changes, so
+from_text counts them once and a successor updates them.  Actions are
+(from, to) square pairs; promotion is implicit.  King safety is an attack
+test on the occupancy a move leaves, with no successor state built for it;
+out of check only the king's moves and those of a piece that alone blocks
+an enemy slider's line to the king get it.  Move lists are read from
+tables: step targets in table order, and each slider ray as the quiet
+prefix up to its first piece.  apply checks a move against its piece's own
+reach without generating the side's moves, and the terminal test generates
+them only when none of each piece's nearest moves is legal.
 """
 
 from __future__ import annotations
@@ -160,6 +163,14 @@ BLACK_PUSH_MASKS = tuple(1 << sq - SIZE if sq >= SIZE else 0 for sq in range(NSQ
 _new_tuple = tuple.__new__
 
 
+# A state's material: the 5-bit counts of pawns, knights, bishops, rooks and
+# queens at bits 0, 5, 10, 15 and 20 of a colour's lane, White's lane from
+# bit 0 and Black's from bit BLACK_LANE.  Kings are not counted.
+BLACK_LANE = 25
+# A promotion's change to the mover's lane: one queen more, one pawn fewer.
+_PROMOTION = (1 << 20) - 1
+
+
 class MinichessState(NamedTuple):
     own: int      # pieces of the side to move
     opp: int      # pieces of the other side
@@ -171,6 +182,7 @@ class MinichessState(NamedTuple):
     kings: int
     side_to_move: Side
     ply: int
+    material: int  # piece counts by colour, not by mover: see BLACK_LANE
 
 
 def _attacked(sq: int, occ: int, opp: int, state: MinichessState) -> bool:
@@ -180,7 +192,7 @@ def _attacked(sq: int, occ: int, opp: int, state: MinichessState) -> bool:
     enemy slider on one of sq's lines of its kind attacks sq iff no square
     between them is occupied.
     """
-    _, _, pawns, knights, bishops, rooks, queens, kings, side, _ = state
+    _, _, pawns, knights, bishops, rooks, queens, kings, side, _, _ = state
     if opp & (KNIGHT_MASKS[sq] & knights | KING_MASKS[sq] & kings
               | (WHITE_PAWN_MASKS if side is WHITE else BLACK_PAWN_MASKS)[sq] & pawns):
         return True
@@ -201,7 +213,7 @@ def _unsafe(state: MinichessState) -> int:
     that is the only one between the king and an enemy slider of its line:
     with two pieces between them, no single move opens the line.
     """
-    own, opp, pawns, knights, bishops, rooks, queens, kings, side, _ = state
+    own, opp, pawns, knights, bishops, rooks, queens, kings, side, _, _ = state
     king = kings & own
     ksq = king.bit_length() - 1
     if opp & (KNIGHT_MASKS[ksq] & knights | KING_MASKS[ksq] & kings
@@ -239,7 +251,7 @@ def pseudo_moves(state: MinichessState, unsafe: int = 0) -> list:
     A slider ray adds its quiet prefix up to its first piece, then that
     piece if it is an enemy.
     """
-    own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
+    own, opp, pawns, knights, bishops, rooks, _, kings, side, _, _ = state
     occ = own | opp
     king = kings & own
     step, caps = (SIZE, WHITE_PAWN_CAPS) if side is WHITE else (-SIZE, BLACK_PAWN_CAPS)
@@ -285,7 +297,7 @@ def _reaches(state: MinichessState, frm: int, to: int) -> bool:
     Read from that piece's own reach: a pawn's push and capture masks, a
     knight's or king's mask, a slider's line with nothing between.
     """
-    own, opp, pawns, knights, bishops, rooks, queens, kings, side, _ = state
+    own, opp, pawns, knights, bishops, rooks, queens, kings, side, _, _ = state
     source, target = 1 << frm, 1 << to
     if target & own:
         return False
@@ -324,7 +336,7 @@ def has_any_legal(state: MinichessState) -> bool:
     squares next to it.  Only if all of them leave the king attacked does
     the full move list get scanned, for a slider's farther squares.
     """
-    own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
+    own, opp, pawns, knights, bishops, rooks, _, kings, side, _, _ = state
     occ = own | opp
     king = kings & own
     ksq = king.bit_length() - 1
@@ -361,20 +373,34 @@ def has_any_legal(state: MinichessState) -> bool:
 
 def _successor(state: MinichessState, move) -> MinichessState:
     """State after a pseudo-move, with automatic queen promotion."""
-    own, opp, pawns, knights, bishops, rooks, queens, kings, side, ply = state
+    own, opp, pawns, knights, bishops, rooks, queens, kings, side, ply, material = state
     frm, to = move
     source, target = 1 << frm, 1 << to
     path = source | target
     if opp & target:
         keep = ~target
-        pawns, knights, bishops, rooks, queens, kings = (
-            pawns & keep, knights & keep, bishops & keep, rooks & keep, queens & keep,
-            kings & keep)
+        unit = 1 << BLACK_LANE if side is WHITE else 1  # one pawn of the captured colour
+        if pawns & target:
+            pawns &= keep
+        elif knights & target:
+            knights &= keep
+            unit <<= 5
+        elif bishops & target:
+            bishops &= keep
+            unit <<= 10
+        elif rooks & target:
+            rooks &= keep
+            unit <<= 15
+        else:  # a queen: no king is ever taken, as the side not to move is never in check
+            queens &= keep
+            unit <<= 20
+        material -= unit
         opp &= keep
     if pawns & source:
         if target & PROMOTION_SQUARES:
             pawns ^= source
             queens |= target
+            material += _PROMOTION if side is WHITE else _PROMOTION << BLACK_LANE
         else:
             pawns ^= path
     elif knights & source:
@@ -389,7 +415,7 @@ def _successor(state: MinichessState, move) -> MinichessState:
         kings ^= path
     # tuple.__new__ skips the NamedTuple's Python-level __new__.
     return _new_tuple(MinichessState, (opp, own ^ path, pawns, knights, bishops, rooks, queens,
-                                       kings, side.opponent, ply + 1))
+                                       kings, side.opponent, ply + 1, material))
 
 
 # Text codec tables.  The placement is unpacked to one character per square,
@@ -501,9 +527,15 @@ class Minichess(Game):
         ply = _PLY_TOKENS.get(ply_txt)
         if ply is None:
             raise ValueError(f"bad ply token {ply_txt!r}")
-        if in_check(MinichessState(opp, own, *kinds, side.opponent, ply)):
+        p, n, b, r, q, _ = kinds
+        material = ((p & white).bit_count() | (n & white).bit_count() << 5
+                    | (b & white).bit_count() << 10 | (r & white).bit_count() << 15
+                    | (q & white).bit_count() << 20 | (p & black).bit_count() << 25
+                    | (n & black).bit_count() << 30 | (b & black).bit_count() << 35
+                    | (r & black).bit_count() << 40 | (q & black).bit_count() << 45)
+        if in_check(MinichessState(opp, own, *kinds, side.opponent, ply, material)):
             raise ValueError(f"side not to move is in check: {text!r}")
-        return MinichessState(own, opp, *kinds, side, ply)
+        return MinichessState(own, opp, *kinds, side, ply, material)
 
     def action_to_str(self, action) -> str:
         frm, to = action

@@ -92,6 +92,7 @@ def minimax(game, root, depth: int, evaluator, seed: int | None = None) -> Searc
         return v, (a, *pv), leaf
 
     value, pv, leaf = rec(root, depth, 0)
+    rec = None  # rec's cell refers to rec: break the cycle, so the search leaves no garbage
     return SearchResult(value, pv, leaf, nodes)
 
 
@@ -167,4 +168,5 @@ def alphabeta(game, root, depth: int, evaluator, seed: int | None = None) -> Sea
         return best_v, (best_a, *best_pv), best_leaf
 
     value, pv, leaf = rec(root, depth, _NEG_INF, float("inf"), 0)
+    rec = None  # as in minimax: no cycle for the GC to collect
     return SearchResult(value, pv, leaf, nodes)

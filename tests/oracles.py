@@ -518,6 +518,16 @@ def mc_board(state):
     return "".join(cells)
 
 
+def mc_material(state):
+    """The material field recounted from the bitboards: each colour's pawns,
+    knights, bishops, rooks and queens, 5 bits each, Black's lane above White's."""
+    white = state.own if state.side_to_move is Side.WHITE else state.opp
+    black = (state.own | state.opp) ^ white
+    return sum((kind & colour).bit_count() << 5 * i + lane
+               for lane, colour in ((0, white), (mc.BLACK_LANE, black))
+               for i, kind in enumerate(state[2:7]))
+
+
 def mc_with_mover(state, side):
     """The same pieces with side to move; own and opp follow the mover."""
     if side is state.side_to_move:
@@ -528,12 +538,15 @@ def mc_with_mover(state, side):
 def mc_mirror(state):
     """Color-swapped position: ranks flipped, colours swapped, mover toggled.
 
-    The mover keeps its pieces (own stays own) but plays the other colour.
+    The mover keeps its pieces (own stays own) but plays the other colour,
+    so the material's White and Black lanes swap.
     """
     def flip(bits):
         return sum(((bits >> 5 * r) & 0b11111) << 5 * (4 - r) for r in range(5))
 
-    return MinichessState(*map(flip, state[:8]), state.side_to_move.opponent, state.ply)
+    lane = (1 << mc.BLACK_LANE) - 1
+    material = state.material >> mc.BLACK_LANE | (state.material & lane) << mc.BLACK_LANE
+    return MinichessState(*map(flip, state[:8]), state.side_to_move.opponent, state.ply, material)
 
 
 # A string-board minichess engine: a 25-char board, a move generator in the
@@ -810,7 +823,7 @@ def random_tree(rng, depth, branching=(2, 3), value_range=9):
 
 def mc_pseudo_moves_gen(state):
     """Yield the side to move's (from, to) pairs ignoring king safety, square by square."""
-    own, opp, pawns, knights, bishops, rooks, _, kings, side, _ = state
+    own, opp, pawns, knights, bishops, rooks, _, kings, side, _, _ = state
     occ = own | opp
     white = side is Side.WHITE
     rest = own

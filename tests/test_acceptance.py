@@ -221,7 +221,8 @@ def test_c04_gradient_finite_difference():
         def value_at(wv):
             return squash(float(phi @ wv), True)
 
-        grad = grad_squashed(phi, WeightVector(w.copy()), True)
+        wv = WeightVector(w.copy())
+        grad = grad_squashed(phi, wv, True, squash(raw_eval(phi, wv), True))
         fd = fd_gradient(value_at, w, h=1e-5)
         denom = max(1.0, float(np.linalg.norm(fd)))
         rel = float(np.linalg.norm(grad - fd)) / denom

@@ -6,6 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     c4_features_oracle,
@@ -100,7 +101,7 @@ def test_gradient_matches_finite_differences():
         def f(values):
             return math.tanh(ATANH_QUARTER * float(np.dot(values, phi)))
 
-        got = grad_squashed(phi, w, True)
+        got = grad_squashed(phi, w, True, squash(raw_eval(phi, w), True))
         want = fd_gradient(f, w.values, h=1e-5)
         denom = max(np.max(np.abs(want)), 1e-9)
         assert np.max(np.abs(got - want)) / denom < 1e-6
@@ -109,7 +110,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_unsquashed_is_feature_vector():
     phi = np.array([1.0, -2.0, 3.5])
     w = WeightVector(np.array([0.3, 0.1, -0.2]))
-    g = grad_squashed(phi, w, False)
+    g = grad_squashed(phi, w, False, squash(raw_eval(phi, w), False))
     assert np.array_equal(g, phi)
     phi[0] = 99.0  # the returned gradient is a copy, not a view
     assert g[0] == 1.0
@@ -118,7 +119,7 @@ def test_gradient_unsquashed_is_feature_vector():
 def test_gradient_zeroed_at_anchored_indices():
     phi = np.array([1.0, 2.0, 3.0])
     w = WeightVector(np.array([1.0, 0.5, 0.5]), anchors=((0, 1.0),))
-    g = grad_squashed(phi, w, True)
+    g = grad_squashed(phi, w, True, squash(raw_eval(phi, w), True))
     assert g[0] == 0.0
     assert g[1] != 0.0 and g[2] != 0.0
 
@@ -157,6 +158,27 @@ def test_weights_must_be_finite(bad):
     text = weights_to_text(fs, fs.weights_from({}))
     with pytest.raises(ValueError, match="finite"):
         weights_from_text(text.replace("cell_3,0", f"cell_3,{bad}"))
+
+
+def test_weight_array_is_read_only_and_holds_the_values():
+    w = WeightVector((0.5, -0.0, 3.25, -1e-300))
+    array = w.array
+    assert array is w.array and array.dtype == np.float64 and not array.flags.writeable
+    assert [v.hex() for v in array.tolist()] == [v.hex() for v in w.values]
+    with pytest.raises(ValueError):
+        array[0] = 1.0
+
+
+_FINITE = st.floats(min_value=-1e150, max_value=1e150) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14).flatmap(
+    lambda k: st.tuples(*[st.lists(_FINITE, min_size=k, max_size=k)] * 2)))
+def test_raw_eval_has_the_bits_of_np_dot_over_the_values(vectors):
+    values, features = map(tuple, vectors)
+    w = WeightVector(values)
+    assert _bits(raw_eval(features, w)) == _bits(float(np.dot(values, features)))
 
 
 def test_raw_eval_is_dot_product():
@@ -489,7 +511,44 @@ def test_zero_weight_evaluator_extracts_no_features(set_id):
     ev = linear_evaluator(fs, WeightVector(np.ones(fs.k)))
     for s in states:
         ev(s)
-    assert len(calls) == len(states)
+    assert len(calls) == _extractions(fs, states)
+
+
+def _extractions(fs, states):
+    """The extractions one evaluator makes scoring states: one per state, or
+    one per distinct key for a keyed set."""
+    return len(states) if fs.key is None else len({fs.key(s) for s in states})
+
+
+def test_material_key_memo_keeps_the_bits_of_a_fresh_dot():
+    # One evaluator per weight vector scores playout states with each side
+    # to move: every value has the bits of np.dot over a fresh extraction,
+    # and extract runs once per distinct key, never with zero weights.
+    base = feature_set("minichess-material")
+    calls = []
+
+    def counting_extract(state, out):
+        calls.append(state)
+        return base.extract(state, out)
+
+    fs = dataclasses.replace(base, extract=counting_extract)
+    rng = np.random.default_rng(38)
+    played = [s for states in islice(random_playouts(MC, rng), 8) for s in states]
+    assert len(played) >= 200
+    states = [mc_with_mover(s, side) for s in played for side in (Side.WHITE, Side.BLACK)]
+    features = {}
+    for s in states:  # one key, one feature vector
+        assert features.setdefault(fs.key(s), _phi(base, s).tobytes()) == _phi(base, s).tobytes()
+    random = rng.normal(size=fs.k) * 10.0 ** rng.integers(-3, 4, size=fs.k)
+    random[2] = -0.0
+    for weights in (base.preset("material"), *map(WeightVector, _zero_vectors(fs.k)),
+                    WeightVector(random)):
+        calls.clear()
+        ev = linear_evaluator(fs, weights)
+        for s in states:
+            assert _bits(ev(s)) == _bits(float(np.dot(weights.values, _phi(base, s)))), \
+                MC.to_text(s)
+        assert len(calls) == (len(features) if any(weights.values) else 0)
 
 
 def _two_states(fs, seed):
@@ -512,11 +571,12 @@ def test_evaluator_scores_every_leaf_in_one_buffer_with_fresh_extraction_bits(se
     ev = linear_evaluator(fs, WeightVector(w))
     a, b = _two_states(base, seed=42)
     got = [ev(s) for s in (a, b, a)]
-    assert len(outs) == 3 and outs[0] is not None and all(o is outs[0] for o in outs)
+    n = _extractions(fs, [a, b, a])
+    assert len(outs) == n and outs[0] is not None and all(o is outs[0] for o in outs)
     assert [_bits(v) for v in got] == [_bits(float(np.dot(w, _phi(base, s)))) for s in (a, b, a)]
-    assert outs[0].tobytes() == _phi(base, a).tobytes()
+    assert outs[0].tobytes() == _phi(base, a if n == 3 else b).tobytes()
     linear_evaluator(fs, WeightVector(w))(a)  # a second evaluator owns a second buffer
-    assert outs[3] is not outs[0] and not np.shares_memory(outs[3], outs[0])
+    assert outs[n] is not outs[0] and not np.shares_memory(outs[n], outs[0])
 
 
 @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))

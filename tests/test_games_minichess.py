@@ -13,6 +13,7 @@ from oracles import (
     mc_legal_moves_filter,
     mc_legal_moves_oracle,
     mc_loop_to_text,
+    mc_material,
     mc_mirror,
     mc_pseudo_moves_gen,
     mc_str_from_text,
@@ -143,6 +144,32 @@ def test_state_invariants_and_text_round_trip_on_random_playouts():
             assert (s.kings & s.own).bit_count() == 1 and (s.kings & s.opp).bit_count() == 1
             assert MC.from_text(MC.to_text(s)) == s
             assert mc_str_from_text(MC.to_text(s)) == (mc_board(s), s.side_to_move, s.ply)
+
+
+_KIND_NAMES = ("pawn", "knight", "bishop", "rook", "queen")
+
+
+def test_material_is_a_recount_of_the_bitboards_after_every_move():
+    # Every legal move from every state of seeded games, through the validated
+    # apply, through apply_trusted and through a text round trip: the material
+    # the successor carries equals a recount of its bitboards.
+    rng = np.random.default_rng(59)
+    seen = Counter()
+    for states in islice(random_playouts(MC, rng), 30):
+        assert states[0].material == mc_material(states[0])
+        for s in states[:-1]:
+            for move in MC.legal_actions(s):
+                child = MC.apply(s, move)
+                assert child == MC.apply_trusted(s, move) == MC.from_text(MC.to_text(child))
+                assert child.material == mc_material(child), (MC.to_text(s), move)
+                frm, to = move
+                captured = next((name for name, bits in zip(_KIND_NAMES, s[2:7])
+                                 if s.opp & bits >> to & 1), None)
+                promoted = s.pawns >> frm & 1 and to // mc.SIZE in (0, mc.SIZE - 1)
+                seen[captured] += 1
+                if promoted:
+                    seen["capture-promotion" if captured else "promotion"] += 1
+    assert all(seen[case] for case in (*_KIND_NAMES, "promotion", "capture-promotion")), seen
 
 
 def test_to_text_matches_the_square_loop_on_random_playouts():

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -28,6 +29,22 @@ def replay_pv(game, state, pv):
     for a in pv:
         state = game.apply(state, a)
     return state
+
+
+def test_a_search_leaves_no_reference_cycle():
+    # Each engine's recursive closure refers to itself until the search
+    # returns; what is left must be freed by reference counting alone.
+    game = GAMES["connect4"]
+    root = game.initial_state()
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in (None, 1, 2):
+            alphabeta(game, root, 3, lambda s: float(s.mover % 5), seed=seed)
+            minimax(game, root, 2, lambda s: float(s.mover % 5), seed=seed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

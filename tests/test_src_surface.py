@@ -168,6 +168,69 @@ def test_numpy_guard_finds_every_spelling(tmp_path):
                                        "learner.py:7"]
 
 
+# Where a MinichessState may be built: its material is kept right only by
+# minichess's own from_text and successor; _replace carries it unchanged.
+STATE_BUILDERS = {"games/minichess.py"}
+
+
+def minichess_state_builds(root=SRC):
+    """The "file:line" of each MinichessState built outside STATE_BUILDERS.
+
+    A build is a call of the class, of an attribute of it (_make, __new__),
+    or of anything with the class as its first argument (tuple.__new__ and
+    its aliases); the class may be spelt as a name, an attribute such as
+    mc.MinichessState, or a name it was imported as.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in STATE_BUILDERS:
+            continue
+        module = ast.parse(path.read_text(), str(path))
+        names = {"MinichessState"} | {alias.asname for node in ast.walk(module)
+                                      if isinstance(node, ast.ImportFrom)
+                                      for alias in node.names
+                                      if alias.name == "MinichessState" and alias.asname}
+
+        def is_class(node):
+            return (isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr == "MinichessState")
+
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call) and (
+                    is_class(node.func)
+                    or isinstance(node.func, ast.Attribute) and is_class(node.func.value)
+                    or node.args and is_class(node.args[0])):
+                found.append(f"{rel}:{node.lineno}")
+    return found
+
+
+def test_only_minichess_builds_a_minichess_state():
+    found = minichess_state_builds()
+    assert not found, "MinichessState built outside games/minichess.py:\n" + "\n".join(found)
+
+
+def test_state_guard_finds_every_spelling(tmp_path):
+    (tmp_path / "games").mkdir()
+    (tmp_path / "games" / "minichess.py").write_text(
+        "def successor(s):\n    return _new_tuple(MinichessState, tuple(s))\n"
+        "START = MinichessState(*range(11))\n")
+    (tmp_path / "evaluation.py").write_text(
+        "from tdsearch.games import minichess as mc\n"
+        "from tdsearch.games.minichess import MinichessState, MinichessState as S\n"
+        "a = MinichessState(*range(11))\n"
+        "b = mc.MinichessState(*range(11))\n"
+        "c = _new_tuple(MinichessState, tuple(a))\n"
+        "d = tuple.__new__(mc.MinichessState, tuple(a))\n"
+        "e = MinichessState._make(a)\n"
+        "f = S(*a)\n"
+        "ok = a._replace(own=0), isinstance(a, MinichessState), 'MinichessState(1)'\n"
+        "def g(s: MinichessState) -> MinichessState:\n    return s._replace(ply=0)\n")
+    assert minichess_state_builds(tmp_path) == [
+        "evaluation.py:3", "evaluation.py:4", "evaluation.py:5", "evaluation.py:6",
+        "evaluation.py:7", "evaluation.py:8"]
+
+
 # The run directory's file names.  tdsearch.rundir owns the layout, so no
 # other module of src/ may spell one, not even in a comment or docstring.
 RUN_FILE_NAME = re.compile(r"traces\.log|ratings\.csv|config\.json|weights_\S*snapshot")
