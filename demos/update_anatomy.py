@@ -9,7 +9,6 @@ sums, and the final weight movement.
 
 import numpy as np
 
-from tdsearch.evaluation import WeightVector
 from tdsearch.games.base import WIN, Side
 from tdsearch.learner import (
     AlphaSchedule,
@@ -51,8 +50,10 @@ print("suffix sums:   ", sums)
 
 # The weight movement is alpha * sum_t sums[t] * gradient[t].  With unit
 # features and no squashing the gradients select one axis per step, so the
-# delta just reproduces the suffix sums.
-delta = tdleaf_delta(trace, cfg, WeightVector(np.zeros(2)))
+# delta just reproduces the suffix sums.  Each gradient is taken at the
+# stored value, so the update needs only the trace and the number of
+# weights (2 here), not the weights themselves.
+delta = tdleaf_delta(trace, cfg, 2)
 print("weight delta:  ", [float(x) for x in delta])
 
 # Lowering lambda shortens the credit horizon: at 0 each decision only sees
@@ -60,5 +61,5 @@ print("weight delta:  ", [float(x) for x in delta])
 for lam in (0.0, 0.5, 1.0):
     cfg_lam = LearnerConfig(lambda_=lam, alpha=AlphaSchedule(base=1.0),
                             squash=False)
-    d = tdleaf_delta(trace, cfg_lam, WeightVector(np.zeros(2)))
+    d = tdleaf_delta(trace, cfg_lam, 2)
     print(f"lambda {lam:.1f}: delta {[float(x) for x in d]}")

@@ -248,16 +248,18 @@ def _learn(cfg: LearnerConfig, fs: FeatureSet, weights: WeightVector, games, pla
     """Fold a stream of games into the weights; yields (i, result, traces, weights after game i).
 
     play(item, weights) plays or reads back one item of games and returns
-    (result, traces).  Each trace's delta is taken at the weights the game
-    was played with; their sum, in trace order, is added before the next
-    game, and weights that leave fs's forced-win bound end the run.
+    (result, traces).  Their deltas are summed in trace order and added
+    before the next game, except at fs's anchored indices, whose weights
+    never move; weights that leave fs's forced-win bound end the run.
     """
     for i, item in enumerate(games):
         result, traces = play(item, weights)
         delta = [0.0] * len(weights)
         for trace in traces:
-            delta = [d + t for d, t in zip(delta, tdleaf_delta(trace, cfg, weights, game_index=i))]
-        weights = weights.with_values([v + d for v, d in zip(weights.values, delta)])
+            delta = [d + t for d, t in zip(delta, tdleaf_delta(trace, cfg, len(weights), i))]
+        for a, _ in fs.anchors:
+            delta[a] = 0.0
+        weights = WeightVector([v + d for v, d in zip(weights.values, delta)])
         fs.check_bound(weights)
         yield i, result, traces, weights
 

@@ -38,7 +38,8 @@ from tdsearch.arena import (
 from tdsearch.evaluation import feature_set, load_weights, weights_to_text
 from tdsearch.games import GAMES, SyntheticTreeGame, TIED_PV_TREE, UNIQUE_PV_TREE
 from tdsearch.learner import AlphaSchedule, ClipPolicy, LearnerConfig
-from tdsearch.rundir import open_log, read_config, read_json, snapshot_path, write_config, write_json
+from tdsearch.rundir import (is_run_file, open_log, read_config, read_json, snapshot_path,
+                             write_config, write_json)
 from tdsearch.search import alphabeta, minimax
 
 MODES = ("train-online", "train-selfplay", "head-to-head", "replay", "verify-figures")
@@ -173,19 +174,19 @@ def parse(cfg: dict, config_dir: Path, owned: ExitStack):
             specs = top.get("agents", list)
             if len(specs) != 2:
                 raise ConfigError("config: 'agents' must list exactly 2 agents")
-            a, b = (_agent(_Section(spec, f"agents[{i}]"), fs, config_dir, True, default)
+            a, b = (_agent(_Section(spec, f"agents[{i}]"), fs, config_dir, out_dir, True, default)
                     for i, (spec, default) in enumerate(zip(specs, "ab")))
             if a.id == b.id:
                 b = replace(b, id=b.id + "-2")
             run = partial(_run_head_to_head, GAMES[game_id], a, b, games, seed, out_dir)
         else:
-            agent = _agent(_Section(top.get("agent", dict), "agent"), fs, config_dir, False,
-                           "learner")
+            agent = _agent(_Section(top.get("agent", dict), "agent"), fs, config_dir, out_dir,
+                           False, "learner")
             learner = _learner(_Section(top.get("learner", dict), "learner"), fs)
             common = (GAMES[game_id], agent, learner, games, seed, out_dir,
                       top.get("snapshot_every", int, 0, lo=0))
             if mode == "train-online":
-                pool = _pool(_Section(top.get("pool", dict), "pool"), fs, config_dir)
+                pool = _pool(_Section(top.get("pool", dict), "pool"), fs, config_dir, out_dir)
                 if any(opp.id == agent.id for opp in pool.opponents):
                     raise ConfigError(f"config: agent id {agent.id!r} is also a pool opponent's id")
                 run = partial(_run_training, *common, pool=pool)
@@ -201,9 +202,11 @@ def parse(cfg: dict, config_dir: Path, owned: ExitStack):
     return run
 
 
-def _snapshot(path: Path, fs, where: str):
-    """The weights stored at path, which must be a snapshot for fs inside its forced-win bound."""
+def _snapshot(path: Path, fs, where: str, out_dir: Path):
+    """The weights at path: a snapshot for fs inside its bound, and no file the run writes."""
     try:
+        if is_run_file(path, out_dir):
+            raise ConfigError(f"{where}: snapshot {path} is a file the run writes into out_dir")
         fs_id, weights = load_weights(path)
     except (OSError, ValueError) as e:  # an OSError's own text repeats the path
         reason = e.strerror if isinstance(e, OSError) else e
@@ -217,7 +220,7 @@ def _snapshot(path: Path, fs, where: str):
     return weights
 
 
-def _agent(sec: _Section, fs, config_dir: Path, fixed: bool, default_id=_REQUIRED):
+def _agent(sec: _Section, fs, config_dir: Path, out_dir: Path, fixed: bool, default_id=_REQUIRED):
     """A SearchAgent: a fixed player (key 'weights') or a learner (key 'initial_weights')."""
     key = "weights" if fixed else "initial_weights"
     spec = sec.get(key, (str, dict), "zero")
@@ -225,18 +228,18 @@ def _agent(sec: _Section, fs, config_dir: Path, fixed: bool, default_id=_REQUIRE
         weights = sec.call(fs.preset, spec)
     else:
         ref = _Section(spec, f"{sec.where}.{key}")
-        weights = _snapshot(ref.path("path", config_dir), fs, ref.where)
+        weights = _snapshot(ref.path("path", config_dir), fs, ref.where, out_dir)
         ref.done()
     return sec.build(SearchAgent, sec.get("id", str, default_id), fs,
                      weights, sec.get("depth", int, lo=1), **sec.fields(tie_mode=("tie_break", str)))
 
 
-def _pool(sec: _Section, fs, config_dir: Path) -> OpponentPool:
+def _pool(sec: _Section, fs, config_dir: Path, out_dir: Path) -> OpponentPool:
     opponents = []
     for i, spec in enumerate(sec.get("opponents", list)):
         opp = _Section(spec, f"{sec.where}.opponents[{i}]")
         if opp.choice("type", ("random", "fixed")) == "fixed":
-            opponents.append(_agent(opp, fs, config_dir, True))
+            opponents.append(_agent(opp, fs, config_dir, out_dir, True))
         else:
             opponents.append(opp.build(RandomAgent, opp.get("id", str)))
     return sec.build(OpponentPool, opponents, **sec.fields(matching=("matching", str)))
@@ -252,14 +255,13 @@ def _learner(sec: _Section, fs) -> LearnerConfig:
 
 
 def _alpha(where: str, value) -> AlphaSchedule:
-    """A number is a constant rate; an object is {kind, base, decay_games, floor}."""
+    """A number is a constant rate; an object is {kind, base[, decay_games, floor if inverse]}."""
     sec = _Section(value if isinstance(value, dict) else {"base": value}, where)
-    return sec.build(AlphaSchedule, **sec.fields(
-        kind=("kind", str),
-        base=("base", NUMBER, float),
-        decay_games=("decay_games", NUMBER, float),
-        floor=("floor", NUMBER, float),
-    ))
+    kwargs = sec.fields(kind=("kind", str), base=("base", NUMBER, float))
+    if kwargs.get("kind") == "inverse":
+        kwargs |= sec.fields(decay_games=("decay_games", NUMBER, float),
+                             floor=("floor", NUMBER, float))
+    return sec.build(AlphaSchedule, **kwargs)
 
 
 def _parse_replay(run_dir: Path, out_dir: Path, owned: ExitStack):
@@ -270,7 +272,8 @@ def _parse_replay(run_dir: Path, out_dir: Path, owned: ExitStack):
         game_id = run_cfg.choice("game", tuple(GAMES))
         fs = run_cfg.call(feature_set, run_cfg.get("features", str, game_id), game_id)
         learner = _learner(_Section(run_cfg.get("learner", dict), f"{run_cfg.where} learner"), fs)
-        initial, final = (_snapshot(snapshot_path(run_dir, k), fs, "run_dir") for k in (0, None))
+        initial, final = (_snapshot(snapshot_path(run_dir, k), fs, "run_dir", out_dir)
+                          for k in (0, None))
         log = owned.enter_context(open_log(run_dir))  # last, once nothing else can fail
     except OSError as e:  # the log
         raise ConfigError(f"run_dir: {e.filename}: {e.strerror}") from None

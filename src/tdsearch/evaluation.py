@@ -52,24 +52,16 @@ def squash(j: float, enabled: bool) -> float:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Immutable weight vector, a tuple of Python floats, with optionally anchored
-    (frozen) entries.  numpy meets the weights only in the two dot products,
-    through array."""
+    """Immutable weight vector, a tuple of finite Python floats; numpy meets
+    the weights only in the two dot products, through array."""
 
     values: tuple
-    anchors: tuple = ()  # ((index, value), ...) entries updates must not move
 
     def __post_init__(self):
         values = tuple(map(float, self.values))
         if not all(map(math.isfinite, values)):
             raise ValueError(f"weights must be finite, got {list(values)}")
-        for i, v in self.anchors:
-            if not 0 <= i < len(values):
-                raise ValueError(f"anchor index {i} out of range")
-            if values[i] != v:
-                raise ValueError(f"weight {i} is {values[i]!r}, anchored at {v!r}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "anchors", tuple((int(i), float(v)) for i, v in self.anchors))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -81,12 +73,6 @@ class WeightVector:
         array.flags.writeable = False
         return array
 
-    def with_values(self, values) -> "WeightVector":
-        return WeightVector(values, self.anchors)
-
-    def anchor_indices(self) -> tuple:
-        return tuple(i for i, _ in self.anchors)
-
 
 def raw_eval(features, weights: WeightVector) -> float:
     """Linear evaluation w . phi."""
@@ -95,22 +81,17 @@ def raw_eval(features, weights: WeightVector) -> float:
     return float(weights.array.dot(features))
 
 
-def grad_squashed(features, weights: WeightVector, squashed: bool, value: float) -> tuple:
+def grad_squashed(features, squashed: bool, value: float) -> tuple:
     """Gradient of squash(raw_eval) wrt the weights: ATANH_QUARTER*(1-v^2)*phi,
     or phi itself (1.0 * phi, the same bits) when not squashed.
 
     value is v, the squashed value of the features under the weights, which
-    the caller holds (a trace's stored leaf value).  Entries at anchored
-    indices are zeroed, which is what keeps anchors fixed under updates (no
-    post-hoc clamping).
+    the caller holds (a trace's stored leaf value), so no weights are read.
     """
     scale = 1.0
     if squashed:
         scale = ATANH_QUARTER * (1.0 - value * value)
-    g = [scale * f for f in features]
-    for i in weights.anchor_indices():
-        g[i] = 0.0
-    return tuple(g)
+    return tuple(scale * f for f in features)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +246,7 @@ class FeatureSet:
     extract: object  # callable(state, out) -> out, a float64 array of length k, filled
     bound: float  # |phi_i(s)| <= bound for every feature i and state s
     preset_name: str | None = None  # the name of the table's weights; None: only "zero"
-    anchors: tuple = ()  # anchored (index, value) pairs for new weights
+    anchors: tuple = ()  # (index, value) pairs: weights pinned at value, never learned
     key: object = None  # callable(state) -> int; states with one key share a feature vector
 
     @cached_property
@@ -281,7 +262,7 @@ class FeatureSet:
             raise ValueError(f"unknown feature names: {sorted(unknown)}")
         anchored = dict(self.anchors)
         values = [anchored.get(i, named.get(name, 0.0)) for i, name in enumerate(self.names)]
-        return WeightVector(values, self.anchors)
+        return WeightVector(values)
 
     def preset(self, name: str) -> WeightVector:
         """The weights of a named preset: "zero", or preset_name for the table's."""
@@ -399,9 +380,9 @@ def linear_evaluator(fs: FeatureSet, weights: WeightVector):
 _G = "{:.17g}".format
 
 
-def _snapshot_lines(fs: FeatureSet, values, anchors):
+def _snapshot_lines(fs: FeatureSet, values):
     """The lines of a snapshot: header (feature set, k, anchors), then index,name,value."""
-    yield f"game={fs.id} k={fs.k} anchors={';'.join(f'{i}:{_G(v)}' for i, v in anchors) or '-'}"
+    yield f"game={fs.id} k={fs.k} anchors={';'.join(f'{i}:{_G(v)}' for i, v in fs.anchors) or '-'}"
     for i, name in enumerate(fs.names):
         yield f"{i},{name},{_G(values[i])}"
 
@@ -409,26 +390,24 @@ def _snapshot_lines(fs: FeatureSet, values, anchors):
 def weights_to_text(fs: FeatureSet, weights: WeightVector) -> str:
     if len(weights) != fs.k:
         raise ValueError("weight length does not match the feature set")
-    return "\n".join(_snapshot_lines(fs, weights.values, weights.anchors)) + "\n"
+    return "\n".join(_snapshot_lines(fs, weights.values)) + "\n"
 
 
 def weights_from_text(text: str):
     """Parse a snapshot; returns (feature_set_id, WeightVector).
 
     Each line must be the one weights_to_text writes for the values it
-    holds: header keys game, k, anchors in that order, index lines 0..k-1
-    in order, every float token equal to _G(float(token)), and "\n" ending each.
+    holds: the header of the set its game key names (so k and the anchors
+    are the set's), index lines 0..k-1 in order, every float token equal
+    to _G(float(token)), and "\n" ending each.  An anchored weight must
+    hold the set's value for it.
     """
     *lines, tail = text.split("\n")
     if tail or not lines:
         raise ValueError(f"snapshot does not end in a newline: ...{text[-24:]!r}")
-    try:
-        header = dict(part.split("=", 1) for part in lines[0].split(" "))
-        pairs = (pair.partition(":") for pair in header["anchors"].split(";"))
-        anchors = tuple((int(i), float(v)) for i, colon, v in pairs if colon)  # none in "-"
-        set_id = header["game"]
-    except (LookupError, ValueError):
-        raise ValueError(f"snapshot line 1 reads {lines[0]!r}, not a snapshot header") from None
+    key, _, set_id = lines[0].partition(" ")[0].partition("=")
+    if key != "game":
+        raise ValueError(f"snapshot line 1 reads {lines[0]!r}, not a snapshot header")
     fs = feature_set(set_id)
     if len(lines) != fs.k + 1:
         raise ValueError(f"snapshot has {len(lines) - 1} weight lines, {fs.id} has {fs.k}")
@@ -438,10 +417,14 @@ def weights_from_text(text: str):
             values.append(float(row.rpartition(",")[2]))
         except ValueError:
             raise ValueError(f"snapshot line {n} reads {row!r}, not index,name,number") from None
-    for n, (got, want) in enumerate(zip(lines, _snapshot_lines(fs, values, anchors)), start=1):
+    for n, (got, want) in enumerate(zip(lines, _snapshot_lines(fs, values)), start=1):
         if got != want:
             raise ValueError(f"snapshot line {n} reads {got!r}; the writer writes {want!r}")
-    return fs.id, WeightVector(values, anchors)
+    for i, v in fs.anchors:
+        if values[i] != v:
+            raise ValueError(f"snapshot line {i + 2} reads {lines[i + 1]!r}; "
+                             f"{fs.id} anchors {fs.names[i]} at {_G(v)}")
+    return fs.id, WeightVector(values)
 
 
 def load_weights(path):

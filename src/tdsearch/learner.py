@@ -15,7 +15,9 @@ the reward by convention).  The weight update is
 
 computed with a backward recursion for the inner sums.  At lambda=0 this
 collapses to per-step bootstrapping; at lambda=1 (unclipped) it telescopes
-to gradient descent on the final outcome error.
+to gradient descent on the final outcome error.  grad(v_t) is taken at the
+stored v_t, so the update reads no weights; the learning loop (arena._learn)
+applies it and keeps the feature set's anchored weights fixed.
 
 tdleaf_delta applies the rule to the principal-variation leaves, which is
 what makes it consistent with the deep searches actually choosing moves.
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 from tdsearch.evaluation import (
     _G,
     FeatureSet,
-    WeightVector,
     features_white,
     grad_squashed,
 )
@@ -155,11 +156,11 @@ def discounted_difference_sums(diffs, lam: float):
     return out
 
 
-def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
-                 game_index: int = 0) -> tuple:
-    """Weight change for one trace under the leaf-based update rule."""
+def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, k: int, game_index: int = 0) -> tuple:
+    """Change of the k weights for one trace under the leaf-based update rule,
+    from the trace's stored leaf values and features alone."""
     diffs = temporal_differences(trace, cfg)
-    delta = (0.0,) * len(weights)
+    delta = (0.0,) * k
     if not diffs:
         return delta
     sums = discounted_difference_sums(diffs, cfg.lambda_)
@@ -167,7 +168,7 @@ def tdleaf_delta(trace: GameTrace, cfg: LearnerConfig, weights: WeightVector,
     for step, s in zip(trace.steps, sums):
         if s != 0.0:
             # White-perspective gradient at the recorded leaf, at its stored value.
-            grad = grad_squashed(step.leaf_features, weights, cfg.squash, step.value)
+            grad = grad_squashed(step.leaf_features, cfg.squash, step.value)
             delta = [d + (c * s) * g for d, g in zip(delta, grad)]
     alpha = cfg.alpha.at(game_index)
     return tuple(alpha * d for d in delta)

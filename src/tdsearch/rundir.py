@@ -23,6 +23,15 @@ CSV_COLUMNS = (
 
 # The snapshot files a run writes: numbered, final, and the final one's temporary.
 _SNAPSHOT_NAME = re.compile(r"weights_(\d{6,}|final)\.snapshot(\.tmp)?")
+# Every other file a run writes into its out_dir.
+_RUN_FILES = {"config.json", "ratings.csv", "traces.log", "result.json", "replay.json", "verify.json"}
+
+
+def is_run_file(path, out_dir) -> bool:
+    """Whether path resolves to a file that a run writes into out_dir."""
+    path = Path(os.path.realpath(path))
+    return path.parent == Path(os.path.realpath(out_dir)) and (
+        path.name in _RUN_FILES or _SNAPSHOT_NAME.fullmatch(path.name) is not None)
 
 
 def weights_hash(fs: FeatureSet, weights: WeightVector) -> str:

@@ -148,7 +148,7 @@ def td_update(trace, cfg, weights, fs, game_index=0):
     uses it, the acceptance checks compare against it.
     """
     rebased = rebase_on_roots(trace, weights, fs, cfg.squash)
-    return tdleaf_delta(rebased, cfg, weights, game_index)
+    return tdleaf_delta(rebased, cfg, len(weights), game_index)
 
 
 def fd_gradient(f, x, h=1e-5):

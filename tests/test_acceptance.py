@@ -222,7 +222,7 @@ def test_c04_gradient_finite_difference():
             return squash(float(phi @ wv), True)
 
         wv = WeightVector(w.copy())
-        grad = grad_squashed(phi, wv, True, squash(raw_eval(phi, wv), True))
+        grad = grad_squashed(phi, True, squash(raw_eval(phi, wv), True))
         fd = fd_gradient(value_at, w, h=1e-5)
         denom = max(1.0, float(np.linalg.norm(fd)))
         rel = float(np.linalg.norm(grad - fd)) / denom
@@ -244,13 +244,6 @@ def _played_traces(seed: int):
     rec = play_game(c4, agent, agent, record_sides=(Side.WHITE, Side.BLACK),
                     squashed=True, rng=np.random.default_rng((77, seed)))
     return [tr for tr in rec.traces.values() if tr.steps]
-
-
-def _anchor_zeroed(phi, w):
-    grad = np.array(phi)
-    for i in w.anchor_indices():
-        grad[i] = 0.0
-    return grad
 
 
 def test_c05_update_rule_special_cases():
@@ -276,25 +269,25 @@ def test_c05_update_rule_special_cases():
                            opponent_rating_lower=st.opponent_rating_lower)
                 for st in steps), tr.outcome)
             cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=0.1), squash=squashed)
-            checks.append(np.array_equal(tdleaf_delta(rooted, cfg, w),
+            checks.append(np.array_equal(tdleaf_delta(rooted, cfg, fs.k),
                                          td_update(tr, cfg, w, fs)))
 
             # (b) lambda=1, no clipping: each step's discounted sum telescopes
             #     to outcome-minus-value
             cfg1 = LearnerConfig(lambda_=1.0, alpha=AlphaSchedule(base=1.0), squash=False)
-            delta = tdleaf_delta(tr, cfg1, w)
+            delta = tdleaf_delta(tr, cfg1, fs.k)
             direct = np.zeros(fs.k)
             for st in steps:
-                direct += c * (r - c * st.value) * _anchor_zeroed(st.leaf_features, w)
+                direct += c * (r - c * st.value) * np.array(st.leaf_features)
             checks.append(bool(np.allclose(delta, direct, rtol=0, atol=1e-10)))
 
             # (c) lambda=0: only the one-step difference feeds each step
             cfg0 = LearnerConfig(lambda_=0.0, alpha=AlphaSchedule(base=1.0), squash=False)
-            delta0 = tdleaf_delta(tr, cfg0, w)
+            delta0 = tdleaf_delta(tr, cfg0, fs.k)
             vals = [c * st.value for st in steps] + [float(r)]
             direct0 = np.zeros(fs.k)
             for t, st in enumerate(steps):
-                direct0 += c * (vals[t + 1] - vals[t]) * _anchor_zeroed(st.leaf_features, w)
+                direct0 += c * (vals[t + 1] - vals[t]) * np.array(st.leaf_features)
             checks.append(bool(np.allclose(delta0, direct0, rtol=0, atol=1e-12)))
     ok = bool(checks) and all(checks)
     _verdict(5, "update-rule-special-cases", ok, f"{sum(checks)}/{len(checks)} sub-checks")
@@ -316,7 +309,7 @@ def test_c06_worked_update():
     )
     tr = GameTrace(Side.WHITE, steps, WIN)
     cfg = LearnerConfig(lambda_=0.7, alpha=AlphaSchedule(base=1.0), squash=False)
-    delta = tdleaf_delta(tr, cfg, WeightVector(np.zeros(2)))
+    delta = tdleaf_delta(tr, cfg, 2)
     ok = delta[0] == 0.7 and delta[1] == 1.0
     _verdict(6, "worked-two-step-update", ok, f"delta = ({delta[0]}, {delta[1]})")
 

@@ -678,7 +678,7 @@ def test_game_rng_streams_are_decorrelated():
 
 def test_weights_hash_tracks_content():
     w1 = FS3.weights_from({})
-    w2 = w1.with_values(np.linspace(0, 1, FS3.k))
+    w2 = WeightVector(np.linspace(0, 1, FS3.k))
     assert weights_hash(FS3, w1) != weights_hash(FS3, w2)
     assert weights_hash(FS3, w1) == weights_hash(FS3, FS3.weights_from({}))
     assert len(weights_hash(FS3, w1)) == 12

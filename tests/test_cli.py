@@ -256,6 +256,13 @@ def _batched_learner(tmp_path):
     return cfg
 
 
+def _alpha_of(tmp_path, **alpha):
+    # decay_games and floor shape only the inverse schedule
+    cfg = _online(tmp_path)
+    cfg["learner"]["alpha"] = alpha
+    return cfg
+
+
 # hole -> (config maker, text stderr must contain)
 HOLES = {
     "seed": (lambda t: _online(t, seed=-1), "seed"),
@@ -276,6 +283,11 @@ HOLES = {
     "learner-id-in-pool": (lambda t: _learner_named(t, "rnd"), "pool opponent"),
     "non-ascii-opponent-id": (lambda t: _opponent_named(t, "r\u00f1d"), "printable ASCII"),
     "update_every_n_games": (_batched_learner, "update_every_n_games"),
+    "decay-keys-of-a-constant-alpha": (
+        lambda t: _alpha_of(t, kind="constant", base=0.05, decay_games=3, floor=7),
+        "learner.alpha: unknown key(s) 'decay_games', 'floor'"),
+    "decay-key-of-an-alpha-without-kind": (lambda t: _alpha_of(t, base=0.05, decay_games=3),
+                                           "learner.alpha: unknown key(s) 'decay_games'"),
 }
 
 
@@ -332,8 +344,9 @@ SNAPSHOT_READ_ERRORS = {
     "missing": (None, "No such file or directory"),
     "no-header": ("bogus\n", "snapshot line 1 reads 'bogus', not a snapshot header"),
     "header-without-anchors": (
-        "game=tictactoe\n",
-        "snapshot line 1 reads 'game=tictactoe', not a snapshot header"),
+        T3_ZERO.replace(" anchors=-", ""),
+        "snapshot line 1 reads 'game=tictactoe k=10'; "
+        "the writer writes 'game=tictactoe k=10 anchors=-'"),
     "unknown-set": ("game=nope k=1 anchors=-\n0,x,0\n", "unknown feature set 'nope'"),
     "value-not-a-number": (
         T3_ZERO.replace("0,cell_0,0", "0,cell_0,abc"),
@@ -342,6 +355,84 @@ SNAPSHOT_READ_ERRORS = {
         T3_ZERO.replace("0,cell_0,0", "0,cell_\u00e9,0"),
         "snapshot line 2 reads '0,cell_\\udcc3\\udca9,0'; the writer writes '0,cell_0,0'"),
 }
+
+
+def test_a_snapshot_cannot_anchor_a_weight_its_feature_set_leaves_free(tmp_path, capsys):
+    # The anchors are the feature set's: a header naming others is a read
+    # error, where it once froze run2_v at 0.5 for the whole run.
+    fs = feature_set("connect4")
+    text = weights_to_text(fs, fs.preset("zero")).replace(" anchors=-\n", " anchors=3:0.5\n")
+    text = text.replace("\n3,run2_v,0\n", "\n3,run2_v,0.5\n")
+    path = tmp_path / "pinned.snapshot"
+    path.write_text(text)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "c4_pool_train.json").read_text())
+    cfg["agent"]["initial_weights"] = {"path": "pinned.snapshot"}
+    p = write_cfg(tmp_path / "c4.json", **dict(cfg, games=6, out_dir=str(tmp_path / "run")))
+    assert main(["--config", p, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: agent.initial_weights: cannot read weight snapshot {path}: "
+        "snapshot line 1 reads 'game=connect4 k=12 anchors=3:0.5'; "
+        "the writer writes 'game=connect4 k=12 anchors=-'\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_snapshot_must_hold_its_anchored_weights_at_their_values(tmp_path, capsys):
+    fs = feature_set("minichess-material")
+    path = tmp_path / "pawn.snapshot"
+    path.write_text(weights_to_text(fs, fs.preset("material")).replace(",pawn_diff,1\n",
+                                                                       ",pawn_diff,2\n"))
+    p = write_cfg(tmp_path / "h.json", mode="head-to-head", game="minichess",
+                  features="minichess-material", games=2, out_dir=str(tmp_path / "run"),
+                  agents=[dict(depth=1, weights={"path": "pawn.snapshot"}), dict(depth=1)])
+    assert main(["--config", p, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: agents[0].weights: cannot read weight snapshot {path}: "
+        "snapshot line 2 reads '0,pawn_diff,2'; minichess-material anchors pawn_diff at 1\n")
+    assert not (tmp_path / "run").exists()
+
+
+def _run_files(run):
+    return {q.name: q.read_bytes() for q in run.iterdir()}
+
+
+def test_replay_into_its_own_run_dir_is_a_config_error(tmp_path, capsys):
+    # Replay echoes its config into out_dir; into run_dir it would overwrite
+    # the config.json it replays, and the next replay of run_dir would fail.
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    run = tmp_path / "run"
+    before = _run_files(run)
+    rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir="run",
+                   out_dir=str(run / ".." / "run"))
+    capsys.readouterr()
+    assert main(["--config", rp, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: run_dir: snapshot {run / 'weights_000000.snapshot'} "
+        "is a file the run writes into out_dir\n")
+    assert _run_files(run) == before
+
+
+@pytest.mark.parametrize("name", ["weights_final.snapshot", "weights_000000.snapshot"])
+def test_a_run_that_would_overwrite_a_snapshot_it_reads_is_a_config_error(tmp_path, capsys,
+                                                                          name):
+    # Training into the directory of its initial snapshot would overwrite
+    # it, and the echoed config would then name other weights.
+    assert main(["--config", online_cfg(tmp_path), "--quiet"]) == 0
+    run = tmp_path / "run"
+    before = _run_files(run)
+    cfg = _online(tmp_path)
+    cfg["agent"]["initial_weights"] = {"path": f"run/{name}"}
+    p = write_cfg(tmp_path / "again.json", **cfg)
+    capsys.readouterr()
+    assert main(["--config", p, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: agent.initial_weights: snapshot {run / name} "
+        "is a file the run writes into out_dir\n")
+    assert _run_files(run) == before
+    # A snapshot of another name in out_dir is no run file: the run reads it.
+    (run / "mine.snapshot").write_bytes(before[name])
+    cfg["agent"]["initial_weights"] = {"path": "run/mine.snapshot"}
+    assert main(["--config", write_cfg(tmp_path / "again.json", **cfg), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("case", SNAPSHOT_READ_ERRORS)
@@ -511,19 +602,24 @@ def test_replay_mode_fails_on_tampered_log(tmp_path, capsys):
     assert out == "" and "FAIL" in err
 
 
-# edit -> (config, games, text in the final snapshot, its replacement).  The
-# snapshot reader takes each edited text, and its values compare equal to the
-# replayed weights, but the replayed weights do not write that text.
+# edit -> (config, games, text in the final snapshot, its replacement, exit
+# code, text stderr must contain).  The replayed weights do not write the
+# edited text.  The snapshot reader takes -0, whose value compares equal, so
+# the replay runs and fails its final compare (exit 1); a header that drops
+# the feature set's anchors is a read error (exit 2).
 FINAL_SNAPSHOT_EDITS = {
-    "negative-zero": ("c4_pool_train.json", 4, "\n6,run3_v,0\n", "\n6,run3_v,-0\n"),
-    "anchors-dropped": ("mc_material_selfplay.json", 6, " anchors=0:1\n", " anchors=-\n"),
+    "negative-zero": ("c4_pool_train.json", 4, "\n6,run3_v,0\n", "\n6,run3_v,-0\n", 1,
+                      "0 step mismatches; final weights match: False"),
+    "anchors-dropped": ("mc_material_selfplay.json", 6, " anchors=0:1\n", " anchors=-\n", 2,
+                        "snapshot line 1 reads 'game=minichess-material k=5 anchors=-'; "
+                        "the writer writes 'game=minichess-material k=5 anchors=0:1'"),
 }
 
 
 @pytest.mark.parametrize("edit", FINAL_SNAPSHOT_EDITS)
 def test_replay_fails_on_a_final_snapshot_the_replayed_weights_do_not_write(tmp_path, capsys,
                                                                             edit):
-    name, games, old, new = FINAL_SNAPSHOT_EDITS[edit]
+    name, games, old, new, code, needle = FINAL_SNAPSHOT_EDITS[edit]
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / name).read_text())
     run = tmp_path / "run"
     p = write_cfg(tmp_path / "train.json", **dict(cfg, games=games, out_dir=str(run)))
@@ -534,9 +630,10 @@ def test_replay_fails_on_a_final_snapshot_the_replayed_weights_do_not_write(tmp_
     final.write_text(text.replace(old, new))
     rp = write_cfg(tmp_path / "r.json", mode="replay", run_dir=str(run),
                    out_dir=str(tmp_path / "replay"))
-    assert main(["--config", rp, "--quiet"]) == 1
+    assert main(["--config", rp, "--quiet"]) == code
     out, err = capsys.readouterr()
-    assert out == "" and "0 step mismatches; final weights match: False" in err, err
+    assert out == "" and needle in err, err
+    assert (tmp_path / "replay").exists() == (code == 1)
 
 
 def test_replay_mode_fails_on_a_root_text_to_text_never_writes(tmp_path, capsys):

@@ -28,6 +28,7 @@ WORDS = st.sampled_from([
     "tictactoe", "connect4", "minichess", "minichess-material", "synthetic-tree",
     "zero", "baseline", "material", "first", "random", "fixed", "uniform", "nearest",
     "constant", "inverse", "none", "unless-predicted", "path", "run", "c4.snapshot",
+    "kind", "base", "decay_games", "floor",
 ])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
            | WORDS | st.text(max_size=6))

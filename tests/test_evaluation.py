@@ -20,6 +20,7 @@ from oracles import (
     random_playouts,
     random_position,
 )
+from tdsearch.arena import _learn
 from tdsearch.evaluation import (
     ATANH_QUARTER,
     FEATURE_SETS,
@@ -36,7 +37,8 @@ from tdsearch.evaluation import (
 )
 from tdsearch.games import GAMES
 from tdsearch.games import connect4 as c4
-from tdsearch.games.base import Side
+from tdsearch.games.base import WIN, Side
+from tdsearch.learner import GameTrace, LearnerConfig, StepRecord
 
 T3 = GAMES["tictactoe"]
 C4 = GAMES["connect4"]
@@ -101,7 +103,7 @@ def test_gradient_matches_finite_differences():
         def f(values):
             return math.tanh(ATANH_QUARTER * float(np.dot(values, phi)))
 
-        got = grad_squashed(phi, w, True, squash(raw_eval(phi, w), True))
+        got = grad_squashed(phi, True, squash(raw_eval(phi, w), True))
         want = fd_gradient(f, w.values, h=1e-5)
         denom = max(np.max(np.abs(want)), 1e-9)
         assert np.max(np.abs(got - want)) / denom < 1e-6
@@ -110,18 +112,26 @@ def test_gradient_matches_finite_differences():
 def test_gradient_unsquashed_is_feature_vector():
     phi = np.array([1.0, -2.0, 3.5])
     w = WeightVector(np.array([0.3, 0.1, -0.2]))
-    g = grad_squashed(phi, w, False, squash(raw_eval(phi, w), False))
+    g = grad_squashed(phi, False, squash(raw_eval(phi, w), False))
     assert np.array_equal(g, phi)
     phi[0] = 99.0  # the returned gradient is a copy, not a view
     assert g[0] == 1.0
 
 
 def test_gradient_zeroed_at_anchored_indices():
-    phi = np.array([1.0, 2.0, 3.0])
-    w = WeightVector(np.array([1.0, 0.5, 0.5]), anchors=((0, 1.0),))
-    g = grad_squashed(phi, w, True, squash(raw_eval(phi, w), True))
-    assert g[0] == 0.0
-    assert g[1] != 0.0 and g[2] != 0.0
+    # The gradient itself covers every index; the learning loop applies it
+    # everywhere but at the feature set's anchored indices.
+    fs = feature_set("minichess")
+    phi = (1.0, 2.0, 3.0, -1.0, 0.5, 4.0, -2.0)
+    w = fs.preset("material")
+    v = squash(raw_eval(phi, w), True)
+    assert all(g != 0.0 for g in grad_squashed(phi, True, v))
+    step = StepRecord(root=None, leaf=None, pv=(), leaf_features=phi, value=v)
+    game = [GameTrace(Side.WHITE, (step,), WIN)]
+    ((_, _, _, after),) = _learn(LearnerConfig(), fs, w, [game], lambda item, _: (None, item))
+    moved = [a != b for a, b in zip(after.values, w.values)]
+    assert moved == [False] + [True] * (fs.k - 1)
+    assert after.values[0].hex() == w.values[0].hex() == "0x1.0000000000000p+0"
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +147,32 @@ def test_weight_vector_immutable():
 
 
 def test_anchor_value_enforced():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([0.5, 2.0]), anchors=((0, 1.0),))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([1.0]), anchors=((3, 1.0),))
-    w = WeightVector(np.array([1.0, 2.0]), anchors=((0, 1.0),))
-    assert w.anchor_indices() == (0,)
-    with pytest.raises(ValueError):
-        w.with_values(np.array([0.9, 2.0]))  # update moved the anchor
+    # A snapshot's anchored weights must hold the values its feature set pins
+    # them at; the error names the line.
+    fs = feature_set("minichess")
+    text = weights_to_text(fs, fs.preset("material"))
+    assert text.splitlines()[1] == "0,pawn_diff,1"
+    with pytest.raises(ValueError) as bad:
+        weights_from_text(text.replace("0,pawn_diff,1\n", "0,pawn_diff,2\n"))
+    assert str(bad.value) == ("snapshot line 2 reads '0,pawn_diff,2'; "
+                              "minichess anchors pawn_diff at 1")
+
+
+def test_a_snapshot_takes_its_anchors_from_its_feature_set():
+    # A header cannot pin a weight its feature set leaves free, nor drop one.
+    fs = feature_set("connect4")
+    text = weights_to_text(fs, fs.preset("baseline"))
+    for header in ("game=connect4 k=12 anchors=3:0.5",
+                   "game=connect4 k=12 anchors=3:0.080000000000000002"):  # run2_v's own value
+        with pytest.raises(ValueError) as bad:
+            weights_from_text(header + text[text.index("\n"):])
+        assert str(bad.value) == (f"snapshot line 1 reads {header!r}; "
+                                  "the writer writes 'game=connect4 k=12 anchors=-'")
+    mc = feature_set("minichess")
+    dropped = weights_to_text(mc, mc.preset("zero")).replace("anchors=0:1", "anchors=-")
+    with pytest.raises(ValueError, match="snapshot line 1 reads 'game=minichess k=7 anchors=-'; "
+                                         "the writer writes 'game=minichess k=7 anchors=0:1'"):
+        weights_from_text(dropped)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -153,7 +181,7 @@ def test_weights_must_be_finite(bad):
         WeightVector(np.array([1.0, bad]))
     w = WeightVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="finite"):
-        w.with_values(w.values + np.array([0.0, bad]))  # an update that overflowed
+        WeightVector(w.values + np.array([0.0, bad]))  # an update that overflowed
     fs = feature_set("tictactoe")
     text = weights_to_text(fs, fs.weights_from({}))
     with pytest.raises(ValueError, match="finite"):
@@ -629,16 +657,16 @@ def test_snapshot_round_trip_exact(tmp_path):
     fs_id, back = load_weights(path)
     assert fs_id == "connect4"
     assert np.array_equal(back.values, w.values)  # bitwise, via 17 digits
-    assert back.anchors == w.anchors
+    assert back == w
 
 
 def test_snapshot_preserves_anchors(tmp_path):
     fs = feature_set("minichess")
-    w = fs.weights_from({}).with_values([1.0, 3.3, 3.1, 5.0, 9.9, 0.1, 0.2])
+    w = WeightVector([1.0, 3.3, 3.1, 5.0, 9.9, 0.1, 0.2])
     path = tmp_path / "m.snapshot"
     path.write_text(weights_to_text(fs, w), encoding="ascii")
-    _, back = load_weights(path)
-    assert back.anchors == ((0, 1.0),)
+    assert path.read_text().splitlines()[:2] == ["game=minichess k=7 anchors=0:1", "0,pawn_diff,1"]
+    assert load_weights(path) == ("minichess", w)
 
 
 def test_snapshot_text_rejects_wrong_names():
@@ -664,7 +692,7 @@ def _snapshot_lines_of(set_id):
     fs = feature_set(set_id)
     w = fs.preset("baseline" if set_id == "connect4" else "material")
     if set_id == "connect4":
-        w = w.with_values(w.values * np.where(np.arange(fs.k) % 2, -1.0, 1.0))
+        w = WeightVector(w.values * np.where(np.arange(fs.k) % 2, -1.0, 1.0))
     return weights_to_text(fs, w).splitlines()
 
 
@@ -702,8 +730,8 @@ def test_snapshot_text_rejects_a_second_spelling(spelling):
 
 @pytest.mark.parametrize("set_id", ["connect4", "minichess"])
 def test_snapshot_text_ends_every_line_with_a_newline_alone(set_id, tmp_path):
-    # connect4 has no anchors ("anchors=-") and minichess has one, so a "\r"
-    # after the header's last token reaches each parse path.
+    # connect4 has no anchors ("anchors=-") and minichess has one: a "\r"
+    # after the header's last token fails either header's compare.
     lines = _snapshot_lines_of(set_id)
     text = "\n".join(lines) + "\n"
     path = tmp_path / "w.snapshot"
@@ -818,11 +846,14 @@ def test_check_bound_raises_once_the_weights_could_outrank_a_forced_win():
 @pytest.mark.parametrize("header", ["bogus", "game=tictactoe", "game=tictactoe k=10",
                                     "game=tictactoe k=10 anchors=x:1"])
 def test_snapshot_header_errors_name_the_line(header):
+    # Only the game key is read; the rest of a header is the set's to write.
     fs = feature_set("tictactoe")
     text = weights_to_text(fs, fs.preset("zero"))
     with pytest.raises(ValueError) as bad:
         weights_from_text(header + text[text.index("\n"):])
-    assert str(bad.value) == f"snapshot line 1 reads {header!r}, not a snapshot header"
+    want = (f"snapshot line 1 reads {header!r}, not a snapshot header" if header == "bogus" else
+            f"snapshot line 1 reads {header!r}; the writer writes 'game=tictactoe k=10 anchors=-'")
+    assert str(bad.value) == want
 
 
 def test_a_snapshot_of_an_unknown_feature_set_says_so_plainly():
